@@ -30,6 +30,8 @@ EXIT_RESOURCE = 3
 EXIT_UNKNOWN = 64
 
 _SUBCOMMANDS = ("constant", "count", "volume", "classify", "selftest")
+# Options given before the subcommand, each taking one value.
+_GLOBAL_OPTIONS = ("--threads",)
 
 
 def _fmt17(x: float) -> str:
@@ -160,8 +162,7 @@ def _cmd_count(args) -> int:
     reports = []
     if args.method in ("bfs", "both"):
         reports.append(CS.enumerate_bfs(
-            part, args.radius, margin=args.margin,
-            max_depth=args.max_depth, max_states=args.max_states,
+            part, args.radius, margin=args.margin, max_states=args.max_states,
         ))
     if args.method in ("brute", "both"):
         reports.append(CS.enumerate_brute(
@@ -184,7 +185,7 @@ def _cmd_count(args) -> int:
             "ratio": rep.count / asym if asym > 0 else "",
             "method": rep.method,
             "margin": args.margin if rep.method == "bfs" else "",
-            "depth": rep.params.get("max_depth", "") if rep.method == "bfs" else "",
+            "depth": rep.params["depth_reached"] if rep.method == "bfs" else "",
             "seconds": rep.wall_time,
         })
         print(f"method={rep.method} R={_fmt17(args.radius)} count={rep.count} "
@@ -409,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--method", choices=["bfs", "brute", "both"], default="bfs")
     p.add_argument("--margin", type=float, default=2.0)
-    p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--max-states", type=int, default=2_000_000)
     p.add_argument("--entry-bound", type=int, default=None)
     p.add_argument("--stabilize", action="store_true",
@@ -449,13 +449,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _first_positional(argv: list[str]) -> str | None:
+    """The first token that is neither an option nor a global option's value."""
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _GLOBAL_OPTIONS:
+            next(tokens, None)
+        elif not tok.startswith("-"):
+            return tok
+    return None
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse and run; maps error classes to the documented exit codes."""
     from .cosets import InconsistencyError, ResourceLimitError
 
-    tokens = [a for a in argv if not a.startswith("-")]
-    if tokens and tokens[0] not in _SUBCOMMANDS:
-        print(f"unknown subcommand: {tokens[0]}", file=sys.stderr)
+    subcommand = _first_positional(argv)
+    if subcommand is not None and subcommand not in _SUBCOMMANDS:
+        print(f"unknown subcommand: {subcommand}", file=sys.stderr)
         return EXIT_UNKNOWN
     parser = build_parser()
     try:
@@ -479,18 +490,17 @@ def rerun_manifest(path: str) -> int:
     """Re-execute a run from its manifest; deterministic outputs reproduce."""
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    sub = manifest["subcommand"]
-    params = manifest["params"]
-    argv = [sub]
-    for key, value in params.items():
+    global_argv, sub_argv = [], [manifest["subcommand"]]
+    for key, value in manifest["params"].items():
         if key in ("subcommand",) or value in (None, False):
             continue
         flag = "--" + key.replace("_", "-")
+        argv = global_argv if flag in _GLOBAL_OPTIONS else sub_argv
         if value is True:
             argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    return dispatch(argv)
+    return dispatch(global_argv + sub_argv)
 
 
 def main() -> None:

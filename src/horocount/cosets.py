@@ -1,22 +1,23 @@
 """Exact enumeration of horocycle lifts of bounded height.
 
-Lifts correspond to cosets of the stabilizer inside SL_N(Z); the
-stabilizer's integer points are the block-upper-triangular matrices whose
-diagonal blocks are signed permutations (total determinant one).  Two
+Lifts correspond to cosets g Gamma_hor of the stabilizer inside SL_N(Z);
+the stabilizer's integer points are the block-upper-triangular matrices
+whose diagonal blocks are signed permutations (total determinant one).
+``coset_key`` is a complete invariant of a coset, built from Hermite normal
+forms (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
+Alg. 2.4.5), so a plain set of keys removes duplicates exactly.  Two
 strategies are implemented and validated against each other:
 
-* ``enumerate_bfs`` walks the Cayley graph generated by the elementary
-  matrices E_ij(+-1), pruning by height and depth, with states kept in a
-  partially canonical form (size-reduced unipotent part, normalized block
-  signs/order) so each coset contributes only a handful of states.
+* ``enumerate_bfs`` walks the Schreier graph of SL_N(Z) acting on the
+  cosets by left multiplication with the elementary matrices E_ij(+-1),
+  as in Todd-Coxeter coset enumeration, pruning by height only.
 * ``enumerate_brute`` scans integer matrices column by column inside an
   entry box, pruning branches by coset-invariant bounds (prefix covolumes
   and per-block singular values are right-stabilizer invariants) and
   solving the final column from the determinant equation.
 
-Deduplication never trusts the sublattice-flag fingerprint alone: keys
-only bucket candidates, and an exact integer same-coset test decides
-within each bucket.  All arithmetic on matrices is exact (Python ints);
+``same_coset`` decides coset identity from the definition and is the test
+oracle for the key.  All arithmetic on matrices is exact (Python ints);
 heights use floating point with a 1e-9 boundary tolerance.
 """
 
@@ -41,10 +42,8 @@ __all__ = [
     "hermite_normal_form",
     "stabilizer_membership",
     "same_coset",
-    "invariant_key",
+    "coset_key",
     "coset_height",
-    "reduce_unipotent",
-    "canonical_state",
     "enumerate_bfs",
     "enumerate_brute",
     "empirical_ratio",
@@ -206,9 +205,6 @@ def solve_dot_one(w: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, 
 # coset structure
 # ---------------------------------------------------------------------------
 
-_SIGNED_PERM_ROWS = {}
-
-
 def _is_signed_permutation(block: list[list[int]]) -> bool:
     m = len(block)
     seen = set()
@@ -243,26 +239,47 @@ def same_coset(g1: Matrix, g2: Matrix, partition: Partition) -> bool:
     return stabilizer_membership(mat_mul(int_inverse_unimodular(g1), g2), partition)
 
 
-def invariant_key(g: Matrix, partition: Partition) -> bytes:
-    """Fingerprint of the flag of prefix sublattices g Z^(I_1 ... I_k).
+def _reduce(v: tuple[int, ...], basis: list[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """Canonical representative of v modulo a lattice in column HNF, given
+    as (pivot row, column) pairs: every pivot-row entry lands in [0, pivot)."""
+    for p, h in basis:
+        q = v[p] // h[p]
+        if q:
+            v = tuple(x - q * y for x, y in zip(v, h))
+    return v
 
-    Right multiplication by the stabilizer preserves each prefix sublattice,
-    so equal cosets share keys; the converse may fail for blocks of size
-    two or more, hence keys only bucket and an exact test decides.
+
+def coset_key(g: Matrix, partition: Partition) -> tuple[int, ...]:
+    """Complete invariant of the coset g Gamma_hor, as one flat tuple of ints.
+
+    Block by block, each column is reduced modulo the column HNF of all
+    earlier blocks' columns, the smaller of the reductions of v and -v is
+    kept, and the results are sorted within the block.  The stabilizer acts
+    on the right by signed permutations within a block plus integer
+    combinations of earlier blocks, so two matrices share a key exactly
+    when they lie in the same coset.
     """
-    n = partition.n
-    cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
-    parts = []
-    for k in range(1, partition.k0):
-        r = len(partition.prefix(k))
-        parts.append(hermite_normal_form(cols[:r]))
-    return repr(parts).encode()
+    cols = list(zip(*g))
+    key: list[int] = []
+    basis: list[tuple[int, tuple[int, ...]]] = []
+    last = partition.k0 - 1
+    for k, blk in enumerate(partition.blocks):
+        reduced = sorted(
+            min(_reduce(cols[j], basis), _reduce(tuple(-x for x in cols[j]), basis))
+            for j in blk
+        )
+        for v in reduced:
+            key.extend(v)
+        if k < last:
+            hnf = hermite_normal_form([h for _, h in basis] + [cols[j] for j in blk])
+            basis = [(next(i for i, x in enumerate(h) if x), h) for h in hnf]
+    return tuple(key)
 
 
 @dataclass(frozen=True)
 class CosetRecord:
     representative: Matrix
-    invariant_key: bytes
+    key: tuple[int, ...]
     height: float
     boundary: bool = False
 
@@ -322,10 +339,6 @@ def coset_height(g: Matrix, partition: Partition) -> float:
     return math.sqrt(a_sq + b_sq)
 
 
-# ---------------------------------------------------------------------------
-# state canonicalization for the graph search
-# ---------------------------------------------------------------------------
-
 def _triangular_factor(cols: list[list[int]], n: int) -> list[list[float]]:
     """Upper-triangular R with R^T R = Gram(columns), by hand (small n)."""
     r = [[0.0] * n for _ in range(n)]
@@ -352,136 +365,8 @@ def _triangular_factor(cols: list[list[int]], n: int) -> list[list[float]]:
     return r
 
 
-def reduce_unipotent(g: Matrix, partition: Partition) -> Matrix:
-    """Size-reduce the unipotent part: right multiplication by U(Z).
-
-    For each column, subtract integer multiples of earlier cross-block
-    columns to pull the Gram-Schmidt coefficients into [-1/2, 1/2].
-    """
-    n = partition.n
-    cols = [list(c) for c in zip(*g)]
-    rr = _triangular_factor(cols, n)
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            if partition.block_of[i] == partition.block_of[j]:
-                continue
-            t = round(rr[i][j] / rr[i][i])
-            if t:
-                for row in range(n):
-                    cols[j][row] -= t * cols[i][row]
-                for row in range(n):
-                    rr[row][j] -= t * rr[row][i]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _sign_normalize_column(col: list[int]) -> tuple[list[int], int]:
-    for x in col:
-        if x != 0:
-            if x < 0:
-                return [-v for v in col], -1
-            return col, 1
-    return col, 1
-
-
-def canonical_state(g: Matrix, partition: Partition) -> Matrix:
-    """Partially canonical coset representative for state deduplication.
-
-    Rounds of (unipotent size reduction, per-block column sort with sign
-    normalization) until stable; the finite part multiplies by a block
-    signed permutation whose global determinant (states always carry det
-    one) is restored by a final flip of the last column when needed.
-    Deterministic; coset identity is always re-checked by ``same_coset``.
-    """
-    n = partition.n
-    block_of = partition.block_of
-    cols = [list(c) for c in zip(*g)]
-    for _ in range(3):
-        changed = False
-        # unipotent size reduction on cross-block pairs
-        rr = _triangular_factor(cols, n)
-        for j in range(1, n):
-            cj = cols[j]
-            for i in range(j - 1, -1, -1):
-                if block_of[i] == block_of[j]:
-                    continue
-                t = round(rr[i][j] / rr[i][i])
-                if t:
-                    changed = True
-                    ci = cols[i]
-                    for row in range(n):
-                        cj[row] -= t * ci[row]
-                    for row in range(n):
-                        rr[row][j] -= t * rr[row][i]
-        # per-block sign normalization and column sort
-        new_cols = []
-        flip_parity = 1
-        for blk in partition.blocks:
-            block_cols = []
-            for j in blk:
-                col, s = _sign_normalize_column(cols[j])
-                flip_parity *= s
-                block_cols.append(col)
-            order = sorted(range(len(block_cols)), key=lambda idx: block_cols[idx])
-            flip_parity *= _permutation_sign(order)
-            new_cols.extend(block_cols[idx] for idx in order)
-        if flip_parity < 0:
-            new_cols[-1] = [-x for x in new_cols[-1]]
-        if new_cols != cols:
-            changed = True
-        cols = new_cols
-        if not changed:
-            break
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _permutation_sign(order: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
-# coset registry
-# ---------------------------------------------------------------------------
-
-class _Registry:
-    """Key-bucketed coset set with exact confirmation inside buckets."""
-
-    def __init__(self, partition: Partition):
-        self.partition = partition
-        self.buckets: dict[bytes, list[Matrix]] = {}
-
-    def find_or_add(self, g: Matrix, key: bytes | None = None) -> tuple[bool, bytes]:
-        """Returns (is_new, key)."""
-        if key is None:
-            key = invariant_key(g, self.partition)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [g]
-            return True, key
-        for rep in bucket:
-            if same_coset(rep, g, self.partition):
-                return False, key
-        bucket.append(g)
-        return True, key
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
-
-
-# ---------------------------------------------------------------------------
-# breadth-first search over the Cayley graph
+# breadth-first search over the Schreier graph
 # ---------------------------------------------------------------------------
 
 def _generators(n: int) -> list[tuple[int, int, int]]:
@@ -502,125 +387,99 @@ def _apply_generator(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
     )
 
 
-def _elementary(n: int, gen: tuple[int, int, int]) -> Matrix:
+def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
+    """Left multiplication by E_ij(t): row i += t * row j."""
     i, j, t = gen
-    return tuple(
-        tuple((1 if r == c else 0) + (t if (r, c) == (i, j) else 0) for c in range(n))
-        for r in range(n)
-    )
-
-
-def _move_set(partition: Partition) -> list[Matrix]:
-    """Expansion moves: each elementary generator, optionally preceded by a
-    unit stabilizer shift.
-
-    Canonical states collapse every coset to one representative, so an
-    in-coset unipotent shift can never accumulate along the walk; pairing
-    each outgoing generator with the +-1 cross-block shifts restores the
-    Schreier-graph neighbors that plain generators miss.
-    """
-    n = partition.n
-    gens = _generators(n)
-    shifts = [None]
-    for i, j in partition.cross_pairs():
-        shifts.extend([(i, j, 1), (i, j, -1)])
-    identity = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-    moves = {}
-    for w in shifts:
-        base = identity if w is None else _elementary(n, w)
-        for gen in gens:
-            move = _apply_generator(base, gen)
-            if move != identity:
-                moves[move] = True
-    return list(moves.keys())
+    rows = list(g)
+    rows[i] = tuple(a + t * b for a, b in zip(g[i], g[j]))
+    return tuple(rows)
 
 
 def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
-                  max_depth: int | None = None, max_states: int = 2_000_000,
+                  max_states: int = 2_000_000,
                   keep_records: bool = True) -> EnumerationReport:
     """All distinct lift cosets of height <= R by breadth-first search.
 
-    The walk expands canonical states whose height stays below R + margin
-    and whose depth stays below max_depth (default ceil(8R)); completeness
-    is heuristic (height is not monotone along Cayley words) and validated
-    against ``enumerate_brute`` on small instances.  Exceeding the state
-    budget raises ``ResourceLimitError`` carrying the partial report.
+    The walk starts at the identity coset and moves by left multiplication
+    with E_ij(+-1), which is well defined on cosets g Gamma_hor.  Cosets
+    are deduplicated by ``coset_key``; those of height <= R + margin are
+    expanded, and height is the only prune.
+
+    Completeness: for N = 2 a coset is fixed by its first column v up to
+    sign, and its height is sqrt(2) log|v|.  Euclid descent on v (add or
+    subtract the smaller entry from the larger) strictly lowers the height
+    down to e_1 or e_2, and e_2 joins e_1 through (1, 1) at height
+    log(2)/sqrt(2).  So every coset of height <= R is found once
+    R + margin >= log(2)/sqrt(2), which the default margin covers.  For
+    N >= 3 completeness is empirical and checked against
+    ``enumerate_brute``.
+
+    ``params`` reports ``states`` (keys seen), ``depth_reached`` (layers
+    expanded) and ``last_new_depth`` (the deepest layer that found a coset
+    of height <= R).  Exceeding the state budget raises
+    ``ResourceLimitError`` carrying the partial report, the only case
+    marked ``partial``.
     """
     require_horocycle_partition(partition)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if max_depth is None:
-        max_depth = max(12, math.ceil(8 * radius))
     start_time = time.monotonic()
     n = partition.n
-    moves = _move_set(partition)
+    gens = _generators(n)
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    root = canonical_state(identity, partition)
-    visited = {root}
-    registry = _Registry(partition)
+    root_key = coset_key(identity, partition)
+    seen = {root_key}
     records: list[CosetRecord] = []
     count = 0
+    depth = 0
+    last_new_depth = 0
 
-    def consider(state: Matrix, h: float) -> None:
-        nonlocal count
+    def report(partial: bool) -> EnumerationReport:
+        return EnumerationReport(
+            partition=partition, radius=radius, count=count, method="bfs",
+            records=records, wall_time=time.monotonic() - start_time,
+            params={"margin": margin, "max_states": max_states,
+                    "states": len(seen), "depth_reached": depth,
+                    "last_new_depth": last_new_depth},
+            partial=partial,
+        )
+
+    def consider(state: Matrix, key: tuple[int, ...], h: float) -> None:
+        nonlocal count, last_new_depth
         if h > radius + HEIGHT_TOL:
             return
-        is_new, key = registry.find_or_add(state)
-        if is_new:
-            count += 1
-            if keep_records:
-                records.append(CosetRecord(
-                    representative=state,
-                    invariant_key=key,
-                    height=h,
-                    boundary=abs(h - radius) <= HEIGHT_TOL,
-                ))
+        count += 1
+        last_new_depth = depth
+        if keep_records:
+            records.append(CosetRecord(
+                representative=state, key=key, height=h,
+                boundary=abs(h - radius) <= HEIGHT_TOL,
+            ))
 
-    params = {
-        "margin": margin,
-        "max_depth": max_depth,
-        "max_states": max_states,
-        "moves": len(moves),
-    }
-
-    h0 = coset_height(root, partition)
-    consider(root, h0)
-    frontier = [root] if h0 <= radius + margin else []
-    depth = 0
-    partial = False
-    while frontier and depth < max_depth:
+    h0 = coset_height(identity, partition)
+    consider(identity, root_key, h0)
+    frontier = [identity] if h0 <= radius + margin else []
+    while frontier:
         depth += 1
         next_frontier = []
         for state in frontier:
-            for move in moves:
-                child = canonical_state(mat_mul(state, move), partition)
-                if child in visited:
+            for gen in gens:
+                child = _left_apply(state, gen)
+                key = coset_key(child, partition)
+                if key in seen:
                     continue
-                visited.add(child)
-                if len(visited) > max_states:
-                    report = EnumerationReport(
-                        partition=partition, radius=radius, count=count,
-                        method="bfs", records=records,
-                        wall_time=time.monotonic() - start_time,
-                        params={**params, "depth_reached": depth},
-                        partial=True,
-                    )
+                seen.add(key)
+                if len(seen) > max_states:
                     raise ResourceLimitError(
                         f"state budget {max_states} exceeded at depth {depth}",
-                        report,
+                        report(partial=True),
                     )
                 h = coset_height(child, partition)
-                consider(child, h)
+                consider(child, key, h)
                 if h <= radius + margin:
                     next_frontier.append(child)
         frontier = next_frontier
-    report = EnumerationReport(
-        partition=partition, radius=radius, count=count, method="bfs",
-        records=records, wall_time=time.monotonic() - start_time,
-        params={**params, "depth_reached": depth, "states": len(visited)},
-        partial=partial,
-    )
-    return report
+    return report(partial=False)
 
 
 # ---------------------------------------------------------------------------
@@ -716,23 +575,22 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
     master = _integer_vectors(n, box, global_cap)
     master_norms = np.linalg.norm(master, axis=1)
 
-    registry = _Registry(partition)
+    seen: set[tuple[int, ...]] = set()
     records: list[CosetRecord] = []
-    count = 0
 
     def accept(mat: Matrix) -> None:
-        nonlocal count
         h = coset_height(mat, partition)
         if h > radius + HEIGHT_TOL:
             return
-        is_new, key = registry.find_or_add(mat)
-        if is_new:
-            count += 1
-            if keep_records:
-                records.append(CosetRecord(
-                    representative=mat, invariant_key=key, height=h,
-                    boundary=abs(h - radius) <= HEIGHT_TOL,
-                ))
+        key = coset_key(mat, partition)
+        if key in seen:
+            return
+        seen.add(key)
+        if keep_records:
+            records.append(CosetRecord(
+                representative=mat, key=key, height=h,
+                boundary=abs(h - radius) <= HEIGHT_TOL,
+            ))
 
     def column_budget(j: int, chosen_norms: list[float]) -> float:
         k = partition.block_of[j]
@@ -831,7 +689,7 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
     recurse([], [], 0.0, 0.0, 0.0)
 
     return EnumerationReport(
-        partition=partition, radius=radius, count=count, method="brute",
+        partition=partition, radius=radius, count=len(seen), method="brute",
         records=records, wall_time=time.monotonic() - start_time,
         params={"entry_bound": entry_bound, "box": box},
     )
@@ -931,30 +789,19 @@ def _affine_lattice_points(x0: tuple[int, ...], basis: list[tuple[int, ...]],
 
 def coset_sets_equal(a: EnumerationReport, b: EnumerationReport) -> bool:
     """Mutual inclusion of the two coset sets (exact, not just counts)."""
-    part = a.partition
-    if a.count != b.count:
-        return False
-    reg = _Registry(part)
-    for rec in a.records:
-        reg.find_or_add(rec.representative, rec.invariant_key)
-    for rec in b.records:
-        is_new, _ = reg.find_or_add(rec.representative, rec.invariant_key)
-        if is_new:
-            return False
-    return True
+    return a.count == b.count and (
+        {rec.key for rec in a.records} == {rec.key for rec in b.records}
+    )
 
 
 def check_brute_covers(bfs: EnumerationReport, brute: EnumerationReport) -> None:
     """Raise InconsistencyError when a BFS coset is missing from the scan."""
-    reg = _Registry(brute.partition)
-    for rec in brute.records:
-        reg.find_or_add(rec.representative, rec.invariant_key)
+    scanned = {rec.key for rec in brute.records}
     for rec in bfs.records:
-        is_new, _ = reg.find_or_add(rec.representative, rec.invariant_key)
-        if is_new:
+        if rec.key not in scanned:
             raise InconsistencyError(
                 "entry bound too small: coset found by the graph search has "
-                f"no representative in the scan box (key {rec.invariant_key!r})"
+                f"no representative in the scan box (key {rec.key!r})"
             )
 
 
@@ -962,22 +809,16 @@ def empirical_ratio(partition: Partition, radii, margin: float = 0.5,
                     max_states: int = 4_000_000) -> list[dict]:
     """Measured-count over stated-asymptotic table for increasing radii.
 
-    Counts come from the graph search; for N = 2 the depth is raised to
-    ~e^(R/sqrt(2)) because the farthest coset at height R sits that many
-    elementary steps from the identity.  A None ratio marks radii where
-    the stated asymptotic vanishes (R = 0 with a positive power).
+    Counts come from the graph search.  A None ratio marks radii where the
+    stated asymptotic vanishes (R = 0 with a positive power).
     """
     from .constants import asymptotic_count, counting_constant
 
     cc = counting_constant(partition)
     rows = []
     for r in radii:
-        if partition.n == 2:
-            depth = math.ceil(math.exp(r / math.sqrt(2.0))) + 8
-        else:
-            depth = math.ceil(8 * max(r, 0.25))
-        rep = enumerate_bfs(partition, r, margin=margin, max_depth=depth,
-                            max_states=max_states, keep_records=True)
+        rep = enumerate_bfs(partition, r, margin=margin, max_states=max_states,
+                            keep_records=True)
         asym = asymptotic_count(cc, r) if r > 0 or cc.poly_exponent == 0 else 0.0
         rows.append({
             "R": r,
@@ -986,7 +827,7 @@ def empirical_ratio(partition: Partition, radii, margin: float = 0.5,
             "ratio": rep.count / asym if asym > 0 else None,
             "method": rep.method,
             "margin": margin,
-            "depth": depth,
+            "depth": rep.params["depth_reached"],
             "seconds": rep.wall_time,
         })
     return rows

@@ -61,6 +61,8 @@ def test_count_both_methods(tmp_path, capsys):
     assert len(lines) == 3  # header + one row per method
     counts = {line.split(",")[4]: int(line.split(",")[1]) for line in lines[1:]}
     assert counts["bfs"] == counts["brute"] == 2
+    depths = {line.split(",")[4]: line.split(",")[6] for line in lines[1:]}
+    assert int(depths["bfs"]) >= 1 and depths["brute"] == ""
     manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "count"
     assert manifest["outputs"] == [str(csv_path)]
@@ -81,6 +83,21 @@ def test_volume_manifest_reproducibility(tmp_path, capsys):
     assert csv_path.read_text() == first
 
 
+def test_global_threads_before_subcommand(tmp_path, capsys):
+    csv_path = tmp_path / "vol.csv"
+    code, _, _ = run(capsys, "--threads", "2", "volume", "--n", "2", "--blocks", "1,1",
+                     "--radius", "2.0", "--mc", "50000", "--seed", "42",
+                     "--csv", str(csv_path))
+    assert code == 0
+    first = csv_path.read_text()
+    manifest_path = tmp_path / "vol.csv.manifest.json"
+    assert json.loads(manifest_path.read_text())["params"]["threads"] == 2
+    code = cli.rerun_manifest(str(manifest_path))
+    capsys.readouterr()
+    assert code == 0
+    assert csv_path.read_text() == first
+
+
 def test_volume_grid(capsys):
     code, out, _ = run(capsys, "volume", "--n", "2", "--blocks", "1,1",
                        "--radius", "3.0", "--grid", "0.01")
@@ -92,6 +109,7 @@ def test_volume_grid(capsys):
 
 def test_exit_codes(capsys):
     assert run(capsys, "frobnicate")[0] == 64
+    assert run(capsys, "--threads", "2", "frobnicate")[0] == 64
     assert run(capsys, "constant", "--n", "3", "--blocks", "3")[0] == 2   # one block
     assert run(capsys, "constant", "--n", "3", "--blocks", "2,2")[0] == 2  # bad sizes
     assert run(capsys, "count", "--n", "2", "--blocks", "1,1")[0] == 2    # missing radius

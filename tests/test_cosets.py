@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocount import cosets as CS
 from horocount.decompose import height as frame_height
 from horocount.partitions import make_partition
+from .test_acceptance import _disk_count_oracle
 
 
 def E(n, i, j, t=1):
@@ -84,8 +87,8 @@ def test_same_coset_equivalence(p21, rng):
 
 def test_invariant_key_examples(p2):
     ident = E(2, 0, 0, 1)
-    assert CS.invariant_key(ident, p2) == CS.invariant_key(E(2, 0, 1, 1), p2)
-    assert CS.invariant_key(ident, p2) != CS.invariant_key(E(2, 1, 0, 1), p2)
+    assert CS.coset_key(ident, p2) == CS.coset_key(E(2, 0, 1, 1), p2)
+    assert CS.coset_key(ident, p2) != CS.coset_key(E(2, 1, 0, 1), p2)
 
 
 def test_invariant_key_soundness_bulk(p2, p21, p12, rng):
@@ -98,7 +101,30 @@ def test_invariant_key_soundness_bulk(p2, p21, p12, rng):
         assert CS.int_det(h) == 1
         gh = CS.mat_mul(g, h)
         assert CS.same_coset(g, gh, part)
-        assert CS.invariant_key(g, part) == CS.invariant_key(gh, part)
+        assert CS.coset_key(g, part) == CS.coset_key(gh, part)
+
+
+_KEY_PARTITIONS = [make_partition(2, [1, 1]), make_partition(3, [2, 1]),
+                   make_partition(3, [1, 2]), make_partition(3, [1, 1, 1]),
+                   make_partition(4, [2, 2])]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(part=st.sampled_from(_KEY_PARTITIONS), seed=st.integers(0, 2**32 - 1),
+       words=st.tuples(st.integers(0, 8), st.integers(0, 8)), related=st.booleans())
+def test_coset_key_is_exact(part, seed, words, related):
+    # equal keys exactly when same_coset holds; short independent words
+    # often land in the same coset, so both outcomes occur
+    rng = np.random.default_rng(seed)
+    g1 = CS.random_slnz(part.n, rng, words[0])
+    if related:
+        g2 = CS.mat_mul(g1, CS.random_stabilizer_element(part, rng))
+    else:
+        g2 = CS.random_slnz(part.n, rng, words[1])
+    same = CS.same_coset(g1, g2, part)
+    if related:
+        assert same
+    assert (CS.coset_key(g1, part) == CS.coset_key(g2, part)) == same
 
 
 def test_height_well_defined_on_cosets(p2, p21, rng):
@@ -119,25 +145,6 @@ def test_coset_height_matches_frame(p21, p12, rng):
             assert lean == pytest.approx(full, abs=1e-9)
 
 
-def test_canonical_state_is_coset_preserving(p21, rng):
-    for _ in range(300):
-        g = CS.random_slnz(3, rng, 7)
-        c = CS.canonical_state(g, p21)
-        assert CS.same_coset(g, c, p21)
-        assert CS.int_det(c) == 1
-
-
-def test_reduce_unipotent_small_coefficients(p3, rng):
-    for _ in range(100):
-        g = CS.random_slnz(3, rng, 10)
-        red = CS.reduce_unipotent(g, p3)
-        assert CS.same_coset(g, red, p3)
-        r = np.linalg.qr(np.array(red, dtype=float))[1]
-        for j in range(3):
-            for i in range(j):
-                assert abs(r[i, j] / r[i, i]) <= 0.5 + 1e-9
-
-
 def test_enumerate_small_counts(p2, p3, p21):
     # two lifts touch the base point for N=2 (identity and the rotated
     # horocycle); six coordinate flags for N=3 singletons, three for [2,1]
@@ -154,6 +161,16 @@ def test_enumerate_methods_agree_n2(p2):
         brute = CS.enumerate_brute(p2, radius)
         assert CS.coset_sets_equal(bfs, brute)
         CS.check_brute_covers(bfs, brute)
+
+
+def test_bfs_matches_disk_count_n2(p2):
+    # no silent undercount: the walk reaches every coset of the disk count
+    rep = CS.enumerate_bfs(p2, 6.0)
+    assert rep.count == _disk_count_oracle(6.0) == 4620
+    assert not rep.partial
+    assert rep.params["states"] >= rep.count
+    assert rep.params["last_new_depth"] <= rep.params["depth_reached"]
+    assert CS.enumerate_bfs(p2, 7.0, margin=0.0).count == _disk_count_oracle(7.0) == 19036
 
 
 def test_enumerate_monotone(p2):
@@ -179,8 +196,11 @@ def test_brute_stabilize(p2):
 def test_resource_limit(p2):
     with pytest.raises(CS.ResourceLimitError) as info:
         CS.enumerate_bfs(p2, 4.0, max_states=50)
-    assert info.value.partial_report.partial
-    assert info.value.partial_report.count >= 1
+    partial = info.value.partial_report
+    assert partial.partial
+    assert partial.count >= 1
+    assert partial.params["states"] == 51
+    assert {"depth_reached", "last_new_depth"} <= partial.params.keys()
 
 
 def test_inconsistency_detection(p2):
