@@ -402,21 +402,31 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
 
     The walk starts at the identity coset and moves by left multiplication
     with E_ij(+-1), which is well defined on cosets g Gamma_hor.  Cosets
-    are deduplicated by ``coset_key``; those of height <= R + margin are
-    expanded, and height is the only prune.
+    are deduplicated by ``coset_key``, and height is the only prune: a
+    coset is expanded when its height is at most the expansion limit
+    max(R + margin, h1), where h1 is the largest height among the
+    identity's neighbours.
+
+    The floor h1 keeps small R + margin complete.  Signed permutations of
+    determinant one lie in SO_N, so left multiplication by one keeps the
+    height, and it maps the neighbours of a coset onto the neighbours of
+    its translate.  The height-0 coset of a transposition (i j), i < j in
+    different blocks, is E_ij(1) E_ji(-1) Gamma_hor, two steps from the
+    identity through a neighbour of height <= h1.  So every permutation
+    coset is reached, whatever R and margin are.
 
     Completeness: for N = 2 a coset is fixed by its first column v up to
     sign, and its height is sqrt(2) log|v|.  Euclid descent on v (add or
     subtract the smaller entry from the larger) strictly lowers the height
     down to e_1 or e_2, and e_2 joins e_1 through (1, 1) at height
-    log(2)/sqrt(2).  So every coset of height <= R is found once
-    R + margin >= log(2)/sqrt(2), which the default margin covers.  For
+    h1 = log(2)/sqrt(2).  So every coset of height <= R is found.  For
     N >= 3 completeness is empirical and checked against
     ``enumerate_brute``.
 
-    ``params`` reports ``states`` (keys seen), ``depth_reached`` (layers
-    expanded) and ``last_new_depth`` (the deepest layer that found a coset
-    of height <= R).  Exceeding the state budget raises
+    ``params`` reports ``expand_limit``, ``states`` (keys seen),
+    ``depth_reached`` (layers expanded) and ``last_new_depth`` (the
+    deepest layer that found a coset of height <= R).  Exceeding the state
+    budget raises
     ``ResourceLimitError`` carrying the partial report, the only case
     marked ``partial``.
     """
@@ -428,6 +438,8 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     gens = _generators(n)
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     root_key = coset_key(identity, partition)
+    expand_limit = max(radius + margin, max(
+        coset_height(_left_apply(identity, gen), partition) for gen in gens))
     seen = {root_key}
     records: list[CosetRecord] = []
     count = 0
@@ -439,7 +451,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
             partition=partition, radius=radius, count=count, method="bfs",
             records=records, wall_time=time.monotonic() - start_time,
             params={"margin": margin, "max_states": max_states,
-                    "states": len(seen), "depth_reached": depth,
+                    "expand_limit": expand_limit, "states": len(seen), "depth_reached": depth,
                     "last_new_depth": last_new_depth},
             partial=partial,
         )
@@ -458,7 +470,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
 
     h0 = coset_height(identity, partition)
     consider(identity, root_key, h0)
-    frontier = [identity] if h0 <= radius + margin else []
+    frontier = [identity]
     while frontier:
         depth += 1
         next_frontier = []
@@ -476,7 +488,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
                     )
                 h = coset_height(child, partition)
                 consider(child, key, h)
-                if h <= radius + margin:
+                if h <= expand_limit:
                     next_frontier.append(child)
         frontier = next_frontier
     return report(partial=False)

@@ -173,6 +173,19 @@ def test_bfs_matches_disk_count_n2(p2):
     assert CS.enumerate_bfs(p2, 7.0, margin=0.0).count == _disk_count_oracle(7.0) == 19036
 
 
+def test_bfs_complete_at_margin_zero(p2, p3, p21, p12):
+    # height-0 cosets join only through the identity's neighbours (about
+    # 0.49 and 0.68 high), so the walk expands those whatever R + margin is
+    for part in (p2, p3, p21, p12):
+        for radius in (0.0, 0.3):
+            bfs = CS.enumerate_bfs(part, radius, margin=0.0)
+            brute = CS.enumerate_brute(part, radius)
+            assert CS.coset_sets_equal(bfs, brute)
+            assert bfs.params["expand_limit"] > radius
+    assert CS.enumerate_bfs(p2, 0.0, margin=0.0).count == 2
+    assert CS.enumerate_bfs(p3, 0.0, margin=0.0).count == 6
+
+
 def test_enumerate_monotone(p2):
     counts = [CS.enumerate_bfs(p2, r).count for r in (0.5, 1.5, 2.5, 3.5)]
     assert counts == sorted(counts)
@@ -223,6 +236,7 @@ def test_empirical_ratio_rows(p2):
 
 def test_empirical_ratio_degenerate_row(p3):
     rows = CS.empirical_ratio(p3, [0.0])
+    assert rows[0]["count"] == 6
     assert rows[0]["asymptotic"] == 0.0
     assert rows[0]["ratio"] is None
 
