@@ -5,7 +5,8 @@ Subcommands: ``constant`` (asymptotic counting constant), ``count``
 (limit-measure classifier) and ``selftest``.  Every run that writes an
 output file also writes a JSON manifest holding the full parameter set,
 seed, version and timestamps; rerunning a manifest reproduces every
-deterministic output byte for byte.
+deterministic output byte for byte.  Floats in text, CSV and JSON output
+are written as their shortest round-trip ``repr``.
 
 Exit codes: 0 success, 2 validation error, 3 resource/consistency error,
 64 unknown subcommand.
@@ -19,7 +20,6 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .partitions import make_partition
@@ -34,55 +34,12 @@ _SUBCOMMANDS = ("constant", "count", "volume", "classify", "selftest")
 _GLOBAL_OPTIONS = ("--threads",)
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _render_json(obj, indent: int = 0) -> str:
-    """JSON with floats printed at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return _fmt17(obj)
-    return json.dumps(obj)
-
-
-@dataclass
-class RunManifest:
-    subcommand: str
-    params: dict
-    seed: int | None
-    version: str
-    started: str
-    finished: str = ""
-    outputs: list = field(default_factory=list)
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_render_json(asdict(self)))
-            fh.write("\n")
-
-
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("HOROCOUNT_THREADS")
     if env:
@@ -102,8 +59,27 @@ def _partition_from(args):
     return make_partition(args.n, _parse_blocks(args.blocks))
 
 
-def _write_manifest_for(out_path: str, manifest: RunManifest) -> None:
-    manifest.write(out_path + ".manifest.json")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _write_manifest(out_path: str, args, seed: int | None, started: str) -> None:
+    """Write ``<out_path>.manifest.json``: the run's parameters, seed,
+    version, start and finish times and output file."""
+    manifest = {
+        "subcommand": args.subcommand,
+        "params": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": seed,
+        "version": __version__,
+        "started": started,
+        "finished": _now(),
+        "outputs": [out_path],
+    }
+    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +89,7 @@ def _write_manifest_for(out_path: str, manifest: RunManifest) -> None:
 def _cmd_constant(args) -> int:
     from . import constants as C
 
+    started = _now()
     part = _partition_from(args)
     cc = C.counting_constant(part)
     haar = C.c7(part)
@@ -134,21 +111,18 @@ def _cmd_constant(args) -> int:
             "P_N": C.p_norm(part.n),
         },
     }
-    text = _render_json(payload)
+    text = json.dumps(payload, indent=2)
     if args.json:
         print(text)
     else:
         print(f"count(R) ~ c * R^p * exp(q R) for blocks {list(part.sizes)}:")
-        print(f"  p = {_fmt17(float(cc.poly_exponent))}")
-        print(f"  q = {_fmt17(cc.exp_rate)}")
-        print(f"  c = {_fmt17(cc.coefficient)}")
+        print(f"  p = {float(cc.poly_exponent)!r}")
+        print(f"  q = {cc.exp_rate!r}")
+        print(f"  c = {cc.coefficient!r}")
     if args.out:
-        manifest = RunManifest("constant", _args_dict(args), None, __version__, _now())
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        manifest.finished = _now()
-        manifest.outputs = [args.out]
-        _write_manifest_for(args.out, manifest)
+        _write_manifest(args.out, args, None, started)
     return EXIT_OK
 
 
@@ -188,16 +162,13 @@ def _cmd_count(args) -> int:
             "depth": rep.params["depth_reached"] if rep.method == "bfs" else "",
             "seconds": rep.wall_time,
         })
-        print(f"method={rep.method} R={_fmt17(args.radius)} count={rep.count} "
+        print(f"method={rep.method} R={args.radius!r} count={rep.count} "
               f"({rep.wall_time:.2f}s)")
     if args.csv:
         _write_csv(args.csv, rows,
                    ["R", "count", "asymptotic", "ratio", "method", "margin",
                     "depth", "seconds"])
-        manifest = RunManifest("count", _args_dict(args), None, __version__, started)
-        manifest.finished = _now()
-        manifest.outputs = [args.csv]
-        _write_manifest_for(args.csv, manifest)
+        _write_manifest(args.csv, args, None, started)
     return EXIT_OK
 
 
@@ -205,17 +176,13 @@ def _cmd_volume(args) -> int:
     from . import measure as M
 
     part = _partition_from(args)
-    region = {"b+": "b+", "bc+": "bc+", "annulus": "annulus"}[args.region]
     method = "grid" if args.grid is not None else ("plain" if args.plain else "mc")
     started = _now()
-    kwargs = dict(offset=args.offset, eps=args.eps, seed=args.seed,
-                  threads=_threads(args))
-    if method == "grid":
-        kwargs["grid_step"] = args.grid
-    res = M.mu_A_ball(part, args.radius, region, method,
-                      budget=args.mc, **kwargs)
-    print(f"region={res.region} method={res.method} estimate={_fmt17(res.estimate)} "
-          f"error={_fmt17(res.standard_error)} samples={res.samples}")
+    res = M.mu_A_ball(part, args.radius, args.region, method, args.mc,
+                      offset=args.offset, eps=args.eps, seed=args.seed,
+                      grid_step=args.grid, threads=_threads(args))
+    print(f"region={res.region} method={res.method} estimate={res.estimate!r} "
+          f"error={res.standard_error!r} samples={res.samples}")
     if args.csv:
         rows = [{
             "R": args.radius, "region": res.region, "method": res.method,
@@ -224,11 +191,7 @@ def _cmd_volume(args) -> int:
         }]
         _write_csv(args.csv, rows,
                    ["R", "region", "method", "estimate", "error", "samples", "seed"])
-        manifest = RunManifest("volume", _args_dict(args), args.seed,
-                               __version__, started)
-        manifest.finished = _now()
-        manifest.outputs = [args.csv]
-        _write_manifest_for(args.csv, manifest)
+        _write_manifest(args.csv, args, args.seed, started)
     return EXIT_OK
 
 
@@ -262,7 +225,7 @@ def _cmd_classify(args) -> int:
         raise ValueError(f"unknown b-behavior token {exc.args[0]!r}") from exc
     spec = D.CleanSequenceSpec(part, a_beh, b_beh)
     result = D.classify_limit(spec)
-    print(_render_json(result.to_dict()))
+    print(json.dumps(result.to_dict(), indent=2))
     return EXIT_OK
 
 
@@ -373,19 +336,11 @@ def run_selftest(verbose: bool = True) -> int:
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _args_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
 def _write_csv(path: str, rows: list[dict], fieldnames: list[str]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                k: (_fmt17(v) if isinstance(v, float) else v)
-                for k, v in row.items()
-            })
+        writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="horocount",
         description="Asymptotic constants and exact counts for horocycle lifts",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="worker threads (default: HOROCOUNT_THREADS or CPU count)")
     sub = parser.add_subparsers(dest="subcommand")
 

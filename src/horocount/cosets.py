@@ -428,11 +428,14 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     deepest layer that found a coset of height <= R).  Exceeding the state
     budget raises
     ``ResourceLimitError`` carrying the partial report, the only case
-    marked ``partial``.
+    marked ``partial``.  A negative or non-finite radius or margin raises
+    ``ValueError``.
     """
     require_horocycle_partition(partition)
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     start_time = time.monotonic()
     n = partition.n
     gens = _generators(n)

@@ -15,12 +15,18 @@ B+(R) minus B+(eps*R).
 Two estimators are provided: importance-sampled Monte Carlo tilted along
 the sum-of-positive-roots direction (taming the exp(||v0||R) dynamic
 range) and a section-based tensor trapezoid grid.  Plain rejection
-sampling is retained as a slow oracle for small R.
+sampling is retained as a slow oracle for small R.  ``mu_A_ball`` (the
+measure density) and ``cone_integral`` (exp(<v0, y>)) differ only in the
+log-integrand they pass to one dispatch, ``_quadrature``, which validates
+the region and method parameters once and picks the estimator.  Regions
+take the cone's half-spaces from ``partitions.Cone``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +46,11 @@ __all__ = [
 ]
 
 _REGIONS = ("b+", "bc+", "annulus")
+_METHODS = ("mc", "plain", "grid")
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# log of the integrand at rows of y (shape (m, n))
+_LogIntegrand = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,38 +107,36 @@ def _mu_log_density(partition: Partition, y: np.ndarray) -> np.ndarray:
     return logd
 
 
-def _region_mask(partition: Partition, y: np.ndarray, region: str, radius: float,
-                 offset: float, eps: float | None) -> np.ndarray:
-    """Membership mask for the requested region at rows of y."""
+def _region_mask(cone: Cone, y: np.ndarray, radius: float,
+                 eps: float | None) -> np.ndarray:
+    """Membership mask at rows of y: the cone within the ball, less the
+    inner ball of radius eps * R when ``eps`` is given."""
     norms = np.linalg.norm(y, axis=1)
     mask = norms <= radius
-    cone_off = offset if region == "bc+" else 0.0
-    intra_floor = max(0.0, cone_off)
-    for i, j in partition.intra_pairs():
-        mask &= (y[:, i] - y[:, j]) >= intra_floor
-    prefix = np.zeros(y.shape[0])
-    for k in range(1, partition.k0):
-        prefix = y[:, list(partition.prefix(k))].sum(axis=1)
-        mask &= prefix >= cone_off
-    if region == "annulus":
-        if eps is None:
-            raise ValueError("annulus region needs eps in (0, 1)")
+    for normal, floor in cone.half_spaces():
+        mask &= y @ normal >= floor
+    if eps is not None:
         mask &= norms > eps * radius
     return mask
 
 
-def _validate_region(region: str, radius: float, offset: float | None,
-                     eps: float | None) -> None:
+def _validate(region: str, method: str, radius: float, offset: float,
+              eps: float | None, budget: int, grid_step: float | None) -> None:
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if region == "bc+":
-        if offset is None or offset > 0:
-            raise ValueError("bc+ region needs an offset C <= 0")
-    if region == "annulus":
-        if eps is None or not 0.0 < eps < 1.0:
-            raise ValueError("annulus region needs eps in (0, 1)")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if region == "bc+" and not (math.isfinite(offset) and offset <= 0):
+        raise ValueError(f"bc+ region needs a finite offset C <= 0, got {offset}")
+    if region == "annulus" and (eps is None or not 0.0 < eps < 1.0):
+        raise ValueError("annulus region needs eps in (0, 1)")
+    if method == "grid":
+        if not (grid_step is not None and math.isfinite(grid_step) and grid_step > 0):
+            raise ValueError(f"grid step must be positive and finite, got {grid_step}")
+    elif budget < 1:
+        raise ValueError(f"sample budget must be at least 1, got {budget}")
 
 
 class _TiltedBallSampler:
@@ -168,13 +177,15 @@ def _log_ball_volume(d: int) -> float:
     return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
 
 
-def _mc_estimate(partition: Partition, radius: float, region: str, offset: float,
-                 eps: float | None, integrand: str, budget: int, seed: int,
-                 threads: int = 1) -> QuadratureResult:
-    n = partition.n
+def _mc_estimate(cone: Cone, log_f: _LogIntegrand, radius: float, eps: float | None,
+                 budget: int, seed: int, threads: int = 1) -> tuple[float, float, int]:
+    n = cone.partition.n
     basis = traceless_basis(n)
     rate = p_norm(n)
     sampler = _TiltedBallSampler(n - 1, radius, rate)
+    # Weights reach about e^(||v0|| R); they are summed scaled by e^(-||v0|| R)
+    # so that their squares stay finite at large R.
+    log_scale = rate * radius
     chunk = 250_000
     n_chunks = max(1, math.ceil(budget / chunk))
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -184,13 +195,8 @@ def _mc_estimate(partition: Partition, radius: float, region: str, offset: float
         m = min(chunk, budget - idx * chunk)
         x, log_q = sampler.draw(rng, m)
         y = x @ basis.T
-        if integrand == "mu":
-            log_f = _mu_log_density(partition, y)
-        else:
-            log_f = y @ v0_vector(n)
-        mask = _region_mask(partition, y, region, radius, offset, eps)
-        log_w = np.where(mask, log_f - log_q, -np.inf)
-        w = np.exp(log_w)
+        mask = _region_mask(cone, y, radius, eps)
+        w = np.exp(np.where(mask, log_f(y) - log_q - log_scale, -np.inf))
         return float(w.sum()), float((w * w).sum()), m
 
     if threads > 1:
@@ -203,21 +209,15 @@ def _mc_estimate(partition: Partition, radius: float, region: str, offset: float
     count = sum(p[2] for p in parts)
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
-    return QuadratureResult(
-        estimate=mean,
-        standard_error=math.sqrt(var / count),
-        samples=count,
-        region=region,
-        method="mc",
-        seed=seed,
-    )
+    scale = math.exp(log_scale) if log_scale <= _LOG_FLOAT_MAX else math.inf
+    return mean * scale, math.sqrt(var / count) * scale, count
 
 
-def _rejection_estimate(partition: Partition, radius: float, region: str,
-                        offset: float, eps: float | None, integrand: str,
-                        budget: int, seed: int) -> QuadratureResult:
+def _rejection_estimate(cone: Cone, log_f: _LogIntegrand, radius: float,
+                        eps: float | None, budget: int,
+                        seed: int) -> tuple[float, float, int]:
     """Uniform sampling over the ball; slow oracle for small radii."""
-    n = partition.n
+    n = cone.partition.n
     basis = traceless_basis(n)
     d = n - 1
     rng = np.random.default_rng(seed)
@@ -226,24 +226,20 @@ def _rejection_estimate(partition: Partition, radius: float, region: str,
     norms[norms == 0] = 1.0
     x = g / norms * (radius * rng.random((budget, 1)) ** (1.0 / d))
     y = x @ basis.T
-    if integrand == "mu":
-        log_f = _mu_log_density(partition, y)
-    else:
-        log_f = y @ v0_vector(n)
-    mask = _region_mask(partition, y, region, radius, offset, eps)
+    mask = _region_mask(cone, y, radius, eps)
     vol = math.exp(_log_ball_volume(d)) * radius ** d
-    w = np.where(mask, np.exp(log_f), 0.0) * vol
+    w = np.where(mask, np.exp(log_f(y)), 0.0) * vol
     mean = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(budget)) if budget > 1 else float("inf")
-    return QuadratureResult(mean, se, budget, region, "plain", seed)
+    return mean, se, budget
 
 
-def _section_bounds(partition: Partition, basis: np.ndarray, region: str,
-                    radius: float, offset: float, eps: float | None,
+def _section_bounds(planes: list[tuple[np.ndarray, float]], radius: float,
                     t: float) -> tuple[float, float] | None:
     """For n = 3: the s-interval of the region section at first coordinate t.
 
-    The region is convex for b+/bc+, so sections are intervals found by
+    ``planes`` are the cone's half-spaces in the (t, s) coordinates.  The
+    region is convex for b+/bc+, so sections are intervals found by
     intersecting half-planes with the disk chord.
     """
     cross = radius * radius - t * t
@@ -251,17 +247,7 @@ def _section_bounds(partition: Partition, basis: np.ndarray, region: str,
         return None
     hi = math.sqrt(cross)
     lo = -hi
-    cone_off = offset if region == "bc+" else 0.0
-    intra_floor = max(0.0, cone_off)
-    constraints = []
-    for i, j in partition.intra_pairs():
-        normal = basis[i] - basis[j]
-        constraints.append((normal, intra_floor))
-    for k in range(1, partition.k0):
-        normal = basis[list(partition.prefix(k))].sum(axis=0)
-        constraints.append((normal, cone_off))
-    for normal, floor in constraints:
-        a, b = normal[0], normal[1]
+    for (a, b), floor in planes:
         # a*t + b*s >= floor
         if abs(b) < 1e-15:
             if a * t < floor - 1e-12:
@@ -275,112 +261,102 @@ def _section_bounds(partition: Partition, basis: np.ndarray, region: str,
     return lo, hi
 
 
-def _grid_estimate(partition: Partition, radius: float, region: str,
-                   offset: float, eps: float | None, integrand: str,
-                   step: float) -> tuple[float, int]:
+def _grid_estimate(cone: Cone, log_f: _LogIntegrand, radius: float,
+                   eps: float | None, step: float) -> tuple[float, int]:
     """Tensor trapezoid over sections; supports n = 2 and n = 3."""
-    n = partition.n
+    n = cone.partition.n
     basis = traceless_basis(n)
-    vdot = v0_vector(n)
-
-    def f_rows(y: np.ndarray) -> np.ndarray:
-        if integrand == "mu":
-            return np.exp(_mu_log_density(partition, y))
-        return np.exp(y @ vdot)
-
+    m = max(2, int(math.ceil(2 * radius / step)) + 1)
+    ts = np.linspace(-radius, radius, m)
     if n == 2:
-        m = max(2, int(math.ceil(2 * radius / step)) + 1)
-        t = np.linspace(-radius, radius, m)
-        y = t[:, None] * basis[:, 0][None, :]
-        vals = f_rows(y)
-        mask = _region_mask(partition, y, region, radius, offset, eps)
-        vals = np.where(mask, vals, 0.0)
-        return float(np.trapezoid(vals, t)), m
+        y = ts[:, None] * basis[:, 0][None, :]
+        vals = np.where(_region_mask(cone, y, radius, eps), np.exp(log_f(y)), 0.0)
+        return float(np.trapezoid(vals, ts)), m
     if n == 3:
-        m = max(2, int(math.ceil(2 * radius / step)) + 1)
-        ts = np.linspace(-radius, radius, m)
-        m_s = max(2, int(math.ceil(2 * radius / step)) + 1)
-        sigma = np.linspace(0.0, 1.0, m_s)
-        total = 0.0
+        planes = [(normal @ basis, floor) for normal, floor in cone.half_spaces()]
+        sigma = np.linspace(0.0, 1.0, m)
         evals = 0
         inner = np.zeros(m)
         for it, t in enumerate(ts):
-            bounds = _section_bounds(partition, basis, region, radius, offset, eps, t)
+            bounds = _section_bounds(planes, radius, t)
             if bounds is None:
                 continue
             lo, hi = bounds
             s = lo + (hi - lo) * sigma
             y = t * basis[:, 0][None, :] + s[:, None] * basis[:, 1][None, :]
-            vals = f_rows(y)
-            if region == "annulus":
-                vals = np.where(
-                    _region_mask(partition, y, region, radius, offset, eps), vals, 0.0
-                )
+            vals = np.exp(log_f(y))
+            if eps is not None:
+                vals = np.where(_region_mask(cone, y, radius, eps), vals, 0.0)
             inner[it] = np.trapezoid(vals, s)
-            evals += m_s
-        total = float(np.trapezoid(inner, ts))
-        return total, evals
+            evals += m
+        return float(np.trapezoid(inner, ts)), evals
     raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n}")
 
 
-def _grid_refine(partition: Partition, radius: float, region: str, offset: float,
-                 eps: float | None, integrand: str, step: float,
-                 rel_target: float = 1e-3, max_rounds: int = 8) -> QuadratureResult:
-    prev, n_prev = _grid_estimate(partition, radius, region, offset, eps, integrand, step)
+def _grid_refine(cone: Cone, log_f: _LogIntegrand, radius: float, eps: float | None,
+                 step: float, rel_target: float = 1e-3,
+                 max_rounds: int = 8) -> tuple[float, float, int]:
+    prev, n_prev = _grid_estimate(cone, log_f, radius, eps, step)
     delta = float("inf")
     for _ in range(max_rounds):
         step /= 2.0
-        cur, n_cur = _grid_estimate(partition, radius, region, offset, eps, integrand, step)
+        cur, n_cur = _grid_estimate(cone, log_f, radius, eps, step)
         delta = abs(cur - prev)
         prev, n_prev = cur, n_cur
         if prev != 0 and delta / abs(prev) < rel_target:
             break
-    return QuadratureResult(prev, delta, n_prev, region, "grid", None)
+    return prev, delta, n_prev
+
+
+def _quadrature(partition: Partition, log_f: _LogIntegrand, radius: float,
+                region: str, method: str, budget: int, offset: float,
+                eps: float | None, seed: int, grid_step: float | None,
+                threads: int) -> QuadratureResult:
+    """Integral of exp(log_f) over a region: the one validation and method
+    dispatch behind ``mu_A_ball`` and ``cone_integral``."""
+    _validate(region, method, radius, offset, eps, budget, grid_step)
+    cone = Cone(partition, offset if region == "bc+" else 0.0)
+    eps = eps if region == "annulus" else None
+    if method == "mc":
+        estimate, error, samples = _mc_estimate(cone, log_f, radius, eps, budget,
+                                                seed, threads)
+    elif method == "plain":
+        estimate, error, samples = _rejection_estimate(cone, log_f, radius, eps,
+                                                       budget, seed)
+    else:
+        estimate, error, samples = _grid_refine(cone, log_f, radius, eps, grid_step)
+        seed = None
+    return QuadratureResult(estimate, error, samples, region, method, seed)
 
 
 def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
               method: str = "mc", budget: int = 1_000_000, *,
               offset: float = 0.0, eps: float | None = None,
-              seed: int = 0, grid_step: float = 0.05,
+              seed: int = 0, grid_step: float | None = 0.05,
               threads: int = 1) -> QuadratureResult:
     """Measure of a height-ball region under the diagonal-part density.
 
     ``region`` is one of ``b+`` (positive cone cap), ``bc+`` (offset cone
-    cap, needs ``offset`` <= 0) and ``annulus`` (B+(R) minus B+(eps R)).
-    ``method``: ``mc`` (importance sampling), ``grid`` (trapezoid with
-    refinement doubling) or ``plain`` (rejection oracle, small R only).
+    cap, needs a finite ``offset`` <= 0) and ``annulus`` (B+(R) minus
+    B+(eps R)).  ``method``: ``mc`` (importance sampling), ``grid``
+    (trapezoid with refinement doubling, positive ``grid_step``) or
+    ``plain`` (rejection oracle, small R only); the sampling methods need a
+    ``budget`` of at least 1.
     """
-    _validate_region(region, radius, offset if region == "bc+" else 0.0, eps)
-    if method == "mc":
-        return _mc_estimate(partition, radius, region, offset, eps, "mu", budget,
-                            seed, threads)
-    if method == "plain":
-        return _rejection_estimate(partition, radius, region, offset, eps, "mu",
-                                   budget, seed)
-    if method == "grid":
-        return _grid_refine(partition, radius, region, offset, eps, "mu", grid_step)
-    raise ValueError(f"unknown method {method!r}")
+    return _quadrature(partition, lambda y: _mu_log_density(partition, y), radius,
+                       region, method, budget, offset, eps, seed, grid_step, threads)
 
 
 def cone_integral(partition: Partition, offset: float, radius: float,
                   method: str = "mc", budget: int = 1_000_000, *,
                   seed: int = 0, grid_step: float = 0.05,
                   threads: int = 1) -> QuadratureResult:
-    """Integral of exp(<v0, y>) over the offset cone intersected with the ball."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    region = "b+" if offset == 0.0 else "bc+"
-    if offset > 0:
-        raise ValueError("cone offsets are nonpositive in the volume comparison")
-    if method == "mc":
-        return _mc_estimate(partition, radius, region, offset, None, "exp", budget,
-                            seed, threads)
-    if method == "plain":
-        return _rejection_estimate(partition, radius, region, offset, None, "exp",
-                                   budget, seed)
-    if method == "grid":
-        return _grid_refine(partition, radius, region, offset, None, "exp", grid_step)
-    raise ValueError(f"unknown method {method!r}")
+    """Integral of exp(<v0, y>) over the offset cone (finite offset <= 0)
+    intersected with the ball."""
+    vdot = v0_vector(partition.n)
+    return _quadrature(partition, lambda y: y @ vdot, radius,
+                       "b+" if offset == 0.0 else "bc+", method, budget, offset,
+                       None, seed, grid_step, threads)
 
 
 def closed_form_asymptotic(partition: Partition, radius: float) -> float:

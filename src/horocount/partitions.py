@@ -200,24 +200,30 @@ class Cone:
     partition: Partition
     offset: float = 0.0
 
+    def half_spaces(self) -> list[tuple[np.ndarray, float]]:
+        """The cone as half-spaces <normal, y> >= floor, as (normal, floor)."""
+        part = self.partition
+        out = []
+        for i, j in part.intra_pairs():
+            normal = np.zeros(part.n)
+            normal[i], normal[j] = 1.0, -1.0
+            out.append((normal, max(0.0, self.offset)))
+        for k in range(1, part.k0):
+            normal = np.zeros(part.n)
+            normal[list(part.prefix(k))] = 1.0
+            out.append((normal, self.offset))
+        return out
+
     def contains(self, y: Sequence[float], tol: float = 1e-12) -> bool:
         return cone_contains(self, y, tol=tol)
 
 
 def cone_contains(cone: Cone, y: Sequence[float], tol: float = 1e-12) -> bool:
     y = np.asarray(y, dtype=float)
-    part = cone.partition
-    if y.shape != (part.n,):
-        raise ValueError(f"vector has shape {y.shape}, expected ({part.n},)")
-    c = cone.offset
-    intra_floor = max(0.0, c)
-    for i, j in part.intra_pairs():
-        if y[i] - y[j] < intra_floor - tol:
-            return False
-    for k in range(1, part.k0):
-        if y[list(part.prefix(k))].sum() < c - tol:
-            return False
-    return True
+    n = cone.partition.n
+    if y.shape != (n,):
+        raise ValueError(f"vector has shape {y.shape}, expected ({n},)")
+    return all(normal @ y >= floor - tol for normal, floor in cone.half_spaces())
 
 
 def rho_density(partition: Partition, a: Sequence[float], b: Sequence[float],

@@ -30,7 +30,7 @@ def test_constant_17_digits(capsys):
     code, out, _ = run(capsys, "constant", "--n", "2", "--blocks", "1,1", "--json")
     payload = json.loads(out)
     assert payload["c"] == pytest.approx(2 * math.sqrt(2) / math.pi, rel=1e-15)
-    # 17-digit formatting round-trips the exact double the program computed
+    # the shortest repr round-trips the exact double the program computed
     assert payload["c"] == counting_constant(make_partition(2, [1, 1])).coefficient
 
 
@@ -114,6 +114,16 @@ def test_exit_codes(capsys):
     assert run(capsys, "constant", "--n", "3", "--blocks", "2,2")[0] == 2  # bad sizes
     assert run(capsys, "count", "--n", "2", "--blocks", "1,1")[0] == 2    # missing radius
     assert run(capsys)[0] == 2  # no subcommand prints help
+    count = ("count", "--n", "2", "--blocks", "1,1", "--radius")
+    assert run(capsys, *count, "nan")[0] == 2
+    assert run(capsys, *count, "3", "--margin", "nan")[0] == 2
+    assert run(capsys, *count, "3", "--margin", "-5")[0] == 2
+    volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius")
+    for bad in (("nan",), ("inf",), ("3", "--region", "bc+", "--offset", "nan"),
+                ("3", "--grid", "-0.1"), ("3", "--grid", "0"), ("3", "--mc", "0")):
+        assert run(capsys, *volume, *bad)[0] == 2, bad
+    for threads in ("0", "-4"):
+        assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
 
 
 def test_exit_code_resource(capsys):

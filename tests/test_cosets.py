@@ -241,7 +241,13 @@ def test_empirical_ratio_degenerate_row(p3):
     assert rows[0]["ratio"] is None
 
 
-def test_enumerate_rejects_large_n():
+def test_enumerate_rejects_large_n(p2):
     part = make_partition(4, [1, 1, 1, 1])
     with pytest.raises(NotImplementedError):
         CS.enumerate_brute(part, 1.0)
+    # out-of-range radius and margin: a NaN radius gave 3 cosets, and at R=3
+    # a NaN margin gave 3 and margin -5 gave 8 of the 68
+    for radius, margin in ((math.nan, 2.0), (math.inf, 2.0), (-1.0, 2.0),
+                           (3.0, math.nan), (3.0, math.inf), (3.0, -5.0)):
+        with pytest.raises(ValueError):
+            CS.enumerate_bfs(p2, radius, margin=margin)

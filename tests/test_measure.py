@@ -175,6 +175,14 @@ def test_well_rounded_n3(p21):
     assert down >= math.exp(-rate * delta) * 0.97
 
 
+def test_mc_error_finite_at_large_radius():
+    # weights near e^(||v0|| R) = e^405 used to overflow w * w to a NaN error
+    res = M.mu_A_ball(make_partition(5, [1] * 5), 64.0, "b+", "mc", budget=100_000,
+                      seed=1)
+    assert math.isfinite(res.estimate) and res.estimate > 0
+    assert math.isfinite(res.standard_error) and res.standard_error > 0
+
+
 def test_region_validation(p2):
     with pytest.raises(ValueError):
         M.mu_A_ball(p2, -1.0, "b+")
@@ -186,5 +194,23 @@ def test_region_validation(p2):
         M.mu_A_ball(p2, 1.0, "nope")
     with pytest.raises(ValueError):
         M.mu_A_ball(p2, 1.0, "b+", "sorcery")
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            M.mu_A_ball(p2, radius, "b+")
+    with pytest.raises(ValueError):
+        M.mu_A_ball(p2, 1.0, "bc+", offset=math.nan)
+    for step in (-0.1, 0.0, math.nan, math.inf, None):
+        with pytest.raises(ValueError):
+            M.mu_A_ball(p2, 1.0, "b+", "grid", grid_step=step)
+    for method in ("mc", "plain"):
+        with pytest.raises(ValueError):
+            M.mu_A_ball(p2, 1.0, "b+", method, budget=0)
+    with pytest.raises(ValueError):
+        M.cone_integral(p2, 0.5, 1.0)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            M.cone_integral(p2, 0.0, radius)
+    with pytest.raises(ValueError):
+        M.cone_integral(p2, 0.0, 1.0, "sorcery")
     with pytest.raises(ValueError):
         M.asym_ratio_report(p2, [4.0, 3.0])
