@@ -183,6 +183,9 @@ def _cmd_volume(args) -> int:
                       grid_step=args.grid, threads=_threads(args))
     print(f"region={res.region} method={res.method} estimate={res.estimate!r} "
           f"error={res.standard_error!r} samples={res.samples}")
+    if res.converged is False:
+        print("warning: grid refinement stopped before successive estimates agreed "
+              "to 1e-3 relative; try a smaller --grid step", file=sys.stderr)
     if args.csv:
         rows = [{
             "R": args.radius, "region": res.region, "method": res.method,
@@ -380,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", type=int, default=1_000_000,
                    help="Monte Carlo sample budget")
     p.add_argument("--grid", type=float, default=None,
-                   help="grid step (switches to the trapezoid rule)")
+                   help="initial grid step (switches to the grid rule, N <= 3; "
+                        "samples then counts the points (N=2) or the exactly "
+                        "integrated sections (N=3) of the last refinement)")
     p.add_argument("--plain", action="store_true",
                    help="plain rejection sampling (slow oracle, small R)")
     p.add_argument("--offset", type=float, default=0.0, help="cone offset C for bc+")

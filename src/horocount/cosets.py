@@ -556,8 +556,8 @@ def enumerate_brute(partition: Partition, radius: float,
         raise NotImplementedError(
             "brute-force enumeration targets n <= 3 (cost grows like e^(P_N R))"
         )
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     if entry_bound is None:
         entry_bound = default_entry_bound(partition, radius)
     report = _brute_once(partition, radius, entry_bound, keep_records)

@@ -12,21 +12,31 @@ Regions: B+ is the cone intersected with the trace-form ball of radius R,
 BC+ replaces the cone by its offset translate C <= 0, and the annulus is
 B+(R) minus B+(eps*R).
 
-Two estimators are provided: importance-sampled Monte Carlo tilted along
-the sum-of-positive-roots direction (taming the exp(||v0||R) dynamic
-range) and a section-based tensor trapezoid grid.  Plain rejection
-sampling is retained as a slow oracle for small R.  ``mu_A_ball`` (the
-measure density) and ``cone_integral`` (exp(<v0, y>)) differ only in the
-log-integrand they pass to one dispatch, ``_quadrature``, which validates
-the region and method parameters once and picks the estimator.  Regions
-take the cone's half-spaces from ``partitions.Cone``.
+An integrand is data, not a callable: exp(<c, y>) * prod_k sinh(<alpha_k, y>)
+over the region.  ``mu_A_ball`` takes c = the sum of the cross-block pairs
+and the intra-block differences as the alpha_k; ``cone_integral`` takes
+c = v0 and no alpha_k.  These linear forms and the cone's half-spaces
+(``partitions.Cone``) are projected once onto the orthonormal basis of
+``traceless_basis``, so every estimator works in the (N-1)-dimensional
+sample coordinates x (y = basis @ x) and never builds y.  One dispatch,
+``_quadrature``, validates the region and method parameters, picks the
+estimator and rejects a non-finite result.
+
+Estimators: importance-sampled Monte Carlo tilted along the v0 direction
+(taming the exp(||v0||R) dynamic range), evaluated in blocks of rows with
+one matrix product per block; plain rejection sampling over the ball, a
+slow oracle for small R; and a grid rule with refinement doubling.  For
+N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at fixed
+first coordinate t is integrated exactly along s: written with two
+exponentials per sinh, the integrand is a signed sum of exponentials of
+linear forms.  Only the outer trapezoid in t remains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,15 +58,20 @@ __all__ = [
 _REGIONS = ("b+", "bc+", "annulus")
 _METHODS = ("mc", "plain", "grid")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-# log of the integrand at rows of y (shape (m, n))
-_LogIntegrand = Callable[[np.ndarray], np.ndarray]
+_CHUNK = 250_000   # samples per random stream (one SeedSequence child each)
+_BLOCK = 16_384    # rows weighed at once: the block's arrays stay in cache
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Estimate with an error size: Monte Carlo standard error, or the last
-    refinement delta for the grid rule."""
+    refinement delta for the grid rule.
+
+    ``samples`` counts sample points for ``mc`` and ``plain``; for ``grid``
+    it counts the points of the last N = 2 trapezoid, or the non-empty
+    sections of the last N = 3 grid.  ``converged`` says whether the grid's
+    refinement met its relative target (None for the sampling methods).
+    """
 
     estimate: float
     standard_error: float
@@ -64,6 +79,7 @@ class QuadratureResult:
     region: str
     method: str
     seed: int | None = None
+    converged: bool | None = None
 
     def __post_init__(self):
         if self.standard_error < 0:
@@ -91,33 +107,93 @@ def traceless_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _mu_log_density(partition: Partition, y: np.ndarray) -> np.ndarray:
-    """log of the measure density at rows of y (shape (m, n)); -inf outside
-    the chamber."""
-    logd = np.zeros(y.shape[0])
-    for i, j in partition.cross_pairs():
-        logd += y[:, i] - y[:, j]
-    ok = np.ones(y.shape[0], dtype=bool)
-    for i, j in partition.intra_pairs():
-        d = y[:, i] - y[:, j]
-        ok &= d >= 0.0
-        with np.errstate(divide="ignore"):
-            logd += np.where(d > 0, np.log(np.maximum(np.sinh(np.maximum(d, 0.0)), 1e-300)), -np.inf)
-    logd[~ok] = -np.inf
-    return logd
+@dataclass(frozen=True)
+class _Integrand:
+    """exp(<c, x>) * prod_k sinh(<alpha_k, x>) on a region, in sample
+    coordinates x.
 
+    The columns of ``forms`` are c, the ``n_sinh`` alpha_k and then the
+    normals of the cone's half-spaces <normal, x> >= floor.  The region is
+    the cone within the ball of ``radius``, less the ball of ``inner`` when
+    that is given (the annulus).
+    """
 
-def _region_mask(cone: Cone, y: np.ndarray, radius: float,
-                 eps: float | None) -> np.ndarray:
-    """Membership mask at rows of y: the cone within the ball, less the
-    inner ball of radius eps * R when ``eps`` is given."""
-    norms = np.linalg.norm(y, axis=1)
-    mask = norms <= radius
-    for normal, floor in cone.half_spaces():
-        mask &= y @ normal >= floor
-    if eps is not None:
-        mask &= norms > eps * radius
-    return mask
+    forms: np.ndarray
+    n_sinh: int
+    floors: np.ndarray
+    radius: float
+    inner: float | None
+
+    @classmethod
+    def project(cls, cone: Cone, c: np.ndarray, alphas: list[np.ndarray],
+                radius: float, inner: float | None) -> "_Integrand":
+        basis = traceless_basis(cone.partition.n)
+        half = cone.half_spaces()
+        forms = basis.T @ np.column_stack([c, *alphas, *(normal for normal, _ in half)])
+        floors = np.array([floor for _, floor in half])
+        return cls(forms, len(alphas), floors, radius, inner)
+
+    def log_weight(self, x: np.ndarray) -> np.ndarray:
+        """log of the integrand at rows of x; -inf outside the region."""
+        f = self.forms.T @ x.T   # one contiguous row per linear form
+        k = self.n_sinh
+        r2 = np.einsum("ij,ij->i", x, x)
+        inside = r2 <= self.radius * self.radius
+        if self.inner is not None:
+            inside &= r2 > self.inner * self.inner
+        for form, floor in zip(f[1 + k:], self.floors):
+            inside &= form >= floor
+        log_f = f[0]
+        if k:
+            # outside the region an alpha form may be negative: NaN, masked below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_f = log_f + np.log(np.sinh(f[1:1 + k])).sum(axis=0)
+        return np.where(inside, log_f, -np.inf)
+
+    def sections(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For N = 3: the s-interval [lo, hi] of the region's section at each
+        first coordinate t, cone and outer ball only; lo = hi = 0 when empty.
+
+        The cone and ball are convex, so a section is the disk chord cut by
+        the half-planes a*t + b*s >= floor.
+        """
+        cross = self.radius * self.radius - ts * ts
+        hi = np.sqrt(np.maximum(cross, 0.0))
+        lo = -hi
+        empty = cross <= 0
+        for (a, b), floor in zip(self.forms[:, 1 + self.n_sinh:].T, self.floors):
+            if abs(b) < 1e-15:
+                empty |= a * ts < floor - 1e-12
+            elif b > 0:
+                lo = np.maximum(lo, (floor - a * ts) / b)
+            else:
+                hi = np.minimum(hi, (floor - a * ts) / b)
+        empty |= lo >= hi
+        return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+
+    def section_integrals(self, ts: np.ndarray, lo: np.ndarray,
+                          hi: np.ndarray) -> np.ndarray:
+        """For N = 3: the exact integral over s in [lo, hi] at each t (lo <= hi).
+
+        Each sinh is a difference of two exponentials, so the integrand is
+        a sum of 2^k signed exponentials exp(p*t + q*s), each integrated in
+        closed form.  Overflow gives inf or NaN, not an error.
+        """
+        k = self.n_sinh
+        length = hi - lo
+        total = np.zeros_like(ts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for signs in itertools.product((1.0, -1.0), repeat=k):
+                p, q = self.forms[:, 0] + self.forms[:, 1:1 + k] @ np.array(signs)
+                if q == 0.0:
+                    term = np.exp(p * ts) * length
+                else:
+                    # exp at the upper end of the exponential, times a factor <= length
+                    top = hi if q > 0 else lo
+                    term = np.exp(p * ts + q * top) * (-np.expm1(-abs(q) * length) / abs(q))
+                total += math.prod(signs) * term
+        # an empty section contributes 0 even where its exponential overflows
+        return np.where(length > 0, total, 0.0) / 2.0 ** k
 
 
 def _validate(region: str, method: str, radius: float, offset: float,
@@ -135,8 +211,19 @@ def _validate(region: str, method: str, radius: float, offset: float,
     if method == "grid":
         if not (grid_step is not None and math.isfinite(grid_step) and grid_step > 0):
             raise ValueError(f"grid step must be positive and finite, got {grid_step}")
-    elif budget < 1:
-        raise ValueError(f"sample budget must be at least 1, got {budget}")
+    elif budget < 2:
+        raise ValueError(f"a standard error needs a sample budget of at least 2, got {budget}")
+
+
+def _log_ball_volume(d: int) -> float:
+    return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of g as a column, 0 replaced by 1."""
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+    norms[norms == 0] = 1.0
+    return norms
 
 
 class _TiltedBallSampler:
@@ -152,181 +239,183 @@ class _TiltedBallSampler:
         self.rate = rate
         self.log_z = math.log1p(-math.exp(-2.0 * rate * radius)) + rate * radius - math.log(rate)
 
-    def draw(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        r, rate = self.radius, self.rate
+    def draw(self, rng, count: int) -> tuple[np.ndarray, ...]:
+        """The random numbers of ``count`` points, in a fixed order: uniforms
+        for t, then normals and uniforms for the cross-section (if any)."""
         u = rng.random(count)
+        if self.n_dim == 1:
+            return (u,)
+        return u, rng.standard_normal((count, self.n_dim - 1)), rng.random((count, 1))
+
+    def place(self, u: np.ndarray, g: np.ndarray | None = None,
+              v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Points x and their log proposal density from rows of ``draw``."""
+        r, rate = self.radius, self.rate
         # inverse CDF of the truncated exponential on [-R, R]
         t = r + np.log1p((u - 1.0) * (1.0 - math.exp(-2.0 * rate * r))) / rate
-        x = np.empty((count, self.n_dim))
+        x = np.empty((len(u), self.n_dim))
         x[:, 0] = t
-        cross = np.sqrt(np.maximum(r * r - t * t, 0.0))
-        d = self.n_dim - 1
         log_q = rate * t - self.log_z
-        if d > 0:
-            g = rng.standard_normal((count, d))
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            radii = cross[:, None] * rng.random((count, 1)) ** (1.0 / d)
-            x[:, 1:] = g / norms * radii
-            log_ball = _log_ball_volume(d) + d * np.log(np.maximum(cross, 1e-300))
-            log_q = log_q - log_ball
+        if g is not None:
+            d = self.n_dim - 1
+            cross = np.sqrt(np.maximum(r * r - t * t, 0.0))
+            x[:, 1:] = g * (cross[:, None] * v ** (1.0 / d) / _row_norms(g))
+            log_q -= _log_ball_volume(d) + d * np.log(np.maximum(cross, 1e-300))
         return x, log_q
 
 
-def _log_ball_volume(d: int) -> float:
-    return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+class _UniformBallSampler:
+    """Proposal uniform on the ball, for the rejection oracle."""
+
+    def __init__(self, n_dim: int, radius: float):
+        self.n_dim = n_dim
+        self.radius = radius
+        self.log_q = -(_log_ball_volume(n_dim) + n_dim * math.log(radius))
+
+    def draw(self, rng, count: int) -> tuple[np.ndarray, ...]:
+        return rng.standard_normal((count, self.n_dim)), rng.random((count, 1))
+
+    def place(self, g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = g * (self.radius * v ** (1.0 / self.n_dim) / _row_norms(g))
+        return x, np.full(len(g), self.log_q)
 
 
-def _mc_estimate(cone: Cone, log_f: _LogIntegrand, radius: float, eps: float | None,
-                 budget: int, seed: int, threads: int = 1) -> tuple[float, float, int]:
-    n = cone.partition.n
-    basis = traceless_basis(n)
-    rate = p_norm(n)
-    sampler = _TiltedBallSampler(n - 1, radius, rate)
-    # Weights reach about e^(||v0|| R); they are summed scaled by e^(-||v0|| R)
-    # so that their squares stay finite at large R.
-    log_scale = rate * radius
-    chunk = 250_000
-    n_chunks = max(1, math.ceil(budget / chunk))
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+def _sampled_estimate(integrand: _Integrand, sampler, seeds: list, sizes: list[int],
+                      log_scale: float, threads: int = 1) -> tuple[float, float, int]:
+    """Importance-sampling mean and standard error of the integrand.
 
-    def one_chunk(idx: int) -> tuple[float, float, int]:
-        rng = np.random.default_rng(seeds[idx])
-        m = min(chunk, budget - idx * chunk)
-        x, log_q = sampler.draw(rng, m)
-        y = x @ basis.T
-        mask = _region_mask(cone, y, radius, eps)
-        w = np.exp(np.where(mask, log_f(y) - log_q - log_scale, -np.inf))
-        return float(w.sum()), float((w * w).sum()), m
+    One random stream per seed draws ``sizes[i]`` points; they are placed
+    and weighed in blocks of ``_BLOCK`` rows.  Weights reach about
+    e^(||v0|| R), so they are summed scaled by e^(-log_scale) and the mean
+    and error multiplied back, which keeps their squares finite.
+    """
+    def one_stream(idx: int) -> tuple[float, float]:
+        draws = sampler.draw(np.random.default_rng(seeds[idx]), sizes[idx])
+        total = total_sq = 0.0
+        for start in range(0, sizes[idx], _BLOCK):
+            x, log_q = sampler.place(*(a[start:start + _BLOCK] for a in draws))
+            w = np.exp(integrand.log_weight(x) - log_q - log_scale)
+            total += float(w.sum())
+            total_sq += float((w * w).sum())
+        return total, total_sq
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
+            parts = list(pool.map(one_stream, range(len(seeds))))
     else:
-        parts = [one_chunk(i) for i in range(n_chunks)]
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
+        parts = [one_stream(i) for i in range(len(seeds))]
+    count = sum(sizes)
+    mean = sum(p[0] for p in parts) / count
+    var = max(sum(p[1] for p in parts) / count - mean * mean, 0.0)
     scale = math.exp(log_scale) if log_scale <= _LOG_FLOAT_MAX else math.inf
     return mean * scale, math.sqrt(var / count) * scale, count
 
 
-def _rejection_estimate(cone: Cone, log_f: _LogIntegrand, radius: float,
-                        eps: float | None, budget: int,
+def _mc_estimate(integrand: _Integrand, n: int, budget: int, seed: int,
+                 threads: int = 1) -> tuple[float, float, int]:
+    """Tilted importance sampling in chunks of ``_CHUNK`` samples, one
+    SeedSequence child each, so the result does not depend on ``threads``."""
+    rate = p_norm(n)
+    sampler = _TiltedBallSampler(n - 1, integrand.radius, rate)
+    n_chunks = max(1, math.ceil(budget / _CHUNK))
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    sizes = [min(_CHUNK, budget - i * _CHUNK) for i in range(n_chunks)]
+    return _sampled_estimate(integrand, sampler, seeds, sizes,
+                             rate * integrand.radius, threads)
+
+
+def _rejection_estimate(integrand: _Integrand, n: int, budget: int,
                         seed: int) -> tuple[float, float, int]:
     """Uniform sampling over the ball; slow oracle for small radii."""
-    n = cone.partition.n
-    basis = traceless_basis(n)
-    d = n - 1
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((budget, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    x = g / norms * (radius * rng.random((budget, 1)) ** (1.0 / d))
-    y = x @ basis.T
-    mask = _region_mask(cone, y, radius, eps)
-    vol = math.exp(_log_ball_volume(d)) * radius ** d
-    w = np.where(mask, np.exp(log_f(y)), 0.0) * vol
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(budget)) if budget > 1 else float("inf")
-    return mean, se, budget
+    sampler = _UniformBallSampler(n - 1, integrand.radius)
+    return _sampled_estimate(integrand, sampler, [seed], [budget],
+                             p_norm(n) * integrand.radius)
 
 
-def _section_bounds(planes: list[tuple[np.ndarray, float]], radius: float,
-                    t: float) -> tuple[float, float] | None:
-    """For n = 3: the s-interval of the region section at first coordinate t.
+def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
+    """Grid rule on m points t in [-R, R]; supports n = 2 and n = 3.
 
-    ``planes`` are the cone's half-spaces in the (t, s) coordinates.  The
-    region is convex for b+/bc+, so sections are intervals found by
-    intersecting half-planes with the disk chord.
+    N = 2: trapezoid over the points, ``m`` of them counted.  N = 3: the
+    section at each t integrated exactly, then the trapezoid over t; the
+    non-empty sections are counted.
     """
-    cross = radius * radius - t * t
-    if cross <= 0:
-        return None
-    hi = math.sqrt(cross)
-    lo = -hi
-    for (a, b), floor in planes:
-        # a*t + b*s >= floor
-        if abs(b) < 1e-15:
-            if a * t < floor - 1e-12:
-                return None
-        elif b > 0:
-            lo = max(lo, (floor - a * t) / b)
-        else:
-            hi = min(hi, (floor - a * t) / b)
-    if lo >= hi:
-        return None
-    return lo, hi
-
-
-def _grid_estimate(cone: Cone, log_f: _LogIntegrand, radius: float,
-                   eps: float | None, step: float) -> tuple[float, int]:
-    """Tensor trapezoid over sections; supports n = 2 and n = 3."""
-    n = cone.partition.n
-    basis = traceless_basis(n)
+    radius = integrand.radius
     m = max(2, int(math.ceil(2 * radius / step)) + 1)
     ts = np.linspace(-radius, radius, m)
-    if n == 2:
-        y = ts[:, None] * basis[:, 0][None, :]
-        vals = np.where(_region_mask(cone, y, radius, eps), np.exp(log_f(y)), 0.0)
-        return float(np.trapezoid(vals, ts)), m
-    if n == 3:
-        planes = [(normal @ basis, floor) for normal, floor in cone.half_spaces()]
-        sigma = np.linspace(0.0, 1.0, m)
-        evals = 0
-        inner = np.zeros(m)
-        for it, t in enumerate(ts):
-            bounds = _section_bounds(planes, radius, t)
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            s = lo + (hi - lo) * sigma
-            y = t * basis[:, 0][None, :] + s[:, None] * basis[:, 1][None, :]
-            vals = np.exp(log_f(y))
-            if eps is not None:
-                vals = np.where(_region_mask(cone, y, radius, eps), vals, 0.0)
-            inner[it] = np.trapezoid(vals, s)
-            evals += m
-        return float(np.trapezoid(inner, ts)), evals
-    raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n}")
+    n_dim = integrand.forms.shape[0]
+    if n_dim == 1:
+        with np.errstate(over="ignore", invalid="ignore"):   # inf: rejected by the caller
+            return float(np.trapezoid(np.exp(integrand.log_weight(ts[:, None])), ts)), m
+    if n_dim == 2:
+        lo, hi = integrand.sections(ts)
+        vals = integrand.section_integrals(ts, lo, hi)
+        if integrand.inner is not None:
+            # subtract the part of each section inside the inner disk
+            h_in = np.sqrt(np.maximum(integrand.inner ** 2 - ts * ts, 0.0))
+            in_lo, in_hi = np.maximum(lo, -h_in), np.minimum(hi, h_in)
+            in_hi = np.maximum(in_lo, in_hi)
+            vals -= integrand.section_integrals(ts, in_lo, in_hi)
+        with np.errstate(invalid="ignore"):
+            return float(np.trapezoid(vals, ts)), int(np.count_nonzero(lo < hi))
+    raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n_dim + 1}")
 
 
-def _grid_refine(cone: Cone, log_f: _LogIntegrand, radius: float, eps: float | None,
-                 step: float, rel_target: float = 1e-3,
-                 max_rounds: int = 8) -> tuple[float, float, int]:
-    prev, n_prev = _grid_estimate(cone, log_f, radius, eps, step)
-    delta = float("inf")
+def _grid_refine(integrand: _Integrand, step: float, rel_target: float = 1e-3,
+                 max_rounds: int = 8) -> tuple[float, float, int, bool]:
+    """Halve the step until successive estimates agree to ``rel_target``,
+    at most ``max_rounds`` times; the last flag says whether they did."""
+    prev, _ = _grid_estimate(integrand, step)
     for _ in range(max_rounds):
         step /= 2.0
-        cur, n_cur = _grid_estimate(cone, log_f, radius, eps, step)
+        cur, samples = _grid_estimate(integrand, step)
         delta = abs(cur - prev)
-        prev, n_prev = cur, n_cur
-        if prev != 0 and delta / abs(prev) < rel_target:
+        prev = cur
+        if not math.isfinite(delta):   # past the double range: refining cannot help
             break
-    return prev, delta, n_prev
+        if prev != 0 and delta / abs(prev) < rel_target:
+            return prev, delta, samples, True
+    return prev, delta, samples, False
 
 
-def _quadrature(partition: Partition, log_f: _LogIntegrand, radius: float,
-                region: str, method: str, budget: int, offset: float,
+def _quadrature(partition: Partition, c: np.ndarray, alphas: list[np.ndarray],
+                radius: float, region: str, method: str, budget: int, offset: float,
                 eps: float | None, seed: int, grid_step: float | None,
                 threads: int) -> QuadratureResult:
-    """Integral of exp(log_f) over a region: the one validation and method
-    dispatch behind ``mu_A_ball`` and ``cone_integral``."""
+    """Integral of exp(<c, y>) * prod_k sinh(<alphas[k], y>) over a region:
+    the one validation and method dispatch behind ``mu_A_ball`` and
+    ``cone_integral``.  A result that is not finite (past the double range)
+    raises ValueError."""
     _validate(region, method, radius, offset, eps, budget, grid_step)
     cone = Cone(partition, offset if region == "bc+" else 0.0)
-    eps = eps if region == "annulus" else None
+    inner = eps * radius if region == "annulus" else None
+    integrand = _Integrand.project(cone, c, alphas, radius, inner)
+    converged = None
     if method == "mc":
-        estimate, error, samples = _mc_estimate(cone, log_f, radius, eps, budget,
-                                                seed, threads)
+        estimate, error, samples = _mc_estimate(integrand, partition.n, budget, seed,
+                                                threads)
     elif method == "plain":
-        estimate, error, samples = _rejection_estimate(cone, log_f, radius, eps,
+        estimate, error, samples = _rejection_estimate(integrand, partition.n,
                                                        budget, seed)
     else:
-        estimate, error, samples = _grid_refine(cone, log_f, radius, eps, grid_step)
+        estimate, error, samples, converged = _grid_refine(integrand, grid_step)
         seed = None
-    return QuadratureResult(estimate, error, samples, region, method, seed)
+    if not (math.isfinite(estimate) and math.isfinite(error)):
+        raise ValueError(f"{method} quadrature at R={radius} is not finite "
+                         f"(estimate {estimate}, error {error}): past the double range")
+    return QuadratureResult(estimate, error, samples, region, method, seed, converged)
+
+
+def _density_forms(partition: Partition) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The measure density as exp(<c, y>) * prod_k sinh(<alphas[k], y>): c
+    sums e_i - e_j over the cross-block pairs, the alphas are e_i - e_j over
+    the intra-block pairs."""
+    def pair(i: int, j: int) -> np.ndarray:
+        e = np.zeros(partition.n)
+        e[i], e[j] = 1.0, -1.0
+        return e
+
+    c = sum((pair(i, j) for i, j in partition.cross_pairs()), np.zeros(partition.n))
+    return c, [pair(i, j) for i, j in partition.intra_pairs()]
 
 
 def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
@@ -339,12 +428,13 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     ``region`` is one of ``b+`` (positive cone cap), ``bc+`` (offset cone
     cap, needs a finite ``offset`` <= 0) and ``annulus`` (B+(R) minus
     B+(eps R)).  ``method``: ``mc`` (importance sampling), ``grid``
-    (trapezoid with refinement doubling, positive ``grid_step``) or
+    (refinement doubling from a positive ``grid_step``; N <= 3) or
     ``plain`` (rejection oracle, small R only); the sampling methods need a
-    ``budget`` of at least 1.
+    ``budget`` of at least 2.
     """
-    return _quadrature(partition, lambda y: _mu_log_density(partition, y), radius,
-                       region, method, budget, offset, eps, seed, grid_step, threads)
+    c, alphas = _density_forms(partition)
+    return _quadrature(partition, c, alphas, radius, region, method, budget, offset,
+                       eps, seed, grid_step, threads)
 
 
 def cone_integral(partition: Partition, offset: float, radius: float,
@@ -353,8 +443,7 @@ def cone_integral(partition: Partition, offset: float, radius: float,
                   threads: int = 1) -> QuadratureResult:
     """Integral of exp(<v0, y>) over the offset cone (finite offset <= 0)
     intersected with the ball."""
-    vdot = v0_vector(partition.n)
-    return _quadrature(partition, lambda y: y @ vdot, radius,
+    return _quadrature(partition, v0_vector(partition.n), [], radius,
                        "b+" if offset == 0.0 else "bc+", method, budget, offset,
                        None, seed, grid_step, threads)
 

@@ -99,12 +99,21 @@ def test_global_threads_before_subcommand(tmp_path, capsys):
 
 
 def test_volume_grid(capsys):
-    code, out, _ = run(capsys, "volume", "--n", "2", "--blocks", "1,1",
+    code, out, err = run(capsys, "volume", "--n", "2", "--blocks", "1,1",
                        "--radius", "3.0", "--grid", "0.01")
     assert code == 0
     value = float(out.split("estimate=")[1].split()[0])
     exact = math.sqrt(2) / 2 * (math.exp(math.sqrt(2) * 3.0) - 1)
     assert value == pytest.approx(exact, rel=1e-3)
+    assert err == ""
+
+
+def test_volume_grid_unconverged_warns(capsys):
+    code, out, err = run(capsys, "volume", "--n", "3", "--blocks", "2,1",
+                         "--radius", "6", "--grid", "100")
+    assert code == 0
+    assert out.startswith("region=b+ method=grid estimate=")
+    assert "warning" in err
 
 
 def test_exit_codes(capsys):
@@ -124,6 +133,12 @@ def test_exit_codes(capsys):
         assert run(capsys, *volume, *bad)[0] == 2, bad
     for threads in ("0", "-4"):
         assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
+    assert run(capsys, *count, "inf", "--method", "brute")[0] == 2
+    # results past the double range: were inf/nan with exit 0
+    n5 = ("volume", "--n", "5", "--blocks", "1,1,1,1,1", "--radius")
+    for bad in (n5 + ("120", "--mc", "1000"), n5 + ("112", "--mc", "1000"),
+                volume + ("600", "--grid", "1")):
+        assert run(capsys, *bad)[0] == 2, bad
 
 
 def test_exit_code_resource(capsys):

@@ -251,3 +251,7 @@ def test_enumerate_rejects_large_n(p2):
                            (3.0, math.nan), (3.0, math.inf), (3.0, -5.0)):
         with pytest.raises(ValueError):
             CS.enumerate_bfs(p2, radius, margin=margin)
+    # the scan sized its entry box from exp(inf) and crashed with OverflowError
+    for radius in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            CS.enumerate_brute(p2, radius)

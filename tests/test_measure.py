@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from horocount import measure as M
-from horocount.partitions import make_partition, p_norm, v0
+from horocount.partitions import (Cone, block_split, make_partition, p_norm,
+                                  rho_density, v0)
 
 
 def test_traceless_basis_orthonormal():
@@ -203,8 +204,9 @@ def test_region_validation(p2):
         with pytest.raises(ValueError):
             M.mu_A_ball(p2, 1.0, "b+", "grid", grid_step=step)
     for method in ("mc", "plain"):
-        with pytest.raises(ValueError):
-            M.mu_A_ball(p2, 1.0, "b+", method, budget=0)
+        for budget in (0, 1):   # one sample has no standard error
+            with pytest.raises(ValueError):
+                M.mu_A_ball(p2, 1.0, "b+", method, budget=budget)
     with pytest.raises(ValueError):
         M.cone_integral(p2, 0.5, 1.0)
     for radius in (0.0, -1.0):
@@ -214,3 +216,107 @@ def test_region_validation(p2):
         M.cone_integral(p2, 0.0, 1.0, "sorcery")
     with pytest.raises(ValueError):
         M.asym_ratio_report(p2, [4.0, 3.0])
+
+
+def _density(partition, y):
+    """The measure density at y through the reference rho_density, 0 off the chamber."""
+    split = block_split(partition, y)
+    if any(split.aM[i] < split.aM[j] for i, j in partition.intra_pairs()):
+        return 0.0
+    return rho_density(partition, split.aM, split.aZ)
+
+
+@pytest.mark.parametrize("blocks", [[1, 1], [2, 1], [1, 1, 1], [2, 2], [1, 2, 1], [1] * 5])
+def test_log_weight_matches_density(blocks, rng):
+    part = make_partition(sum(blocks), blocks)
+    radius, offset = 3.0, -0.5
+    basis = M.traceless_basis(part.n)
+    cone = Cone(part, offset)
+    integrand = M._Integrand.project(cone, *M._density_forms(part), radius, 1.0)
+    x = rng.uniform(-radius, radius, size=(400, part.n - 1))
+    log_w = integrand.log_weight(x)
+    hits = 0
+    for row, value in zip(x, log_w):
+        y = basis @ row
+        inside = cone.contains(y, tol=0.0) and 1.0 < np.linalg.norm(y) <= radius
+        if inside:
+            hits += 1
+            assert math.exp(value) == pytest.approx(_density(part, y), rel=1e-12)
+        else:
+            assert value == -math.inf
+    assert hits > 10
+
+
+def test_section_integrals_match_quad(p21):
+    from scipy.integrate import quad
+
+    radius = 6.0
+    basis = M.traceless_basis(3)
+    integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
+    ts = np.array([0.3, 1.3, 2.0, 3.1, 4.0, 5.5])
+    lo, hi = integrand.sections(ts)
+    exact = integrand.section_integrals(ts, lo, hi)
+    assert (lo < hi).all()
+    for t, a, b, value in zip(ts, lo, hi, exact):
+        ref, _ = quad(lambda s: _density(p21, basis @ (t, s)), a, b,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1]])
+def test_annulus_grid(blocks):
+    part = make_partition(3, blocks)
+    radius, eps = 4.0, 0.5
+    ann = M.mu_A_ball(part, radius, "annulus", "grid", eps=eps, grid_step=0.04)
+    outer = M.mu_A_ball(part, radius, "b+", "grid", grid_step=0.04)
+    inner = M.mu_A_ball(part, eps * radius, "b+", "grid", grid_step=0.04)
+    errors = ann.standard_error + outer.standard_error + inner.standard_error
+    assert abs(ann.estimate - (outer.estimate - inner.estimate)) <= errors
+    mc = M.mu_A_ball(part, radius, "annulus", "mc", eps=eps, budget=400_000, seed=3)
+    assert abs(ann.estimate - mc.estimate) <= 4 * mc.standard_error
+
+
+def test_offset_cone_grid_vs_mc(p21):
+    grid = M.mu_A_ball(p21, 4.0, "bc+", "grid", offset=-1.0, grid_step=0.04)
+    mc = M.mu_A_ball(p21, 4.0, "bc+", "mc", offset=-1.0, budget=400_000, seed=4)
+    assert abs(grid.estimate - mc.estimate) <= 3 * (grid.standard_error + mc.standard_error)
+
+
+def test_grid_converged_flag_and_sections(p21):
+    assert M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.04).converged is True
+    for method in ("mc", "plain"):
+        assert M.mu_A_ball(p21, 1.0, "b+", method, budget=1000).converged is None
+    # 8 halvings of a step larger than the ball leave a coarse, unconverged grid
+    res = M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=100.0)
+    assert res.converged is False
+    assert res.standard_error > 1e-3 * res.estimate
+    # samples counts the non-empty sections of the last grid: the t nodes
+    # whose open disk chord holds a point of the cone
+    step = 100.0 / 2 ** 8
+    basis = M.traceless_basis(3)
+    cone = Cone(p21)
+    non_empty = 0
+    for t in np.linspace(-6.0, 6.0, math.ceil(12.0 / step) + 1):
+        h = math.sqrt(max(36.0 - t * t, 0.0))
+        ss = np.linspace(-h, h, 2001)[1:-1]
+        non_empty += h > 0 and any(cone.contains(basis @ (t, s), tol=0.0) for s in ss)
+    assert res.samples == non_empty
+
+
+def test_plain_error_finite_at_large_radius():
+    # unscaled rejection weights near e^405 overflowed the standard error to inf
+    res = M.mu_A_ball(make_partition(5, [1] * 5), 64.0, "b+", "plain", budget=100_000,
+                      seed=1)
+    assert math.isfinite(res.estimate) and res.estimate > 0
+    assert math.isfinite(res.standard_error) and res.standard_error > 0
+
+
+def test_non_finite_result_raises(p2, p21):
+    p5 = make_partition(5, [1] * 5)
+    for radius in (112.0, 120.0):   # the value itself exceeds the double range
+        with pytest.raises(ValueError):
+            M.mu_A_ball(p5, radius, "b+", "mc", budget=1000)
+    with pytest.raises(ValueError):
+        M.mu_A_ball(p2, 600.0, "b+", "grid", grid_step=1.0)
+    with pytest.raises(ValueError):
+        M.mu_A_ball(p21, 300.0, "b+", "grid", grid_step=0.5)
