@@ -134,6 +134,8 @@ def _cmd_count(args) -> int:
     cc = counting_constant(part)
     started = _now()
     reports = []
+    if args.method in ("brute", "both"):
+        CS.require_scannable(part)  # before a walk that could take minutes
     if args.method in ("bfs", "both"):
         reports.append(CS.enumerate_bfs(
             part, args.radius, margin=args.margin, max_states=args.max_states,

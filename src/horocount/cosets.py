@@ -3,26 +3,53 @@
 Lifts correspond to cosets g Gamma_hor of the stabilizer inside SL_N(Z);
 the stabilizer's integer points are the block-upper-triangular matrices
 whose diagonal blocks are signed permutations (total determinant one).
-``coset_key`` is a complete invariant of a coset, built from Hermite normal
-forms (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
-Alg. 2.4.5), so a plain set of keys removes duplicates exactly.  Two
-strategies are implemented and validated against each other:
+
+A coset is handled through one flat tuple of integers, its wedge
+(Pluecker) state.  Let omega_k be the wedge of the columns of the blocks
+before block k (omega_1 = 1).  For each column v_j of block k the state
+holds the coordinates of omega_k ^ v_j: the maximal minors of the earlier
+blocks' columns together with v_j, one per row set, in lexicographic order.
+A singleton last block is left out, since its entry is det g = 1.
+
+* **Key.**  The stabilizer changes omega_k only by a sign (the earlier
+  columns span a primitive lattice, fixed up to sign by its wedge), adds to
+  v_j only earlier columns, which omega_k ^ v_j does not see, and permutes
+  and signs the columns of a block.  ``coset_key`` makes each omega_k ^ v_j
+  positive in its first nonzero entry, sorts them within the block and
+  concatenates the blocks.  Since omega_k ^ v determines v modulo the
+  earlier columns up to sign, the key is a complete invariant, and a plain
+  set of keys removes duplicates exactly.
+* **Height.**  The squared norms |omega_k|^2 are integers, and their
+  log-ratios give the block-scalar part b.  For a block of size two the
+  Gram matrix <omega_k ^ v_i, omega_k ^ v_j> / |omega_k|^2 gives the
+  chamber part in closed form.  A block of size three or more (N >= 4
+  only) falls back to the numeric frame of ``decompose.height``.
+* **Update.**  Left multiplication by E_ij(t) adds t times row j to row i.
+  It changes only the coordinates whose row set S holds i and not j, each
+  by +-t times the coordinate on S - i + j, so a step is a fixed table of
+  integer updates per generator.
+
+Two strategies are implemented and validated against each other:
 
 * ``enumerate_bfs`` walks the Schreier graph of SL_N(Z) acting on the
   cosets by left multiplication with the elementary matrices E_ij(+-1),
-  as in Todd-Coxeter coset enumeration, pruning by height only.
+  as in Todd-Coxeter coset enumeration, stepping the state and pruning by
+  height only.
 * ``enumerate_brute`` scans integer matrices column by column inside an
   entry box, pruning branches by coset-invariant bounds (prefix covolumes
   and per-block singular values are right-stabilizer invariants) and
   solving the final column from the determinant equation.
 
-``same_coset`` decides coset identity from the definition and is the test
-oracle for the key.  All arithmetic on matrices is exact (Python ints);
-heights use floating point with a 1e-9 boundary tolerance.
+``coset_key`` and ``coset_height`` build the state of a matrix and call the
+same key and height functions as the walk.  All arithmetic on matrices and
+states is exact (Python ints); heights use floating point with a 1e-9
+boundary tolerance.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -38,18 +65,13 @@ __all__ = [
     "ResourceLimitError",
     "InconsistencyError",
     "int_det",
-    "int_inverse_unimodular",
-    "hermite_normal_form",
-    "stabilizer_membership",
-    "same_coset",
     "coset_key",
     "coset_height",
     "enumerate_bfs",
     "enumerate_brute",
+    "require_scannable",
     "empirical_ratio",
     "coset_sets_equal",
-    "random_slnz",
-    "random_stabilizer_element",
 ]
 
 HEIGHT_TOL = 1e-9
@@ -93,75 +115,6 @@ def int_det(m: Matrix) -> int:
     return det
 
 
-def int_inverse_unimodular(m: Matrix) -> Matrix:
-    """Exact inverse of a determinant +-1 integer matrix (adjugate route)."""
-    n = len(m)
-    det = int_det(m)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {det})")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j)
-                for r in range(n) if r != i
-            )
-            adj[j][i] = (-1) ** (i + j) * (int_det(minor) if n > 1 else 1)
-    if det == -1:
-        adj = [[-x for x in row] for row in adj]
-    return tuple(tuple(row) for row in adj)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def hermite_normal_form(columns: list[tuple[int, ...]]) -> Matrix:
-    """Column-style HNF of the lattice spanned by the given full-rank columns.
-
-    Unique canonical basis: column echelon, positive pivots, entries right
-    of a pivot reduced into [0, pivot).  Rows index the ambient space.
-    """
-    n = len(columns[0])
-    cols = [list(c) for c in columns]
-    r = len(cols)
-    pivot_row = 0
-    col_idx = 0
-    while col_idx < r and pivot_row < n:
-        # gcd-eliminate entries of row pivot_row across columns col_idx..r-1
-        while True:
-            nz = [c for c in range(col_idx, r) if cols[c][pivot_row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(cols[c][pivot_row]))
-            small = nz[0]
-            for c in nz[1:]:
-                q = cols[c][pivot_row] // cols[small][pivot_row]
-                for i in range(n):
-                    cols[c][i] -= q * cols[small][i]
-        nz = [c for c in range(col_idx, r) if cols[c][pivot_row] != 0]
-        if nz:
-            c = nz[0]
-            cols[col_idx], cols[c] = cols[c], cols[col_idx]
-            if cols[col_idx][pivot_row] < 0:
-                cols[col_idx] = [-x for x in cols[col_idx]]
-            piv = cols[col_idx][pivot_row]
-            for c in range(col_idx):
-                q = cols[c][pivot_row] // piv
-                if q:
-                    for i in range(n):
-                        cols[c][i] -= q * cols[col_idx][i]
-            col_idx += 1
-        pivot_row += 1
-    if col_idx < r:
-        raise ValueError("columns are linearly dependent")
-    return tuple(tuple(c) for c in cols)
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if b == 0:
         return (abs(a), 1 if a >= 0 else -1, 0)
@@ -202,78 +155,202 @@ def solve_dot_one(w: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# coset structure
+# the wedge state of a coset
 # ---------------------------------------------------------------------------
 
-def _is_signed_permutation(block: list[list[int]]) -> bool:
-    m = len(block)
-    seen = set()
-    for row in block:
-        nz = [j for j, x in enumerate(row) if x != 0]
-        if len(nz) != 1 or abs(row[nz[0]]) != 1:
-            return False
-        seen.add(nz[0])
-    return len(seen) == m
-
-
-def stabilizer_membership(delta: Matrix, partition: Partition) -> bool:
-    """Is delta an integer point of the horocycle stabilizer?
-
-    Block upper triangular, every diagonal block a signed permutation;
-    the total determinant is +1 by assumption on the input.
-    """
-    n = partition.n
+def _generators(n: int) -> list[tuple[int, int, int]]:
+    gens = []
     for i in range(n):
         for j in range(n):
-            if partition.block_of[i] > partition.block_of[j] and delta[i][j] != 0:
-                return False
-    for blk in partition.blocks:
-        block = [[delta[i][j] for j in blk] for i in blk]
-        if not _is_signed_permutation(block):
-            return False
-    return True
+            if i != j:
+                gens.extend([(i, j, 1), (i, j, -1)])
+    return gens
 
 
-def same_coset(g1: Matrix, g2: Matrix, partition: Partition) -> bool:
-    """Exact test: g1 and g2 differ by right multiplication by the stabilizer."""
-    return stabilizer_membership(mat_mul(int_inverse_unimodular(g1), g2), partition)
+@functools.cache
+def _wedge_table(n: int, p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Terms of omega ^ v for omega of degree p: coordinate S (a (p+1)-subset
+    of rows, lexicographic) is the sum over the rows r of S of
+    sign * v_r * omega_(S - r), listed as (sign, r, index of S - r)."""
+    lower = {s: idx for idx, s in enumerate(itertools.combinations(range(n), p))}
+    return tuple(
+        tuple(((-1) ** (p + pos), r, lower[s[:pos] + s[pos + 1:]])
+              for pos, r in enumerate(s))
+        for s in itertools.combinations(range(n), p + 1)
+    )
 
 
-def _reduce(v: tuple[int, ...], basis: list[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
-    """Canonical representative of v modulo a lattice in column HNF, given
-    as (pivot row, column) pairs: every pivot-row entry lands in [0, pivot)."""
-    for p, h in basis:
-        q = v[p] // h[p]
-        if q:
-            v = tuple(x - q * y for x, y in zip(v, h))
-    return v
+def _wedge(omega: tuple[int, ...], v: tuple[int, ...], table) -> tuple[int, ...]:
+    return tuple(sum(sign * v[r] * omega[idx] for sign, r, idx in terms)
+                 for terms in table)
+
+
+def _columns_wedge(cols, n: int) -> tuple[int, ...]:
+    """Coordinates of the wedge of the given columns (the empty wedge is 1)."""
+    omega: tuple[int, ...] = (1,)
+    for p, v in enumerate(cols):
+        omega = _wedge(omega, v, _wedge_table(n, p))
+    return omega
+
+
+def _step_ops(n: int, degree: int, start: int,
+              gen: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """(target, source, coefficient) updates of one column's coordinates of
+    the given degree under left multiplication by E_ij(t).  Row i of every
+    minor on a row set S holding i and not j gains t times row j; moving
+    row j to its place in S - i + j passes the rows of S between i and j."""
+    i, j, t = gen
+    lo, hi = min(i, j), max(i, j)
+    index = {s: idx for idx, s in enumerate(itertools.combinations(range(n), degree))}
+    ops = []
+    for s, idx in index.items():
+        if i in s and j not in s:
+            source = index[tuple(sorted(set(s) - {i} | {j}))]
+            between = sum(lo < r < hi for r in s)
+            ops.append((start + idx, start + source, t * (-1) ** between))
+    return ops
+
+
+class _Layout:
+    """Where the wedge coordinates of a partition sit in the flat state.
+
+    ``blocks`` holds, per block, its size and the (start, stop) slice of
+    each column's coordinates (no slice for a singleton last block).
+    ``steps[g]`` holds the updates of generator g of ``_generators(n)``.
+    ``frame_fallback`` marks a block of size three or more, whose height
+    needs the matrix.
+    """
+
+    def __init__(self, partition: Partition):
+        n = partition.n
+        self.partition = partition
+        self.frame_fallback = max(partition.sizes) > 2
+        blocks = []
+        columns = []  # (start, degree) of every stored column
+        pos = 0
+        for k, blk in enumerate(partition.blocks):
+            if k == partition.k0 - 1 and len(blk) == 1:
+                blocks.append((1, ()))
+                continue
+            degree = blk[0] + 1
+            width = math.comb(n, degree)
+            slices = []
+            for _ in blk:
+                slices.append((pos, pos + width))
+                columns.append((pos, degree))
+                pos += width
+            blocks.append((len(blk), tuple(slices)))
+        self.blocks = tuple(blocks)
+        self.steps = tuple(
+            tuple(op for start, degree in columns
+                  for op in _step_ops(n, degree, start, gen))
+            for gen in _generators(n)
+        )
+
+
+@functools.cache
+def _layout(partition: Partition) -> _Layout:
+    return _Layout(partition)
+
+
+def _matrix_state(g: Matrix, layout: _Layout) -> tuple[int, ...]:
+    """The wedge state of an integer matrix, computed from its columns."""
+    n = layout.partition.n
+    cols = list(zip(*g))
+    state: list[int] = []
+    for blk, (_, slices) in zip(layout.partition.blocks, layout.blocks):
+        if slices:
+            omega = _columns_wedge(cols[:blk[0]], n)
+            table = _wedge_table(n, blk[0])
+            for j in blk:
+                state.extend(_wedge(omega, cols[j], table))
+    return tuple(state)
+
+
+def _step(state: tuple[int, ...], ops) -> tuple[int, ...]:
+    """The state after one generator, from its update table."""
+    child = list(state)
+    for target, source, coef in ops:
+        child[target] += coef * state[source]
+    return tuple(child)
+
+
+def _positive(seg: tuple[int, ...]) -> tuple[int, ...]:
+    for x in seg:
+        if x:
+            return seg if x > 0 else tuple([-y for y in seg])
+    return seg
+
+
+def _state_key(state: tuple[int, ...], layout: _Layout) -> tuple[int, ...]:
+    key: tuple[int, ...] = ()
+    for _, slices in layout.blocks:
+        if len(slices) == 1:
+            start, stop = slices[0]
+            key += _positive(state[start:stop])
+        elif slices:
+            for seg in sorted([_positive(state[a:b]) for a, b in slices]):
+                key += seg
+    return key
+
+
+def _state_height(state: tuple[int, ...], layout: _Layout, g: Matrix | None) -> float:
+    """Height from the integer squared norms and Gram entries of the state.
+
+    With beta_k = log(|omega_(k+1)|^2 / |omega_k|^2) / (2 m_k) for a block of
+    size m_k, the b-part is sum m_k beta_k^2.  A block of size two with
+    integer Gram entries (p, q, r) = (<x, x>, <y, y>, <x, y>) has
+    determinant d = pq - r^2 = |omega_(k+1)|^2 |omega_k|^2 and, scaled to
+    determinant one, squared singular values s^(+-2) with
+    s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / (2 sqrt(d)); its chamber part
+    is (log s, -log s).  ``g`` is read only when ``frame_fallback`` is set.
+    """
+    if layout.frame_fallback:
+        return _frame_height(np.array(g, dtype=float), layout.partition)[0]
+    norm = 1
+    log_norm = 0.0
+    a_sq = 0.0
+    b_sq = 0.0
+    for size, slices in layout.blocks:
+        if not slices:
+            nxt = 1  # |omega ^ v|^2 = det(g)^2
+        elif size == 1:
+            start, stop = slices[0]
+            nxt = sum([x * x for x in state[start:stop]])
+        else:
+            (a0, b0), (a1, b1) = slices
+            x, y = state[a0:b0], state[a1:b1]
+            p = sum([u * u for u in x])
+            q = sum([w * w for w in y])
+            r = sum([u * w for u, w in zip(x, y)])
+            d = p * q - r * r
+            nxt = d // norm
+            s_sq = (p + q + math.sqrt((p - q) ** 2 + 4 * r * r)) / (2.0 * math.sqrt(d))
+            t = 0.5 * math.log(s_sq)
+            a_sq += 2.0 * t * t
+        log_next = math.log(nxt)
+        beta = 0.5 * (log_next - log_norm) / size
+        b_sq += size * beta * beta
+        norm, log_norm = nxt, log_next
+    return math.sqrt(a_sq + b_sq)
 
 
 def coset_key(g: Matrix, partition: Partition) -> tuple[int, ...]:
     """Complete invariant of the coset g Gamma_hor, as one flat tuple of ints.
 
-    Block by block, each column is reduced modulo the column HNF of all
-    earlier blocks' columns, the smaller of the reductions of v and -v is
-    kept, and the results are sorted within the block.  The stabilizer acts
-    on the right by signed permutations within a block plus integer
-    combinations of earlier blocks, so two matrices share a key exactly
-    when they lie in the same coset.
+    Block by block, each omega_k ^ v_j is made positive in its first nonzero
+    coordinate, the results are sorted within the block and concatenated
+    (see the module docstring).  Two matrices share a key exactly when
+    they lie in the same coset.
     """
-    cols = list(zip(*g))
-    key: list[int] = []
-    basis: list[tuple[int, tuple[int, ...]]] = []
-    last = partition.k0 - 1
-    for k, blk in enumerate(partition.blocks):
-        reduced = sorted(
-            min(_reduce(cols[j], basis), _reduce(tuple(-x for x in cols[j]), basis))
-            for j in blk
-        )
-        for v in reduced:
-            key.extend(v)
-        if k < last:
-            hnf = hermite_normal_form([h for _, h in basis] + [cols[j] for j in blk])
-            basis = [(next(i for i, x in enumerate(h) if x), h) for h in hnf]
-    return tuple(key)
+    layout = _layout(partition)
+    return _state_key(_matrix_state(g, layout), layout)
+
+
+def coset_height(g: Matrix, partition: Partition) -> float:
+    """Height of the coset of an integer matrix, from its wedge state."""
+    layout = _layout(partition)
+    return _state_height(_matrix_state(g, layout), layout, g)
 
 
 @dataclass(frozen=True)
@@ -300,92 +377,8 @@ class EnumerationReport:
 
 
 # ---------------------------------------------------------------------------
-# heights of integer matrices
-# ---------------------------------------------------------------------------
-
-def coset_height(g: Matrix, partition: Partition) -> float:
-    """Height of an integer matrix, lean path for n <= 3.
-
-    Works from the Gram matrix: its Cholesky factor is the triangular part
-    of the QR, block log-determinants give the central part and per-block
-    singular values give the chamber part.
-    """
-    n = partition.n
-    if n > 3:
-        h, _ = _frame_height(np.array(g, dtype=float), partition)
-        return h
-    cols = [[g[i][j] for i in range(n)] for j in range(n)]
-    r = _triangular_factor(cols, n)
-    b_sq = 0.0
-    a_sq = 0.0
-    for blk in partition.blocks:
-        m = len(blk)
-        logdet = sum(math.log(r[i][i]) for i in blk)
-        beta = logdet / m
-        b_sq += m * beta * beta
-        if m == 2:
-            i0, i1 = blk
-            scale = math.exp(-beta)
-            t00 = r[i0][i0] * scale
-            t01 = r[i0][i1] * scale
-            t11 = r[i1][i1] * scale
-            fro = t00 * t00 + t01 * t01 + t11 * t11
-            sigma_sq = (fro + math.sqrt(max(fro * fro - 4.0, 0.0))) / 2.0
-            t = 0.5 * math.log(sigma_sq)  # aM = (t, -t)
-            a_sq += 2.0 * t * t
-        elif m > 2:
-            h, _ = _frame_height(np.array(g, dtype=float), partition)
-            return h
-    return math.sqrt(a_sq + b_sq)
-
-
-def _triangular_factor(cols: list[list[int]], n: int) -> list[list[float]]:
-    """Upper-triangular R with R^T R = Gram(columns), by hand (small n)."""
-    r = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        ci = cols[i]
-        acc = 0
-        for k in range(n):
-            acc += ci[k] * ci[k]
-        s = float(acc)
-        for k in range(i):
-            rki = r[k][i]
-            s -= rki * rki
-        rii = math.sqrt(s if s > 1e-300 else 1e-300)
-        r[i][i] = rii
-        for j in range(i + 1, n):
-            cj = cols[j]
-            acc = 0
-            for k in range(n):
-                acc += ci[k] * cj[k]
-            s = float(acc)
-            for k in range(i):
-                s -= r[k][i] * r[k][j]
-            r[i][j] = s / rii
-    return r
-
-
-# ---------------------------------------------------------------------------
 # breadth-first search over the Schreier graph
 # ---------------------------------------------------------------------------
-
-def _generators(n: int) -> list[tuple[int, int, int]]:
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.extend([(i, j, 1), (i, j, -1)])
-    return gens
-
-
-def _apply_generator(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
-    """Right multiplication by E_ij(t): column j += t * column i."""
-    i, j, t = gen
-    return tuple(
-        row[:j] + (row[j] + t * row[i],) + row[j + 1:]
-        for row in g
-    )
-
 
 def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
     """Left multiplication by E_ij(t): row i += t * row j."""
@@ -401,11 +394,17 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     """All distinct lift cosets of height <= R by breadth-first search.
 
     The walk starts at the identity coset and moves by left multiplication
-    with E_ij(+-1), which is well defined on cosets g Gamma_hor.  Cosets
-    are deduplicated by ``coset_key``, and height is the only prune: a
-    coset is expanded when its height is at most the expansion limit
-    max(R + margin, h1), where h1 is the largest height among the
-    identity's neighbours.
+    with E_ij(+-1), which is well defined on cosets g Gamma_hor.  A move
+    updates the wedge state by the generator's table (only coordinates
+    whose row set holds i and not j change, each by +-1 times another
+    coordinate), and the key and the height are read off the new state:
+    the height from the integer squared norms |omega_k|^2 and, for blocks
+    of size two, the integer Gram entries.  Every child key goes into the
+    ``seen`` set, and height is the only prune: a coset is expanded when
+    its height is at most the expansion limit max(R + margin, h1), where h1
+    is the largest height among the identity's neighbours.  The matrix is
+    carried only for cosets that are expanded or recorded, as their
+    representative.
 
     The floor h1 keeps small R + margin complete.  Signed permutations of
     determinant one lie in SO_N, so left multiplication by one keeps the
@@ -426,10 +425,9 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     ``params`` reports ``expand_limit``, ``states`` (keys seen),
     ``depth_reached`` (layers expanded) and ``last_new_depth`` (the
     deepest layer that found a coset of height <= R).  Exceeding the state
-    budget raises
-    ``ResourceLimitError`` carrying the partial report, the only case
-    marked ``partial``.  A negative or non-finite radius or margin raises
-    ``ValueError``.
+    budget raises ``ResourceLimitError`` carrying the partial report, the
+    only case marked ``partial``.  A negative or non-finite radius or
+    margin raises ``ValueError``.
     """
     require_horocycle_partition(partition)
     if not (math.isfinite(radius) and radius >= 0):
@@ -438,11 +436,16 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     start_time = time.monotonic()
     n = partition.n
-    gens = _generators(n)
+    layout = _layout(partition)
+    moves = list(zip(_generators(n), layout.steps))
+    fallback = layout.frame_fallback
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    root_key = coset_key(identity, partition)
+    root = _matrix_state(identity, layout)
+    root_key = _state_key(root, layout)
     expand_limit = max(radius + margin, max(
-        coset_height(_left_apply(identity, gen), partition) for gen in gens))
+        _state_height(_step(root, ops), layout, _left_apply(identity, gen))
+        for gen, ops in moves))
+    keep_limit = max(expand_limit, radius + HEIGHT_TOL)
     seen = {root_key}
     records: list[CosetRecord] = []
     count = 0
@@ -459,7 +462,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
             partial=partial,
         )
 
-    def consider(state: Matrix, key: tuple[int, ...], h: float) -> None:
+    def consider(g: Matrix, key: tuple[int, ...], h: float) -> None:
         nonlocal count, last_new_depth
         if h > radius + HEIGHT_TOL:
             return
@@ -467,20 +470,19 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
         last_new_depth = depth
         if keep_records:
             records.append(CosetRecord(
-                representative=state, key=key, height=h,
+                representative=g, key=key, height=h,
                 boundary=abs(h - radius) <= HEIGHT_TOL,
             ))
 
-    h0 = coset_height(identity, partition)
-    consider(identity, root_key, h0)
-    frontier = [identity]
+    consider(identity, root_key, _state_height(root, layout, identity))
+    frontier = [(identity, root)]
     while frontier:
         depth += 1
         next_frontier = []
-        for state in frontier:
-            for gen in gens:
-                child = _left_apply(state, gen)
-                key = coset_key(child, partition)
+        for g, state in frontier:
+            for gen, ops in moves:
+                child = _step(state, ops)
+                key = _state_key(child, layout)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -489,10 +491,14 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
                         f"state budget {max_states} exceeded at depth {depth}",
                         report(partial=True),
                     )
-                h = coset_height(child, partition)
-                consider(child, key, h)
+                child_g = _left_apply(g, gen) if fallback else None
+                h = _state_height(child, layout, child_g)
+                if h > keep_limit:
+                    continue
+                child_g = child_g or _left_apply(g, gen)
+                consider(child_g, key, h)
                 if h <= expand_limit:
-                    next_frontier.append(child)
+                    next_frontier.append((child_g, child))
         frontier = next_frontier
     return report(partial=False)
 
@@ -526,17 +532,16 @@ def _prefix_logcov_bound(partition: Partition, radius: float, m: int) -> float:
 
 def _wedge_gcd(cols: list[tuple[int, ...]]) -> int:
     """gcd of the maximal minors of the n x r column matrix."""
-    n = len(cols[0])
-    r = len(cols)
-    import itertools
+    return math.gcd(*_columns_wedge(cols, len(cols[0])))
 
-    g = 0
-    for rows in itertools.combinations(range(n), r):
-        sub = tuple(tuple(cols[c][i] for c in range(r)) for i in rows)
-        g = math.gcd(g, abs(int_det(sub)))
-        if g == 1:
-            return 1
-    return g
+
+def require_scannable(partition: Partition) -> None:
+    """Raise unless ``enumerate_brute`` can scan the partition (n <= 3)."""
+    require_horocycle_partition(partition)
+    if partition.n > 3:
+        raise NotImplementedError(
+            "brute-force enumeration targets n <= 3 (cost grows like e^(P_N R))"
+        )
 
 
 def enumerate_brute(partition: Partition, radius: float,
@@ -551,11 +556,7 @@ def enumerate_brute(partition: Partition, radius: float,
     With ``stabilize`` the scan reruns at doubled bounds until the count
     is stable.
     """
-    require_horocycle_partition(partition)
-    if partition.n > 3:
-        raise NotImplementedError(
-            "brute-force enumeration targets n <= 3 (cost grows like e^(P_N R))"
-        )
+    require_scannable(partition)
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     if entry_bound is None:
@@ -730,17 +731,12 @@ def _integer_vectors(n: int, box: int, norm_cap: float) -> np.ndarray:
 def _cofactor_vector(cols: list[tuple[int, ...]]) -> tuple[int, ...]:
     """w with det(cols..., x) = <w, x> for the missing last column."""
     n = len(cols[0])
-    if n == 2:
-        (a, c) = cols[0]
-        return (-c, a)
-    if n == 3:
-        u, v = cols
-        return (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-    raise NotImplementedError("cofactor solve implemented for n <= 3")
+    omega = _columns_wedge(cols, n)
+    (terms,) = _wedge_table(n, n - 1)
+    w = [0] * n
+    for sign, r, idx in terms:
+        w[r] = sign * omega[idx]
+    return tuple(w)
 
 
 def _affine_lattice_points(x0: tuple[int, ...], basis: list[tuple[int, ...]],
@@ -847,55 +843,3 @@ def empirical_ratio(partition: Partition, radii, margin: float = 0.5,
         })
     return rows
 
-
-def random_slnz(n: int, rng, word_length: int = 12) -> Matrix:
-    """Random SL_n(Z) element: product of random elementary generators."""
-    gens = _generators(n)
-    mat = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    for _ in range(word_length):
-        mat = _apply_generator(mat, gens[rng.integers(len(gens))])
-    return mat
-
-
-def random_stabilizer_element(partition: Partition, rng, entry_scale: int = 4) -> Matrix:
-    """Random integer point of the stabilizer: block signed permutations with
-    unit total determinant times integer cross-block upper entries."""
-    n = partition.n
-    mat = [[0] * n for _ in range(n)]
-    det_sign = 1
-    for blk in partition.blocks:
-        m = len(blk)
-        perm = list(rng.permutation(m))
-        signs = [int(s) for s in rng.choice([-1, 1], size=m)]
-        block_det = _permutation_sign_of(perm) * math.prod(signs)
-        det_sign *= block_det
-        for local_i, local_j in enumerate(perm):
-            mat[blk[local_i]][blk[local_j]] = signs[local_i]
-    if det_sign < 0:
-        # flip the single nonzero entry of the last block's first row
-        i = partition.blocks[-1][0]
-        for j in partition.blocks[-1]:
-            if mat[i][j] != 0:
-                mat[i][j] = -mat[i][j]
-                break
-    for i in range(n):
-        for j in range(n):
-            if partition.block_of[i] < partition.block_of[j]:
-                mat[i][j] = int(rng.integers(-entry_scale, entry_scale + 1))
-    return tuple(tuple(row) for row in mat)
-
-
-def _permutation_sign_of(perm: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

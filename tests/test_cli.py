@@ -134,6 +134,11 @@ def test_exit_codes(capsys):
     for threads in ("0", "-4"):
         assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
     assert run(capsys, *count, "inf", "--method", "brute")[0] == 2
+    # the scan stops at n = 3: rejected before the walk, which exhausted
+    # its state budget first (exit 3) or walked for minutes
+    n4 = ("count", "--n", "4", "--blocks", "2,2", "--radius", "1")
+    for method in ("brute", "both"):
+        assert run(capsys, *n4, "--method", method, "--max-states", "1")[0] == 2
     # results past the double range: were inf/nan with exit 0
     n5 = ("volume", "--n", "5", "--blocks", "1,1,1,1,1", "--radius")
     for bad in (n5 + ("120", "--mc", "1000"), n5 + ("112", "--mc", "1000"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from horocount import cosets as CS
 from horocount.decompose import height as frame_height
 from horocount.partitions import make_partition
+from . import coset_helpers as H
 from .test_acceptance import _disk_count_oracle
 
 
@@ -20,22 +21,13 @@ def E(n, i, j, t=1):
 def test_exact_linear_algebra():
     m = ((2, 1), (1, 1))
     assert CS.int_det(m) == 1
-    assert CS.mat_mul(m, CS.int_inverse_unimodular(m)) == E(2, 0, 0, 1)
+    assert H.mat_mul(m, H.int_inverse_unimodular(m)) == E(2, 0, 0, 1)
     m3 = ((1, 2, 3), (0, 1, 4), (0, 0, 1))
     assert CS.int_det(m3) == 1
-    inv = CS.int_inverse_unimodular(m3)
-    assert CS.mat_mul(m3, inv) == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    inv = H.int_inverse_unimodular(m3)
+    assert H.mat_mul(m3, inv) == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
     with pytest.raises(ValueError):
-        CS.int_inverse_unimodular(((2, 0), (0, 2)))
-
-
-def test_hermite_normal_form_canonical():
-    # same lattice under unimodular recombination -> same HNF
-    h1 = CS.hermite_normal_form([(2, 0, 1), (0, 3, 1)])
-    h2 = CS.hermite_normal_form([(2, 3, 2), (0, 3, 1)])
-    assert h1 == h2
-    with pytest.raises(ValueError):
-        CS.hermite_normal_form([(1, 2, 0), (2, 4, 0)])
+        H.int_inverse_unimodular(((2, 0), (0, 2)))
 
 
 def test_solve_dot_one():
@@ -48,41 +40,41 @@ def test_solve_dot_one():
 
 
 def test_stabilizer_membership_examples(p2):
-    assert CS.stabilizer_membership(E(2, 0, 1, 1), p2)
-    assert not CS.stabilizer_membership(E(2, 1, 0, 1), p2)
-    assert not CS.stabilizer_membership(((0, -1), (1, 0)), p2)
+    assert H.stabilizer_membership(E(2, 0, 1, 1), p2)
+    assert not H.stabilizer_membership(E(2, 1, 0, 1), p2)
+    assert not H.stabilizer_membership(((0, -1), (1, 0)), p2)
     # -I is a signed diagonal with det 1
-    assert CS.stabilizer_membership(((-1, 0), (0, -1)), p2)
+    assert H.stabilizer_membership(((-1, 0), (0, -1)), p2)
 
 
 def test_stabilizer_membership_block(p21):
     swap = ((0, 1, 5), (1, 0, -2), (0, 0, -1))  # block signed permutation, det 1
     assert CS.int_det(swap) == 1
-    assert CS.stabilizer_membership(swap, p21)
+    assert H.stabilizer_membership(swap, p21)
     bad = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # intra-block shear is not signed-perm
-    assert not CS.stabilizer_membership(bad, p21)
+    assert not H.stabilizer_membership(bad, p21)
 
 
 def test_same_coset_examples(p2, rng):
-    gamma = CS.random_slnz(2, rng, 8)
-    assert CS.same_coset(gamma, CS.mat_mul(gamma, E(2, 0, 1, 5)), p2)
-    assert not CS.same_coset(E(2, 0, 0, 1), E(2, 1, 0, 1), p2)
+    gamma = H.random_slnz(2, rng, 8)
+    assert H.same_coset(gamma, H.mat_mul(gamma, E(2, 0, 1, 5)), p2)
+    assert not H.same_coset(E(2, 0, 0, 1), E(2, 1, 0, 1), p2)
     minus = ((-1, 0), (0, -1))
-    assert CS.same_coset(gamma, CS.mat_mul(gamma, minus), p2)
+    assert H.same_coset(gamma, H.mat_mul(gamma, minus), p2)
 
 
 def test_same_coset_equivalence(p21, rng):
-    mats = [CS.random_slnz(3, rng, 9) for _ in range(8)]
+    mats = [H.random_slnz(3, rng, 9) for _ in range(8)]
     for g in mats:
-        assert CS.same_coset(g, g, p21)
+        assert H.same_coset(g, g, p21)
     for g1 in mats:
         for g2 in mats:
-            assert CS.same_coset(g1, g2, p21) == CS.same_coset(g2, g1, p21)
+            assert H.same_coset(g1, g2, p21) == H.same_coset(g2, g1, p21)
     for g1 in mats[:4]:
         for g2 in mats[:4]:
             for g3 in mats[:4]:
-                if CS.same_coset(g1, g2, p21) and CS.same_coset(g2, g3, p21):
-                    assert CS.same_coset(g1, g3, p21)
+                if H.same_coset(g1, g2, p21) and H.same_coset(g2, g3, p21):
+                    assert H.same_coset(g1, g3, p21)
 
 
 def test_invariant_key_examples(p2):
@@ -96,11 +88,11 @@ def test_invariant_key_soundness_bulk(p2, p21, p12, rng):
     parts = [p2, p21, p12]
     for trial in range(10_000):
         part = parts[trial % 3]
-        g = CS.random_slnz(part.n, rng, 6)
-        h = CS.random_stabilizer_element(part, rng)
+        g = H.random_slnz(part.n, rng, 6)
+        h = H.random_stabilizer_element(part, rng)
         assert CS.int_det(h) == 1
-        gh = CS.mat_mul(g, h)
-        assert CS.same_coset(g, gh, part)
+        gh = H.mat_mul(g, h)
+        assert H.same_coset(g, gh, part)
         assert CS.coset_key(g, part) == CS.coset_key(gh, part)
 
 
@@ -116,12 +108,12 @@ def test_coset_key_is_exact(part, seed, words, related):
     # equal keys exactly when same_coset holds; short independent words
     # often land in the same coset, so both outcomes occur
     rng = np.random.default_rng(seed)
-    g1 = CS.random_slnz(part.n, rng, words[0])
+    g1 = H.random_slnz(part.n, rng, words[0])
     if related:
-        g2 = CS.mat_mul(g1, CS.random_stabilizer_element(part, rng))
+        g2 = H.mat_mul(g1, H.random_stabilizer_element(part, rng))
     else:
-        g2 = CS.random_slnz(part.n, rng, words[1])
-    same = CS.same_coset(g1, g2, part)
+        g2 = H.random_slnz(part.n, rng, words[1])
+    same = H.same_coset(g1, g2, part)
     if related:
         assert same
     assert (CS.coset_key(g1, part) == CS.coset_key(g2, part)) == same
@@ -130,16 +122,16 @@ def test_coset_key_is_exact(part, seed, words, related):
 def test_height_well_defined_on_cosets(p2, p21, rng):
     for part in (p2, p21):
         for _ in range(500):
-            g = CS.random_slnz(part.n, rng, 7)
-            h = CS.random_stabilizer_element(part, rng)
-            gh = CS.mat_mul(g, h)
+            g = H.random_slnz(part.n, rng, 7)
+            h = H.random_stabilizer_element(part, rng)
+            gh = H.mat_mul(g, h)
             assert abs(CS.coset_height(g, part) - CS.coset_height(gh, part)) <= 1e-9
 
 
 def test_coset_height_matches_frame(p21, p12, rng):
     for part in (p21, p12):
         for _ in range(50):
-            g = CS.random_slnz(3, rng, 8)
+            g = H.random_slnz(3, rng, 8)
             lean = CS.coset_height(g, part)
             full, _ = frame_height(np.array(g, dtype=float), part)
             assert lean == pytest.approx(full, abs=1e-9)
@@ -255,3 +247,90 @@ def test_enumerate_rejects_large_n(p2):
     for radius in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):
             CS.enumerate_brute(p2, radius)
+
+
+_STATE_PARTITIONS = [(2, [1, 1]), (3, [2, 1]), (3, [1, 2]), (3, [1, 1, 1]),
+                     (4, [2, 2]), (4, [1, 2, 1])]
+
+
+def test_state_update_matches_matrix(rng):
+    # stepping the wedge state by a generator's table gives the state of
+    # the left-multiplied matrix, along 1200 random words
+    for trial in range(1200):
+        part = make_partition(*_STATE_PARTITIONS[trial % len(_STATE_PARTITIONS)])
+        layout = CS._layout(part)
+        gens = CS._generators(part.n)
+        g = H.random_slnz(part.n, rng, int(rng.integers(0, 6)))
+        state = CS._matrix_state(g, layout)
+        for _ in range(int(rng.integers(1, 13))):
+            idx = int(rng.integers(len(gens)))
+            g = CS._left_apply(g, gens[idx])
+            state = CS._step(state, layout.steps[idx])
+            assert state == CS._matrix_state(g, layout)
+
+
+def test_walk_records_match_matrix_key_and_height(p2, p3, p21, p12):
+    # the walk's incremental keys and heights equal those of its
+    # representatives, bit for bit (the [3,1] heights take the frame path)
+    cases = [(p2, 3.0, 2.0), (p3, 1.5, 0.6), (p21, 1.5, 0.6), (p12, 1.5, 0.6),
+             (make_partition(4, [2, 2]), 0.6, 0.3),
+             (make_partition(4, [1, 2, 1]), 0.6, 0.3),
+             (make_partition(4, [3, 1]), 0.5, 0.0)]
+    for part, radius, margin in cases:
+        rep = CS.enumerate_bfs(part, radius, margin=margin)
+        assert rep.count == len(rep.records) > 1
+        for rec in rep.records:
+            assert CS.coset_key(rec.representative, part) == rec.key
+            assert CS.coset_height(rec.representative, part) == rec.height
+
+
+def _reversal(g):
+    """w0 g^(-T) w0, w0 the antidiagonal signed permutation of determinant one."""
+    n = len(g)
+    w0 = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+    w0[0][n - 1] = (-1) ** (n * (n - 1) // 2)  # the sign of the reversal
+    w0 = tuple(tuple(row) for row in w0)
+    inv_t = tuple(zip(*H.int_inverse_unimodular(g)))
+    return H.mat_mul(H.mat_mul(w0, inv_t), w0)
+
+
+@pytest.mark.parametrize("n, sizes, radius, margin, count", [
+    (3, [2, 1], 1.5, 0.6, 309),
+    (3, [1, 1, 1], 1.5, 0.6, 252),
+    (4, [2, 1, 1], 1.0, 0.0, 1320),
+    (4, [3, 1], 1.0, 0.0, 720),
+])
+def test_reversal_duality_is_key_bijection(n, sizes, radius, margin, count):
+    # g -> w0 g^(-T) w0 maps the stabilizer of a partition onto that of the
+    # reversed partition and keeps the height: a bijection of coset keys
+    part = make_partition(n, sizes)
+    dual = make_partition(n, sizes[::-1])
+    rep = CS.enumerate_bfs(part, radius, margin=margin)
+    dual_rep = rep if dual == part else CS.enumerate_bfs(dual, radius, margin=margin)
+    assert rep.count == dual_rep.count == count
+    dual_heights = {rec.key: rec.height for rec in dual_rep.records}
+    mapped = {}
+    for rec in rep.records:
+        image = _reversal(rec.representative)
+        assert CS.int_det(image) == 1
+        mapped[CS.coset_key(image, dual)] = rec.height
+    assert mapped.keys() == dual_heights.keys()
+    for key, h in mapped.items():
+        assert abs(h - dual_heights[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("sizes", [[1, 1, 1], [2, 1], [1, 2]])
+def test_descent_property_n3(sizes):
+    # every coset of positive height has an E_ij(+-1) neighbour strictly
+    # lower, which is what makes a walk at margin 0 complete
+    part = make_partition(3, sizes)
+    rep = CS.enumerate_bfs(part, 2.0, margin=0.6)
+    gens = CS._generators(3)
+    positive = [rec for rec in rep.records if rec.height > CS.HEIGHT_TOL]
+    assert len(positive) == rep.count - (6 if sizes == [1, 1, 1] else 3)
+    for rec in positive:
+        assert any(
+            CS.coset_height(CS._left_apply(rec.representative, gen), part)
+            < rec.height - CS.HEIGHT_TOL
+            for gen in gens
+        ), rec.representative
