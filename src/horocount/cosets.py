@@ -38,7 +38,10 @@ Two strategies are implemented and validated against each other:
 * ``enumerate_brute`` scans integer matrices column by column inside an
   entry box, pruning branches by coset-invariant bounds (prefix covolumes
   and per-block singular values are right-stabilizer invariants) and
-  solving the final column from the determinant equation.
+  solving the final column from the determinant equation.  It scans only
+  reduced representatives (columns signed, ordered within a block and
+  size-reduced against the earlier blocks, one completion per class of
+  the last column), so each coset is derived about once.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -48,6 +51,7 @@ boundary tolerance.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -294,16 +298,36 @@ def _state_key(state: tuple[int, ...], layout: _Layout) -> tuple[int, ...]:
     return key
 
 
+def _pair_block(x, y) -> tuple[int, float]:
+    """Gram determinant and squared chamber part of a block of size two.
+
+    ``x`` and ``y`` are the block's coordinates omega ^ v_i.  Their integer
+    Gram entries (p, q, r) = (<x, x>, <y, y>, <x, y>) have determinant
+    d = pq - r^2 = |omega ^ v_1 ^ v_2|^2 |omega|^2.  Scaled to determinant
+    one the block has squared singular values s^(+-2) with
+    s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / (2 sqrt(d)), so its chamber
+    part is (t, -t), t = log(s^2) / 2, of squared norm 2 t^2.  A degenerate
+    block (d = 0) returns (0, inf).
+    """
+    p = sum([u * u for u in x])
+    q = sum([w * w for w in y])
+    r = sum([u * w for u, w in zip(x, y)])
+    d = p * q - r * r
+    if d == 0:
+        return 0, math.inf
+    s_sq = (p + q + math.sqrt((p - q) ** 2 + 4 * r * r)) / (2.0 * math.sqrt(d))
+    t = 0.5 * math.log(s_sq)
+    return d, 2.0 * t * t
+
+
 def _state_height(state: tuple[int, ...], layout: _Layout, g: Matrix | None) -> float:
     """Height from the integer squared norms and Gram entries of the state.
 
     With beta_k = log(|omega_(k+1)|^2 / |omega_k|^2) / (2 m_k) for a block of
-    size m_k, the b-part is sum m_k beta_k^2.  A block of size two with
-    integer Gram entries (p, q, r) = (<x, x>, <y, y>, <x, y>) has
-    determinant d = pq - r^2 = |omega_(k+1)|^2 |omega_k|^2 and, scaled to
-    determinant one, squared singular values s^(+-2) with
-    s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / (2 sqrt(d)); its chamber part
-    is (log s, -log s).  ``g`` is read only when ``frame_fallback`` is set.
+    size m_k, the b-part is sum m_k beta_k^2.  A block of size two adds its
+    chamber part from ``_pair_block``, and its Gram determinant divided by
+    |omega_k|^2 is |omega_(k+1)|^2.  ``g`` is read only when
+    ``frame_fallback`` is set.
     """
     if layout.frame_fallback:
         return _frame_height(np.array(g, dtype=float), layout.partition)[0]
@@ -319,15 +343,9 @@ def _state_height(state: tuple[int, ...], layout: _Layout, g: Matrix | None) -> 
             nxt = sum([x * x for x in state[start:stop]])
         else:
             (a0, b0), (a1, b1) = slices
-            x, y = state[a0:b0], state[a1:b1]
-            p = sum([u * u for u in x])
-            q = sum([w * w for w in y])
-            r = sum([u * w for u, w in zip(x, y)])
-            d = p * q - r * r
+            d, chamber_sq = _pair_block(state[a0:b0], state[a1:b1])
             nxt = d // norm
-            s_sq = (p + q + math.sqrt((p - q) ** 2 + 4 * r * r)) / (2.0 * math.sqrt(d))
-            t = 0.5 * math.log(s_sq)
-            a_sq += 2.0 * t * t
+            a_sq += chamber_sq
         log_next = math.log(nxt)
         beta = 0.5 * (log_next - log_norm) / size
         b_sq += size * beta * beta
@@ -553,8 +571,47 @@ def enumerate_brute(partition: Partition, radius: float,
     cut by coset-invariant bounds (block singular values, prefix
     covolumes, partial height) plus wedge primitivity at block boundaries,
     and the last column is solved exactly from the determinant equation.
+    For [1, 2] the first column v of the last block is cut as well: that
+    block's Gram matrix has determinant |c_0|^2 and largest eigenvalue at
+    least |c_0 ^ v|^2, which bounds its chamber part from below.
+
+    Only reduced representatives are scanned, so a coset is derived about
+    once.  Every coset has a representative that meets all of the
+    restrictions below: going through the blocks in order, reduce the
+    block's columns against the earlier blocks' columns, then fix their
+    signs and order.  Each step is right multiplication by an element of
+    the stabilizer, leaves the earlier blocks alone and keeps the reductions
+    already made, and the column norms that the column budgets bound are
+    those of a size-reduced representative.
+
+    1. Signs: every column but the last is positive in its first nonzero
+       entry.  The stabilizer's diagonal signs flip any column; flipping the
+       last column as well restores det g = 1, and that column is solved,
+       not scanned.
+    2. Order: the scanned columns of one block increase lexicographically.
+       A permutation of a block's columns is a stabilizer move (the last
+       column's sign again takes up the determinant).  At n <= 3 this
+       orders the two columns of the first block of [2, 1].
+    3. Size reduction: a scanned column v satisfies
+       |<v, c*_i>| <= |c*_i|^2 / 2 (ties allowed) against the Gram-Schmidt
+       vectors c*_i of the earlier blocks' columns.  Adding earlier-block
+       columns is a stabilizer move, and Babai's nearest-plane step yields
+       such a column.  At n <= 3 only the second column of [1, 1, 1] and
+       [1, 2] has an earlier-block column, c_0, and the test is the integer
+       inequality 2 |<v, c_0>| <= |c_0|^2.
+    4. Last column: the completions x_0 + Z * kernel of one prefix that
+       differ by earlier-block columns are one coset, so one completion is
+       derived per class of omega_e ^ x, omega_e the wedge of the earlier
+       blocks' columns.  For a singleton last block the class is
+       det g = 1, and the first completion that passes the box and
+       determinant checks is the only one derived.  A class is derived
+       exactly when some completion of it passes the cap, box and
+       determinant checks, as before.
+
     With ``stabilize`` the scan reruns at doubled bounds until the count
-    is stable.
+    is stable.  ``params`` reports ``entry_bound``, ``box``, ``prefixes``
+    (prefixes of n - 1 columns handed to the last-column solve) and
+    ``completions`` (completions that reached the height test).
     """
     require_scannable(partition)
     if not (math.isfinite(radius) and radius >= 0):
@@ -576,6 +633,7 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
                 keep_records: bool) -> EnumerationReport:
     start_time = time.monotonic()
     n = partition.n
+    layout = _layout(partition)
     r_eff = radius + 1e-6
     sigma_bounds = [math.exp(_block_sigma_bound(partition, r_eff, k))
                     for k in range(partition.k0)]
@@ -589,16 +647,29 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
     global_cap = max(sigma_bounds) * (1.0 + 0.5 * (n - 1))
     box = min(entry_bound, math.ceil(global_cap))
     master = _integer_vectors(n, box, global_cap)
-    master_norms = np.linalg.norm(master, axis=1)
+    # restriction 1: scanned columns are positive in their first nonzero entry
+    master = master[master[np.arange(len(master)), np.argmax(master != 0, axis=1)] > 0]
+    master_sq = np.einsum("ij,ij->i", master, master)
+    master_norms = np.sqrt(master_sq)
+    master_rows = [tuple(row) for row in master.tolist()]  # lexicographic order
+
+    last_block = partition.blocks[-1]
+    earlier = last_block[0]  # columns before the last block
+    class_table = _wedge_table(n, earlier)
 
     seen: set[tuple[int, ...]] = set()
     records: list[CosetRecord] = []
+    prefixes = 0
+    completions = 0
 
     def accept(mat: Matrix) -> None:
-        h = coset_height(mat, partition)
+        nonlocal completions
+        completions += 1
+        state = _matrix_state(mat, layout)
+        h = _state_height(state, layout, mat)
         if h > radius + HEIGHT_TOL:
             return
-        key = coset_key(mat, partition)
+        key = _state_key(state, layout)
         if key in seen:
             return
         seen.add(key)
@@ -616,12 +687,13 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
         )
         return sigma_bounds[k] + slack
 
-    def boundary_filter(cols: list[tuple[int, ...]], cand: np.ndarray, k: int,
+    def boundary_filter(cols: list[tuple[int, ...]], idx: np.ndarray, k: int,
                         m: int, log_v_prev: float, b_partial: float,
                         a_partial: float):
         """Vectorized coset-invariant pruning for candidates completing the
         prefix of size m; yields (vector, log_v, b_partial', a_partial')."""
         size = partition.sizes[k]
+        cand = master[idx]
         if cols:
             prev = np.array(cols, dtype=float).T  # n x (m-1)
             q, _ = np.linalg.qr(prev)
@@ -638,21 +710,21 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
         b_new = b_partial + size * beta * beta
         future = log_v * log_v / (n - m)
         ok &= a_partial + b_new + future <= r_eff * r_eff + 1e-9
-        idx = np.nonzero(ok)[0]
         start = m - size
-        for i in idx:
-            vec = tuple(int(x) for x in cand[i])
+        if size > 1:
+            # at n <= 3 a block before the last has at most two columns
+            omega = _columns_wedge(cols[:start], n)
+            table = _wedge_table(n, start)
+            (first,) = cols[start:]
+            first_wedge = _wedge(omega, first, table)
+        for i in np.nonzero(ok)[0]:
+            vec = master_rows[idx[i]]
             a_new = a_partial
-            if size >= 2:
-                block_cols = cols[start:] + [vec]
-                arr = np.array(block_cols, dtype=float).T
-                if start > 0:
-                    qp, _ = np.linalg.qr(np.array(cols[:start], dtype=float).T)
-                    arr = arr - qp @ (qp.T @ arr)
-                sv = np.linalg.svd(arr, compute_uv=False)
-                if sv[-1] <= 1e-12:
+            if size > 1:
+                d, chamber_sq = _pair_block(first_wedge, _wedge(omega, vec, table))
+                if d == 0:
                     continue
-                a_new = a_partial + float(np.sum((np.log(sv) - beta[i]) ** 2))
+                a_new = a_partial + chamber_sq
                 if a_new + b_new[i] + future[i] > r_eff * r_eff + 1e-9:
                     continue
             if _wedge_gcd(cols + [vec]) != 1:
@@ -660,6 +732,8 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
             yield vec, float(log_v[i]), float(b_new[i]), a_new
 
     def last_column(cols: list[tuple[int, ...]], budget: float) -> None:
+        nonlocal prefixes
+        prefixes += 1
         w = _cofactor_vector(cols)
         if math.gcd(*[abs(x) for x in w]) != 1:
             return
@@ -674,6 +748,9 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
             inplane += norm_i if partition.block_of[i] == blk else 0.5 * norm_i
         w_norm = math.hypot(*w)
         cap = min(budget, 1.0 / w_norm + inplane, float(box) * math.sqrt(n)) + 1e-9
+        # restriction 4: one completion per class of omega_e ^ x
+        omega_e = _columns_wedge(cols[:earlier], n)
+        derived = set()
         for cand in _affine_lattice_points(particular, kernel, cap):
             if max(abs(x) for x in cand) > entry_bound:
                 continue
@@ -681,7 +758,13 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
             mat = tuple(tuple(full[j][i] for j in range(n)) for i in range(n))
             if int_det(mat) != 1:
                 continue
+            cls = _wedge(omega_e, cand, class_table)
+            if cls in derived:
+                continue
+            derived.add(cls)
             accept(mat)
+            if len(last_block) == 1:
+                return  # the only class is det g = 1
 
     def recurse(cols: list[tuple[int, ...]], norms: list[float],
                 log_v: float, b_partial: float, a_partial: float) -> None:
@@ -689,16 +772,35 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
         if j == n - 1:
             last_column(cols, column_budget(j, norms))
             return
-        budget = column_budget(j, norms)
-        cand = master[master_norms <= budget + 1e-9]
+        mask = master_norms <= column_budget(j, norms) + 1e-9
+        k = partition.block_of[j]
+        start = partition.blocks[k][0]
+        if start < j:
+            # restriction 2: after the block's previous column
+            mask[:bisect.bisect_right(master_rows, cols[-1])] = False
+        if start > 0:
+            # restriction 3; at n <= 3 there is one earlier-block column
+            (c,) = cols[:start]
+            dots = master @ np.array(c)
+            c_sq = sum(x * x for x in c)
+            mask &= 2 * np.abs(dots) <= c_sq
+            if k == partition.k0 - 1 and partition.sizes[k] == 2:
+                # [1, 2]: the last block's Gram matrix has determinant |c|^2
+                # and largest eigenvalue at least |c ^ v|^2, so its chamber
+                # part is at least 2 t^2 with e^(2t) = max(1, |c ^ v|^2 / |c|)
+                wedge_sq = c_sq * master_sq - dots * dots
+                t = 0.5 * np.log(np.maximum(1.0, wedge_sq / math.sqrt(c_sq)))
+                b_last = log_v * log_v / (n - start)
+                mask &= a_partial + b_partial + b_last + 2.0 * t * t <= r_eff * r_eff + 1e-9
+        idx = np.nonzero(mask)[0]
         if j in boundary_after:
-            k, m = boundary_after[j]
-            for vec, lv, bp, ap in boundary_filter(cols, cand, k, m, log_v,
+            _, m = boundary_after[j]
+            for vec, lv, bp, ap in boundary_filter(cols, idx, k, m, log_v,
                                                    b_partial, a_partial):
                 recurse(cols + [vec], norms + [math.hypot(*vec)], lv, bp, ap)
         else:
-            for row in cand:
-                vec = tuple(int(x) for x in row)
+            for i in idx:
+                vec = master_rows[i]
                 recurse(cols + [vec], norms + [math.hypot(*vec)],
                         log_v, b_partial, a_partial)
 
@@ -707,7 +809,8 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
     return EnumerationReport(
         partition=partition, radius=radius, count=len(seen), method="brute",
         records=records, wall_time=time.monotonic() - start_time,
-        params={"entry_bound": entry_bound, "box": box},
+        params={"entry_bound": entry_bound, "box": box, "prefixes": prefixes,
+                "completions": completions},
     )
 
 

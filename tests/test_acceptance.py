@@ -119,16 +119,21 @@ def test_enumeration_oracle_equivalence():
         bfs = CS.enumerate_bfs(p2, radius)
         brute = CS.enumerate_brute(p2, radius)
         assert CS.coset_sets_equal(bfs, brute), f"N=2 mismatch at R={radius}"
-    for sizes in ([1, 1, 1], [2, 1]):
+    # [1,2] counts as its dual [2,1] does; at R=2 an over-strong bound on
+    # its last block loses cosets that R=1.5 does not show
+    cases = (([1, 1, 1], 2.0, 1236), ([2, 1], 2.0, 1473), ([1, 2], 1.5, 309),
+             ([1, 2], 2.0, 1473), ([1, 1, 1], 2.5, 5856), ([2, 1], 2.5, 7245))
+    for sizes, radius, count in cases:
         part = make_partition(3, sizes)
-        bfs = CS.enumerate_bfs(part, 2.0, margin=0.6)
-        brute = CS.enumerate_brute(part, 2.0)
-        assert CS.coset_sets_equal(bfs, brute), f"N=3 {sizes} mismatch at R=2"
+        bfs = CS.enumerate_bfs(part, radius, margin=0.6)
+        brute = CS.enumerate_brute(part, radius)
+        assert brute.count == count, f"N=3 {sizes} count at R={radius}"
+        assert CS.coset_sets_equal(bfs, brute), f"N=3 {sizes} mismatch at R={radius}"
         CS.check_brute_covers(bfs, brute)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(f"enumeration oracle equivalence: identical coset sets, "
-            f"N=2 R<=5 and N=3 R<=2 ({elapsed:.1f}s)")
+            f"N=2 R<=5 and N=3 R<=2.5 ({elapsed:.1f}s)")
 
 
 def _disk_count_oracle(radius: float) -> int:

@@ -198,6 +198,45 @@ def test_brute_stabilize(p2):
     assert "stabilized_at" in rep.params
 
 
+@pytest.mark.parametrize("n, sizes, count, per_coset", [
+    (2, [1, 1], 8, 1), (3, [1, 1, 1], 252, 1.25), (3, [2, 1], 309, 1), (3, [1, 2], 309, 8),
+])
+def test_brute_derives_each_coset_about_once(n, sizes, count, per_coset):
+    # scanning every representative in its box, the scan derived 479
+    # ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset
+    rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
+    assert rep.count == count
+    assert rep.count <= rep.params["completions"] <= per_coset * rep.count
+    assert rep.params["prefixes"] <= 2 * rep.count
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("n, sizes", [(2, [1, 1]), (3, [1, 1, 1]), (3, [2, 1]), (3, [1, 2])])
+def test_brute_representatives_are_reduced(n, sizes):
+    # every column but the last is positive in its first nonzero entry, the
+    # scanned columns of a block increase, and a scanned column is reduced
+    # against the earlier block's column c_0: 2 |<v, c_0>| <= |c_0|^2
+    part = make_partition(n, sizes)
+    rep = CS.enumerate_brute(part, 1.5)
+    assert rep.count == len(rep.records) > 0
+    reduced = 0
+    for rec in rep.records:
+        cols = list(zip(*rec.representative))
+        for j, v in enumerate(cols[:-1]):
+            assert next(x for x in v if x) > 0
+            start = part.blocks[part.block_of[j]][0]
+            if start < j:
+                assert cols[j - 1] < v
+            if start > 0:
+                (c,) = cols[:start]
+                assert 2 * abs(_dot(v, c)) <= _dot(c, c)
+                reduced += 1
+    assert reduced == (rep.count if sizes in ([1, 1, 1], [1, 2]) else 0)
+
+
 def test_resource_limit(p2):
     with pytest.raises(CS.ResourceLimitError) as info:
         CS.enumerate_bfs(p2, 4.0, max_states=50)
