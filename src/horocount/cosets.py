@@ -648,7 +648,8 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
     box = min(entry_bound, math.ceil(global_cap))
     master = _integer_vectors(n, box, global_cap)
     # restriction 1: scanned columns are positive in their first nonzero entry
-    master = master[master[np.arange(len(master)), np.argmax(master != 0, axis=1)] > 0]
+    first_nonzero = master[np.arange(len(master)), np.argmax(master != 0, axis=1)]
+    master = master[first_nonzero > 0]
     master_sq = np.einsum("ij,ij->i", master, master)
     master_norms = np.sqrt(master_sq)
     master_rows = [tuple(row) for row in master.tolist()]  # lexicographic order
