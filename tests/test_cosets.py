@@ -202,8 +202,8 @@ def test_brute_stabilize(p2):
     (2, [1, 1], 8, 1), (3, [1, 1, 1], 252, 1.25), (3, [2, 1], 309, 1), (3, [1, 2], 309, 8),
 ])
 def test_brute_derives_each_coset_about_once(n, sizes, count, per_coset):
-    # scanning every representative in its box, the scan derived 479
-    # ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset
+    # guards against re-deriving: a scan of every representative in its box
+    # derives 479 ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == count
     assert rep.count <= rep.params["completions"] <= per_coset * rep.count
