@@ -166,6 +166,12 @@ def _cmd_count(args) -> int:
         })
         print(f"method={rep.method} R={args.radius!r} count={rep.count} "
               f"({rep.wall_time:.2f}s)")
+        failures = rep.params.get("descent_failures", 0)
+        if failures:
+            print(f"warning: {failures} of {rep.params['descent_checked']} expanded "
+                  "cosets have no strictly lower neighbour (descent check); the "
+                  f"count may be incomplete at margin {args.margin!r}; try a larger "
+                  "--margin", file=sys.stderr)
     if args.csv:
         _write_csv(args.csv, rows,
                    ["R", "count", "asymptotic", "ratio", "method", "margin",
@@ -369,7 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--method", choices=["bfs", "brute", "both"], default="bfs")
-    p.add_argument("--margin", type=float, default=2.0)
+    p.add_argument("--margin", type=float, default=0.0,
+                   help="extra height above R to which the walk expands cosets, "
+                        "for cross-checks (default 0).  Margin 0 is complete for "
+                        "N=2; for N>=3 it rests on the descent lemma, which every "
+                        "walk checks: a failed check prints a warning on stderr "
+                        "that the count may be incomplete at this margin")
     p.add_argument("--max-states", type=int, default=2_000_000)
     p.add_argument("--entry-bound", type=int, default=None)
     p.add_argument("--stabilize", action="store_true",

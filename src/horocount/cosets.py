@@ -34,7 +34,9 @@ Two strategies are implemented and validated against each other:
 * ``enumerate_bfs`` walks the Schreier graph of SL_N(Z) acting on the
   cosets by left multiplication with the elementary matrices E_ij(+-1),
   as in Todd-Coxeter coset enumeration, stepping the state and pruning by
-  height only.
+  height only.  By default it expands only the cosets of height <= R (and
+  the identity's neighbours), which is complete by the descent lemma:
+  proved for N = 2, unproved for N >= 3 and checked on every walk.
 * ``enumerate_brute`` scans integer matrices column by column inside an
   entry box, pruning branches by coset-invariant bounds (prefix covolumes
   and per-block singular values are right-stabilizer invariants) and
@@ -406,7 +408,7 @@ def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
     return tuple(rows)
 
 
-def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
+def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
                   max_states: int = 2_000_000,
                   keep_records: bool = True) -> EnumerationReport:
     """All distinct lift cosets of height <= R by breadth-first search.
@@ -418,11 +420,12 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     coordinate), and the key and the height are read off the new state:
     the height from the integer squared norms |omega_k|^2 and, for blocks
     of size two, the integer Gram entries.  Every child key goes into the
-    ``seen`` set, and height is the only prune: a coset is expanded when
-    its height is at most the expansion limit max(R + margin, h1), where h1
-    is the largest height among the identity's neighbours.  The matrix is
-    carried only for cosets that are expanded or recorded, as their
-    representative.
+    ``seen`` map with its height, and height is the only prune: a coset is
+    kept and expanded when its height is at most the limit
+    max(R + margin, h1) + HEIGHT_TOL, where h1 is the largest height among
+    the identity's neighbours.  The matrix is carried only for cosets that
+    are expanded, as their representative.  A positive ``margin`` expands
+    further, for cross-checks; it never changes a count of a complete walk.
 
     The floor h1 keeps small R + margin complete.  Signed permutations of
     determinant one lie in SO_N, so left multiplication by one keeps the
@@ -432,20 +435,30 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     identity through a neighbour of height <= h1.  So every permutation
     coset is reached, whatever R and margin are.
 
-    Completeness: for N = 2 a coset is fixed by its first column v up to
-    sign, and its height is sqrt(2) log|v|.  Euclid descent on v (add or
+    Completeness at margin 0 rests on the descent lemma: every coset of
+    positive height has a neighbour of strictly lower height.  Then a
+    coset of height <= R descends to a height-0 coset through cosets of
+    height <= R, and the walk climbs the same path back.  For N = 2 the
+    lemma is proved: a coset is fixed by its first column v up to sign,
+    and its height is sqrt(2) log|v|.  Euclid descent on v (add or
     subtract the smaller entry from the larger) strictly lowers the height
     down to e_1 or e_2, and e_2 joins e_1 through (1, 1) at height
-    h1 = log(2)/sqrt(2).  So every coset of height <= R is found.  For
-    N >= 3 completeness is empirical and checked against
-    ``enumerate_brute``.
+    h1 = log(2)/sqrt(2).  For N >= 3 the lemma is unproved, and the walk
+    checks it on every run: after a coset of height h > HEIGHT_TOL is
+    expanded, all its neighbours are in ``seen``, and the coset counts as
+    a failure unless the lowest of them is below h - HEIGHT_TOL.  The
+    check sees only the cosets the walk expands; a failure says that the
+    count may be incomplete at this margin.  It is a diagnostic and never
+    changes a count.  Counts are also checked against ``enumerate_brute``.
 
     ``params`` reports ``expand_limit``, ``states`` (keys seen),
-    ``depth_reached`` (layers expanded) and ``last_new_depth`` (the
-    deepest layer that found a coset of height <= R).  Exceeding the state
-    budget raises ``ResourceLimitError`` carrying the partial report, the
-    only case marked ``partial``.  A negative or non-finite radius or
-    margin raises ``ValueError``.
+    ``depth_reached`` (layers expanded), ``last_new_depth`` (the deepest
+    layer that found a coset of height <= R), ``descent_checked`` (expanded
+    cosets of positive height) and ``descent_failures`` (those of them with
+    no strictly lower neighbour).  Exceeding the state budget raises
+    ``ResourceLimitError`` carrying the partial report, the only case
+    marked ``partial``.  A negative or non-finite radius or margin raises
+    ``ValueError``.
     """
     require_horocycle_partition(partition)
     if not (math.isfinite(radius) and radius >= 0):
@@ -460,15 +473,17 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     root = _matrix_state(identity, layout)
     root_key = _state_key(root, layout)
+    root_height = _state_height(root, layout, identity)
     expand_limit = max(radius + margin, max(
         _state_height(_step(root, ops), layout, _left_apply(identity, gen))
-        for gen, ops in moves))
-    keep_limit = max(expand_limit, radius + HEIGHT_TOL)
-    seen = {root_key}
+        for gen, ops in moves)) + HEIGHT_TOL
+    seen = {root_key: root_height}
     records: list[CosetRecord] = []
     count = 0
     depth = 0
     last_new_depth = 0
+    checked = 0
+    failures = 0
 
     def report(partial: bool) -> EnumerationReport:
         return EnumerationReport(
@@ -476,7 +491,8 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
             records=records, wall_time=time.monotonic() - start_time,
             params={"margin": margin, "max_states": max_states,
                     "expand_limit": expand_limit, "states": len(seen), "depth_reached": depth,
-                    "last_new_depth": last_new_depth},
+                    "last_new_depth": last_new_depth, "descent_checked": checked,
+                    "descent_failures": failures},
             partial=partial,
         )
 
@@ -492,31 +508,36 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 2.0,
                 boundary=abs(h - radius) <= HEIGHT_TOL,
             ))
 
-    consider(identity, root_key, _state_height(root, layout, identity))
-    frontier = [(identity, root)]
+    consider(identity, root_key, root_height)
+    frontier = [(identity, root, root_height)]
     while frontier:
         depth += 1
         next_frontier = []
-        for g, state in frontier:
+        for g, state, height in frontier:
+            lowest = math.inf
             for gen, ops in moves:
                 child = _step(state, ops)
                 key = _state_key(child, layout)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > max_states:
-                    raise ResourceLimitError(
-                        f"state budget {max_states} exceeded at depth {depth}",
-                        report(partial=True),
-                    )
-                child_g = _left_apply(g, gen) if fallback else None
-                h = _state_height(child, layout, child_g)
-                if h > keep_limit:
-                    continue
-                child_g = child_g or _left_apply(g, gen)
-                consider(child_g, key, h)
-                if h <= expand_limit:
-                    next_frontier.append((child_g, child))
+                h = seen.get(key)
+                if h is None:
+                    child_g = _left_apply(g, gen) if fallback else None
+                    h = _state_height(child, layout, child_g)
+                    seen[key] = h
+                    if len(seen) > max_states:
+                        raise ResourceLimitError(
+                            f"state budget {max_states} exceeded at depth {depth}",
+                            report(partial=True),
+                        )
+                    if h <= expand_limit:
+                        child_g = child_g or _left_apply(g, gen)
+                        consider(child_g, key, h)
+                        next_frontier.append((child_g, child, h))
+                if h < lowest:
+                    lowest = h
+            if height > HEIGHT_TOL:
+                checked += 1
+                if lowest >= height - HEIGHT_TOL:
+                    failures += 1
         frontier = next_frontier
     return report(partial=False)
 
@@ -920,7 +941,7 @@ def check_brute_covers(bfs: EnumerationReport, brute: EnumerationReport) -> None
             )
 
 
-def empirical_ratio(partition: Partition, radii, margin: float = 0.5,
+def empirical_ratio(partition: Partition, radii, margin: float = 0.0,
                     max_states: int = 4_000_000) -> list[dict]:
     """Measured-count over stated-asymptotic table for increasing radii.
 

@@ -3,13 +3,15 @@
 ``same_coset`` decides coset identity from the definition (g1^-1 g2 lies in
 the stabilizer) and is the oracle for ``cosets.coset_key``; the samplers draw
 random elements of SL_n(Z) and of the stabilizer's integer points.
+``pinned_height`` moves one coset's height, to make the walk's descent
+check fire.
 """
 
 from __future__ import annotations
 
 import math
 
-from horocount.cosets import Matrix, _generators, int_det
+from horocount.cosets import Matrix, _generators, _state_height, _state_key, int_det
 from horocount.partitions import Partition
 
 
@@ -38,6 +40,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def pinned_height(key: tuple[int, ...], height: float):
+    """A stand-in for ``cosets._state_height`` that puts the coset with the
+    given key at ``height`` and leaves every other height as it was."""
+
+    def state_height(state, layout, g):
+        if _state_key(state, layout) == key:
+            return height
+        return _state_height(state, layout, g)
+
+    return state_height
 
 
 def _is_signed_permutation(block: list[list[int]]) -> bool:

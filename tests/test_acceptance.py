@@ -125,15 +125,18 @@ def test_enumeration_oracle_equivalence():
              ([1, 2], 2.0, 1473), ([1, 1, 1], 2.5, 5856), ([2, 1], 2.5, 7245))
     for sizes, radius, count in cases:
         part = make_partition(3, sizes)
-        bfs = CS.enumerate_bfs(part, radius, margin=0.6)
         brute = CS.enumerate_brute(part, radius)
         assert brute.count == count, f"N=3 {sizes} count at R={radius}"
-        assert CS.coset_sets_equal(bfs, brute), f"N=3 {sizes} mismatch at R={radius}"
-        CS.check_brute_covers(bfs, brute)
+        # the default margin 0 and a cross-check margin against one scan
+        for margin in (0.6, 0.0):
+            bfs = CS.enumerate_bfs(part, radius, margin=margin)
+            assert CS.coset_sets_equal(bfs, brute), \
+                f"N=3 {sizes} mismatch at R={radius}, margin {margin}"
+            CS.check_brute_covers(bfs, brute)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(f"enumeration oracle equivalence: identical coset sets, "
-            f"N=2 R<=5 and N=3 R<=2.5 ({elapsed:.1f}s)")
+            f"N=2 R<=5 and N=3 R<=2.5 at margins 0 and 0.6 ({elapsed:.1f}s)")
 
 
 def _disk_count_oracle(radius: float) -> int:

@@ -4,8 +4,10 @@ import math
 import pytest
 
 from horocount import cli
+from horocount import cosets as CS
 from horocount.constants import counting_constant, xi
 from horocount.partitions import make_partition
+from . import coset_helpers as H
 
 
 def run(capsys, *argv):
@@ -66,6 +68,35 @@ def test_count_both_methods(tmp_path, capsys):
     manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "count"
     assert manifest["outputs"] == [str(csv_path)]
+
+
+def test_count_default_margin_n3(capsys):
+    # at the former default margin 2.0 this walk exceeded the 2M-state
+    # budget after about 30 s (exit 3)
+    code, out, err = run(capsys, "count", "--n", "3", "--blocks", "1,1,1",
+                         "--radius", "2.5")
+    assert code == 0
+    assert out.startswith("method=bfs R=2.5 count=5856 ")
+    assert err == ""
+
+
+def test_count_warns_on_failed_descent_check(tmp_path, capsys, monkeypatch):
+    # a coset below all its neighbours: a warning on stderr, with the exit
+    # code and the CSV's count unchanged
+    def count_run(name):
+        csv_path = tmp_path / name
+        code, _, err = run(capsys, "count", "--n", "2", "--blocks", "1,1",
+                             "--radius", "2", "--csv", str(csv_path))
+        rows = csv_path.read_text().splitlines()
+        return code, err, rows[0], rows[1].split(",")[:-1]  # drop seconds
+
+    honest = count_run("honest.csv")
+    assert honest[1] == ""
+    key = CS.coset_key(((2, 1), (1, 1)), make_partition(2, [1, 1]))
+    monkeypatch.setattr(CS, "_state_height", H.pinned_height(key, 0.01))
+    code, err, header, row = count_run("pinned.csv")
+    assert (code, header, row) == (honest[0], honest[2], honest[3])
+    assert err.startswith("warning: 1 of ") and "may be incomplete" in err
 
 
 def test_volume_manifest_reproducibility(tmp_path, capsys):

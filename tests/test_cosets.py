@@ -373,3 +373,33 @@ def test_descent_property_n3(sizes):
             < rec.height - CS.HEIGHT_TOL
             for gen in gens
         ), rec.representative
+
+
+@pytest.mark.parametrize("n, sizes, radius, count", [
+    (2, [1, 1], 6.0, 4620), (3, [1, 1, 1], 2.5, 5856), (3, [2, 1], 2.5, 7245),
+    (3, [1, 2], 2.5, 7245), (4, [2, 1, 1], 1.0, 1320), (4, [2, 2], 1.0, 1050),
+])
+def test_descent_check_holds_at_margin_zero(n, sizes, radius, count):
+    # the default walk checks the descent lemma on every coset it expands;
+    # above h1 it expands exactly the cosets it counts
+    rep = CS.enumerate_bfs(make_partition(n, sizes), radius)
+    assert rep.params["margin"] == 0.0
+    assert rep.count == count
+    assert rep.params["descent_failures"] == 0
+    positive = sum(rec.height > CS.HEIGHT_TOL for rec in rep.records)
+    assert rep.params["descent_checked"] == positive > 0
+
+
+def test_descent_check_flags_a_local_minimum(p2, monkeypatch):
+    # pin the coset of the column (2, 1), about 1.14 high, at 0.01: all its
+    # neighbours are higher, so the check counts it, and only it; the check
+    # never changes the count
+    honest = CS.enumerate_bfs(p2, 2.0)
+    assert honest.params["descent_failures"] == 0
+    key = CS.coset_key(((2, 1), (1, 1)), p2)
+    monkeypatch.setattr(CS, "_state_height", H.pinned_height(key, 0.01))
+    rep = CS.enumerate_bfs(p2, 2.0)
+    assert rep.params["descent_failures"] == 1
+    assert rep.params["descent_checked"] == honest.params["descent_checked"]
+    assert rep.count == honest.count
+    assert {rec.key for rec in rep.records} == {rec.key for rec in honest.records}
