@@ -24,7 +24,6 @@ from .partitions import (  # noqa: F401
     Partition,
     block_split,
     cone_contains,
-    lambda_I,
     make_partition,
     p_norm,
     p_norm_squared,

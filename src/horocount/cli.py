@@ -141,16 +141,14 @@ def _cmd_count(args) -> int:
             part, args.radius, margin=args.margin, max_states=args.max_states,
         ))
     if args.method in ("brute", "both"):
-        reports.append(CS.enumerate_brute(
-            part, args.radius, entry_bound=args.entry_bound,
-            stabilize=args.stabilize,
-        ))
-    if args.method == "both":
-        CS.check_brute_covers(reports[0], reports[1])
-        if not CS.coset_sets_equal(reports[0], reports[1]):
-            raise CS.InconsistencyError(
-                "graph search and exhaustive scan disagree on the coset set"
-            )
+        reports.append(CS.enumerate_brute(part, args.radius))
+    if args.method == "both" and not CS.coset_sets_equal(*reports):
+        walk, scan = ({rec.key for rec in rep.records} for rep in reports)
+        raise CS.InconsistencyError(
+            "graph search and exhaustive scan disagree on the coset set: the "
+            f"scan lacks {len(walk - scan)} of the walk's cosets and the walk "
+            f"lacks {len(scan - walk)} of the scan's"
+        )
     rows = []
     for rep in reports:
         asym = asymptotic_count(cc, args.radius)
@@ -310,6 +308,22 @@ def run_selftest(verbose: bool = True) -> int:
 
     check("enumeration oracle equivalence (N=2, R=1.5)", quick_enumeration)
 
+    def block_gram_heights():
+        # the integer Gram path of a size-3 block against the float frame
+        p31 = make_partition(4, [3, 1])
+        gens = CS._generators(4)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            g = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+            for _ in range(10):
+                g = CS._left_apply(g, gens[rng.integers(len(gens))])
+            if abs(CS.coset_height(g, p31) - height(np.array(g, dtype=float), p31)[0]) > 1e-9:
+                return False
+        return True
+
+    check("coset heights of size-3 blocks vs decompose.height (N=4 [3,1], 1e-9)",
+          block_gram_heights)
+
     def quick_volume():
         res = M.mu_A_ball(p2, 3.0, "b+", "grid", grid_step=0.05)
         return abs(res.estimate / M.mu_n2_closed_form(3.0) - 1.0) < 1e-3
@@ -382,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "walk checks: a failed check prints a warning on stderr "
                         "that the count may be incomplete at this margin")
     p.add_argument("--max-states", type=int, default=2_000_000)
-    p.add_argument("--entry-bound", type=int, default=None)
-    p.add_argument("--stabilize", action="store_true",
-                   help="rerun the scan at doubled bounds until the count stabilizes")
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 
@@ -465,7 +476,7 @@ def rerun_manifest(path: str) -> int:
         manifest = json.load(fh)
     global_argv, sub_argv = [], [manifest["subcommand"]]
     for key, value in manifest["params"].items():
-        if key in ("subcommand",) or value in (None, False):
+        if key in ("subcommand",) or value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
         argv = global_argv if flag in _GLOBAL_OPTIONS else sub_argv

@@ -22,7 +22,6 @@ __all__ = [
     "vol_so",
     "vol_so_recursive",
     "vol_sl_mod",
-    "VolumeTable",
     "HaarConstants",
     "c7",
     "CountingConstant",
@@ -111,20 +110,6 @@ def vol_sl_mod(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class VolumeTable:
-    """Precomputed Vol(SO_n) and Vol(SL_N/SL_N(Z)) tables (read-only after build)."""
-
-    so: dict
-    sl_mod: dict
-
-    @classmethod
-    def build(cls, n_max: int) -> "VolumeTable":
-        so = {n: vol_so(n) for n in range(1, n_max + 1)}
-        sl = {n: vol_sl_mod(n) for n in range(2, n_max + 1)}
-        return cls(so=so, sl_mod=sl)
-
-
-@dataclass(frozen=True)
 class HaarConstants:
     """Jacobian constants of the Langlands / per-block-Cartan factorizations."""
 
@@ -179,9 +164,6 @@ class CountingConstant:
     poly_exponent: Fraction
     exp_rate: float
     coefficient: float
-
-    def value_at(self, radius: float) -> float:
-        return asymptotic_count(self, radius)
 
 
 def counting_constant_general(partition: Partition, vol_hor_quotient: float,

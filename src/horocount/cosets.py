@@ -20,10 +20,11 @@ A singleton last block is left out, since its entry is det g = 1.
   earlier columns up to sign, the key is a complete invariant, and a plain
   set of keys removes duplicates exactly.
 * **Height.**  The squared norms |omega_k|^2 are integers, and their
-  log-ratios give the block-scalar part b.  For a block of size two the
-  Gram matrix <omega_k ^ v_i, omega_k ^ v_j> / |omega_k|^2 gives the
-  chamber part in closed form.  A block of size three or more (N >= 4
-  only) falls back to the numeric frame of ``decompose.height``.
+  log-ratios give the block-scalar part b.  The chamber part of a block
+  comes from its integer Gram matrix <omega_k ^ v_i, omega_k ^ v_j>: in
+  closed form for a block of size two, from its eigenvalues for a larger
+  one.  ``decompose.height`` computes the same height from a float matrix
+  factorization and is the oracle the tests compare against.
 * **Update.**  Left multiplication by E_ij(t) adds t times row j to row i.
   It changes only the coordinates whose row set S holds i and not j, each
   by +-t times the coordinate on S - i + j, so a step is a fixed table of
@@ -37,13 +38,14 @@ Two strategies are implemented and validated against each other:
   height only.  By default it expands only the cosets of height <= R (and
   the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
-* ``enumerate_brute`` scans integer matrices column by column inside an
-  entry box, pruning branches by coset-invariant bounds (prefix covolumes
-  and per-block singular values are right-stabilizer invariants) and
-  solving the final column from the determinant equation.  It scans only
-  reduced representatives (columns signed, ordered within a block and
-  size-reduced against the earlier blocks, one completion per class of
-  the last column), so each coset is derived about once.
+* ``enumerate_brute`` scans integer matrices column by column, pruning
+  branches by coset-invariant bounds (prefix covolumes and per-block
+  singular values are right-stabilizer invariants), which also cap the
+  columns' norms, and solving the final column from the determinant
+  equation.  It scans only reduced representatives (columns signed,
+  ordered within a block and size-reduced against the earlier blocks, one
+  completion per class of the last column), so each coset is derived
+  about once.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -62,7 +64,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import height as _frame_height
 from .partitions import Partition, require_horocycle_partition
 
 __all__ = [
@@ -94,7 +95,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class InconsistencyError(RuntimeError):
-    """The brute-force scan missed a coset found by the graph search."""
+    """The graph search and the exhaustive scan found different coset sets."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +224,11 @@ class _Layout:
     ``blocks`` holds, per block, its size and the (start, stop) slice of
     each column's coordinates (no slice for a singleton last block).
     ``steps[g]`` holds the updates of generator g of ``_generators(n)``.
-    ``frame_fallback`` marks a block of size three or more, whose height
-    needs the matrix.
     """
 
     def __init__(self, partition: Partition):
         n = partition.n
         self.partition = partition
-        self.frame_fallback = max(partition.sizes) > 2
         blocks = []
         columns = []  # (start, degree) of every stored column
         pos = 0
@@ -322,17 +320,32 @@ def _pair_block(x, y) -> tuple[int, float]:
     return d, 2.0 * t * t
 
 
-def _state_height(state: tuple[int, ...], layout: _Layout, g: Matrix | None) -> float:
-    """Height from the integer squared norms and Gram entries of the state.
+def _block_gram(segs) -> tuple[int, float]:
+    """Gram determinant and squared chamber part of a block of size m >= 3.
+
+    ``segs`` are the block's coordinates omega ^ v_i.  Their integer Gram
+    matrix G has determinant d = |omega ^ v_1 ^ ... ^ v_m|^2 |omega|^(2(m-1)).
+    Scaled to determinant one the block has squared singular values
+    lambda_i / d^(1/m), lambda the eigenvalues of G, so its chamber part has
+    squared norm sum_i (log(lambda_i) / 2 - log(d) / (2m))^2.
+    """
+    m = len(segs)
+    gram = tuple(tuple(sum([u * w for u, w in zip(x, y)]) for y in segs) for x in segs)
+    d = int_det(gram)
+    shift = math.log(d) / (2 * m)
+    lam = np.linalg.eigvalsh(np.array(gram, dtype=float))
+    return d, sum((0.5 * math.log(x) - shift) ** 2 for x in lam.tolist())
+
+
+def _state_height(state: tuple[int, ...], layout: _Layout) -> float:
+    """Height from the integer squared norms and Gram matrices of the state.
 
     With beta_k = log(|omega_(k+1)|^2 / |omega_k|^2) / (2 m_k) for a block of
     size m_k, the b-part is sum m_k beta_k^2.  A block of size two adds its
-    chamber part from ``_pair_block``, and its Gram determinant divided by
-    |omega_k|^2 is |omega_(k+1)|^2.  ``g`` is read only when
-    ``frame_fallback`` is set.
+    chamber part from ``_pair_block``, a larger one from ``_block_gram``,
+    and the block's Gram determinant divided by |omega_k|^(2(m_k - 1)) is
+    |omega_(k+1)|^2.
     """
-    if layout.frame_fallback:
-        return _frame_height(np.array(g, dtype=float), layout.partition)[0]
     norm = 1
     log_norm = 0.0
     a_sq = 0.0
@@ -343,10 +356,14 @@ def _state_height(state: tuple[int, ...], layout: _Layout, g: Matrix | None) -> 
         elif size == 1:
             start, stop = slices[0]
             nxt = sum([x * x for x in state[start:stop]])
-        else:
+        elif size == 2:
             (a0, b0), (a1, b1) = slices
             d, chamber_sq = _pair_block(state[a0:b0], state[a1:b1])
             nxt = d // norm
+            a_sq += chamber_sq
+        else:
+            d, chamber_sq = _block_gram([state[a:b] for a, b in slices])
+            nxt = d // norm ** (size - 1)
             a_sq += chamber_sq
         log_next = math.log(nxt)
         beta = 0.5 * (log_next - log_norm) / size
@@ -370,7 +387,7 @@ def coset_key(g: Matrix, partition: Partition) -> tuple[int, ...]:
 def coset_height(g: Matrix, partition: Partition) -> float:
     """Height of the coset of an integer matrix, from its wedge state."""
     layout = _layout(partition)
-    return _state_height(_matrix_state(g, layout), layout, g)
+    return _state_height(_matrix_state(g, layout), layout)
 
 
 @dataclass(frozen=True)
@@ -409,8 +426,7 @@ def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
 
 
 def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
-                  max_states: int = 2_000_000,
-                  keep_records: bool = True) -> EnumerationReport:
+                  max_states: int = 2_000_000) -> EnumerationReport:
     """All distinct lift cosets of height <= R by breadth-first search.
 
     The walk starts at the identity coset and moves by left multiplication
@@ -418,8 +434,8 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     updates the wedge state by the generator's table (only coordinates
     whose row set holds i and not j change, each by +-1 times another
     coordinate), and the key and the height are read off the new state:
-    the height from the integer squared norms |omega_k|^2 and, for blocks
-    of size two, the integer Gram entries.  Every child key goes into the
+    the height from the integer squared norms |omega_k|^2 and the blocks'
+    integer Gram matrices.  Every child key goes into the
     ``seen`` map with its height, and height is the only prune: a coset is
     kept and expanded when its height is at most the limit
     max(R + margin, h1) + HEIGHT_TOL, where h1 is the largest height among
@@ -469,14 +485,12 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     n = partition.n
     layout = _layout(partition)
     moves = list(zip(_generators(n), layout.steps))
-    fallback = layout.frame_fallback
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     root = _matrix_state(identity, layout)
     root_key = _state_key(root, layout)
-    root_height = _state_height(root, layout, identity)
+    root_height = _state_height(root, layout)
     expand_limit = max(radius + margin, max(
-        _state_height(_step(root, ops), layout, _left_apply(identity, gen))
-        for gen, ops in moves)) + HEIGHT_TOL
+        _state_height(_step(root, ops), layout) for ops in layout.steps)) + HEIGHT_TOL
     seen = {root_key: root_height}
     records: list[CosetRecord] = []
     count = 0
@@ -502,11 +516,10 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
             return
         count += 1
         last_new_depth = depth
-        if keep_records:
-            records.append(CosetRecord(
-                representative=g, key=key, height=h,
-                boundary=abs(h - radius) <= HEIGHT_TOL,
-            ))
+        records.append(CosetRecord(
+            representative=g, key=key, height=h,
+            boundary=abs(h - radius) <= HEIGHT_TOL,
+        ))
 
     consider(identity, root_key, root_height)
     frontier = [(identity, root, root_height)]
@@ -520,8 +533,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
                 key = _state_key(child, layout)
                 h = seen.get(key)
                 if h is None:
-                    child_g = _left_apply(g, gen) if fallback else None
-                    h = _state_height(child, layout, child_g)
+                    h = _state_height(child, layout)
                     seen[key] = h
                     if len(seen) > max_states:
                         raise ResourceLimitError(
@@ -529,7 +541,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
                             report(partial=True),
                         )
                     if h <= expand_limit:
-                        child_g = child_g or _left_apply(g, gen)
+                        child_g = _left_apply(g, gen)
                         consider(child_g, key, h)
                         next_frontier.append((child_g, child, h))
                 if h < lowest:
@@ -545,14 +557,6 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
-
-def default_entry_bound(partition: Partition, radius: float) -> int:
-    """Scan box size: generous exponential envelopes validated against the
-    graph search."""
-    if partition.n == 2:
-        return math.ceil(math.exp(radius + 1.0)) + 1
-    return math.ceil(math.exp(radius + 2.0))
-
 
 def _block_sigma_bound(partition: Partition, radius: float, k: int) -> float:
     """Upper bound on log of the largest block singular value, coset-invariant."""
@@ -583,15 +587,15 @@ def require_scannable(partition: Partition) -> None:
         )
 
 
-def enumerate_brute(partition: Partition, radius: float,
-                    entry_bound: int | None = None, stabilize: bool = False,
-                    keep_records: bool = True) -> EnumerationReport:
+def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     """All distinct lift cosets of height <= R by exhaustive column scan.
 
-    Columns are generated recursively inside the entry box; branches are
-    cut by coset-invariant bounds (block singular values, prefix
-    covolumes, partial height) plus wedge primitivity at block boundaries,
-    and the last column is solved exactly from the determinant equation.
+    Columns are generated recursively; branches are cut by coset-invariant
+    bounds (block singular values, prefix covolumes, partial height) plus
+    wedge primitivity at block boundaries, and the last column is solved
+    exactly from the determinant equation.  The scanned columns are drawn
+    from the integer vectors of norm at most the largest block singular
+    value bound times 1 + (n - 1) / 2, which also sizes the box.
     For [1, 2] the first column v of the last block is cut as well: that
     block's Gram matrix has determinant |c_0|^2 and largest eigenvalue at
     least |c_0 ^ v|^2, which bounds its chamber part from below.
@@ -624,34 +628,17 @@ def enumerate_brute(partition: Partition, radius: float,
        differ by earlier-block columns are one coset, so one completion is
        derived per class of omega_e ^ x, omega_e the wedge of the earlier
        blocks' columns.  For a singleton last block the class is
-       det g = 1, and the first completion that passes the box and
-       determinant checks is the only one derived.  A class is derived
-       exactly when some completion of it passes the cap, box and
-       determinant checks, as before.
+       det g = 1, and the first completion that passes the determinant
+       check is the only one derived.  A class is derived exactly when
+       some completion of it within the cap passes the determinant check.
 
-    With ``stabilize`` the scan reruns at doubled bounds until the count
-    is stable.  ``params`` reports ``entry_bound``, ``box``, ``prefixes``
-    (prefixes of n - 1 columns handed to the last-column solve) and
-    ``completions`` (completions that reached the height test).
+    ``params`` reports ``box``, ``prefixes`` (prefixes of n - 1 columns
+    handed to the last-column solve) and ``completions`` (completions that
+    reached the height test).
     """
     require_scannable(partition)
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
-    if entry_bound is None:
-        entry_bound = default_entry_bound(partition, radius)
-    report = _brute_once(partition, radius, entry_bound, keep_records)
-    while stabilize:
-        bigger = _brute_once(partition, radius, entry_bound * 2, keep_records)
-        if bigger.count == report.count:
-            bigger.params["stabilized_at"] = entry_bound
-            return bigger
-        entry_bound *= 2
-        report = bigger
-    return report
-
-
-def _brute_once(partition: Partition, radius: float, entry_bound: int,
-                keep_records: bool) -> EnumerationReport:
     start_time = time.monotonic()
     n = partition.n
     layout = _layout(partition)
@@ -666,7 +653,7 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
             boundary_after[pos - 1] = (k, pos)
 
     global_cap = max(sigma_bounds) * (1.0 + 0.5 * (n - 1))
-    box = min(entry_bound, math.ceil(global_cap))
+    box = math.ceil(global_cap)
     master = _integer_vectors(n, box, global_cap)
     # restriction 1: scanned columns are positive in their first nonzero entry
     first_nonzero = master[np.arange(len(master)), np.argmax(master != 0, axis=1)]
@@ -688,18 +675,17 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
         nonlocal completions
         completions += 1
         state = _matrix_state(mat, layout)
-        h = _state_height(state, layout, mat)
+        h = _state_height(state, layout)
         if h > radius + HEIGHT_TOL:
             return
         key = _state_key(state, layout)
         if key in seen:
             return
         seen.add(key)
-        if keep_records:
-            records.append(CosetRecord(
-                representative=mat, key=key, height=h,
-                boundary=abs(h - radius) <= HEIGHT_TOL,
-            ))
+        records.append(CosetRecord(
+            representative=mat, key=key, height=h,
+            boundary=abs(h - radius) <= HEIGHT_TOL,
+        ))
 
     def column_budget(j: int, chosen_norms: list[float]) -> float:
         k = partition.block_of[j]
@@ -774,8 +760,6 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
         omega_e = _columns_wedge(cols[:earlier], n)
         derived = set()
         for cand in _affine_lattice_points(particular, kernel, cap):
-            if max(abs(x) for x in cand) > entry_bound:
-                continue
             full = cols + [cand]
             mat = tuple(tuple(full[j][i] for j in range(n)) for i in range(n))
             if int_det(mat) != 1:
@@ -831,8 +815,7 @@ def _brute_once(partition: Partition, radius: float, entry_bound: int,
     return EnumerationReport(
         partition=partition, radius=radius, count=len(seen), method="brute",
         records=records, wall_time=time.monotonic() - start_time,
-        params={"entry_bound": entry_bound, "box": box, "prefixes": prefixes,
-                "completions": completions},
+        params={"box": box, "prefixes": prefixes, "completions": completions},
     )
 
 
@@ -930,17 +913,6 @@ def coset_sets_equal(a: EnumerationReport, b: EnumerationReport) -> bool:
     )
 
 
-def check_brute_covers(bfs: EnumerationReport, brute: EnumerationReport) -> None:
-    """Raise InconsistencyError when a BFS coset is missing from the scan."""
-    scanned = {rec.key for rec in brute.records}
-    for rec in bfs.records:
-        if rec.key not in scanned:
-            raise InconsistencyError(
-                "entry bound too small: coset found by the graph search has "
-                f"no representative in the scan box (key {rec.key!r})"
-            )
-
-
 def empirical_ratio(partition: Partition, radii, margin: float = 0.0,
                     max_states: int = 4_000_000) -> list[dict]:
     """Measured-count over stated-asymptotic table for increasing radii.
@@ -953,8 +925,7 @@ def empirical_ratio(partition: Partition, radii, margin: float = 0.0,
     cc = counting_constant(partition)
     rows = []
     for r in radii:
-        rep = enumerate_bfs(partition, r, margin=margin, max_states=max_states,
-                            keep_records=True)
+        rep = enumerate_bfs(partition, r, margin=margin, max_states=max_states)
         asym = asymptotic_count(cc, r) if r > 0 or cc.poly_exponent == 0 else 0.0
         rows.append({
             "R": r,

@@ -11,6 +11,10 @@ Chamber convention: within each block the entries of aM are weakly
 decreasing, matching the positive cone used for the volume asymptotics.
 Only the norm of aM enters the height, so the convention affects frames
 but never heights.
+
+``cosets`` computes coset heights from integer wedge coordinates and does
+not use this module; ``height`` here is the independent float oracle that
+those integer heights are tested against (the tests and ``selftest``).
 """
 
 from __future__ import annotations

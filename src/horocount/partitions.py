@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,12 +24,10 @@ __all__ = [
     "cone_contains",
     "BlockDiagonalSplit",
     "block_split",
-    "lambda_I",
     "rho_density",
     "v0",
     "p_norm",
     "p_norm_squared",
-    "as_cartan",
 ]
 
 TRACELESS_TOL = 1e-12
@@ -132,33 +130,6 @@ def require_horocycle_partition(partition: Partition) -> Partition:
     if partition.k0 < 2:
         raise ValueError("counting requires a partition with at least two blocks")
     return partition
-
-
-def as_cartan(entries: Iterable[float], tol: float = 1e-9) -> np.ndarray:
-    """Validate and return a traceless diagonal (Cartan) vector."""
-    y = np.asarray(list(entries) if not isinstance(entries, np.ndarray) else entries,
-                   dtype=float).copy()
-    if y.ndim != 1:
-        raise ValueError("Cartan vector must be one-dimensional")
-    s = float(y.sum())
-    if abs(s) > tol * max(1.0, float(np.abs(y).max(initial=0.0))):
-        raise ValueError(f"entries must sum to 0 (trace constraint), got sum {s}")
-    return y
-
-
-def lambda_I(a: Sequence[float], indices: Iterable[int], *, log: bool = False) -> float:
-    """Product of the diagonal entries of ``a`` over ``indices``.
-
-    With ``log=True`` the input is a Cartan (logarithmic) vector and the
-    result is exp of the partial sum.  The empty product is 1.
-    """
-    a = np.asarray(a, dtype=float)
-    idx = list(indices)
-    if any(i < 0 or i >= a.shape[0] for i in idx):
-        raise IndexError(f"index set {idx} out of range for dimension {a.shape[0]}")
-    if log:
-        return float(math.exp(a[idx].sum())) if idx else 1.0
-    return float(np.prod(a[idx])) if idx else 1.0
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,10 @@ def pinned_height(key: tuple[int, ...], height: float):
     """A stand-in for ``cosets._state_height`` that puts the coset with the
     given key at ``height`` and leaves every other height as it was."""
 
-    def state_height(state, layout, g):
+    def state_height(state, layout):
         if _state_key(state, layout) == key:
             return height
-        return _state_height(state, layout, g)
+        return _state_height(state, layout)
 
     return state_height
 

@@ -132,7 +132,6 @@ def test_enumeration_oracle_equivalence():
             bfs = CS.enumerate_bfs(part, radius, margin=margin)
             assert CS.coset_sets_equal(bfs, brute), \
                 f"N=3 {sizes} mismatch at R={radius}, margin {margin}"
-            CS.check_brute_covers(bfs, brute)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(f"enumeration oracle equivalence: identical coset sets, "

@@ -114,6 +114,21 @@ def test_volume_manifest_reproducibility(tmp_path, capsys):
     assert csv_path.read_text() == first
 
 
+def test_count_manifest_reruns_zero_radius(tmp_path, capsys):
+    # a zero parameter was dropped from the rerun: without --radius it exited 2
+    csv_path = tmp_path / "c.csv"
+    code, _, _ = run(capsys, "count", "--n", "2", "--blocks", "1,1",
+                     "--radius", "0", "--csv", str(csv_path))
+    assert code == 0
+    first = csv_path.read_text().splitlines()
+    code = cli.rerun_manifest(str(tmp_path / "c.csv.manifest.json"))
+    capsys.readouterr()
+    assert code == 0
+    rerun = csv_path.read_text().splitlines()
+    assert rerun[1].split(",")[:-1] == first[1].split(",")[:-1]  # drop seconds
+    assert first[1].split(",")[1] == "2"
+
+
 def test_global_threads_before_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "vol.csv"
     code, _, _ = run(capsys, "--threads", "2", "volume", "--n", "2", "--blocks", "1,1",

@@ -58,12 +58,6 @@ def test_vol_sl_mod():
         C.vol_sl_mod(1)
 
 
-def test_volume_table():
-    table = C.VolumeTable.build(6)
-    assert table.so[3] == pytest.approx(C.vol_so(3))
-    assert table.sl_mod[4] == pytest.approx(C.vol_sl_mod(4))
-
-
 def test_xi_identity():
     for n in range(2, 9):
         assert C.xi_identity_check(n) <= 1e-9

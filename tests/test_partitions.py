@@ -9,7 +9,6 @@ from horocount.partitions import (
     Cone,
     block_split,
     cone_contains,
-    lambda_I,
     make_partition,
     p_norm,
     p_norm_squared,
@@ -37,29 +36,6 @@ def test_partition_json_roundtrip():
     from horocount.partitions import Partition
 
     assert Partition.from_json("[2, 1]") == p
-
-
-def test_lambda_examples():
-    assert lambda_I([2.0, 3.0, 1.0 / 6.0], [0, 1]) == pytest.approx(6.0)
-    assert lambda_I([2.0, 3.0, 1.0 / 6.0], []) == 1.0
-    diag = [math.e, math.e, math.e ** -2]
-    assert lambda_I(diag, [0, 1, 2]) == pytest.approx(1.0)
-    with pytest.raises(IndexError):
-        lambda_I([1.0, 2.0], [5])
-
-
-def test_lambda_log_variant():
-    y = np.array([0.3, -0.1, -0.2])
-    assert lambda_I(y, [0, 1], log=True) == pytest.approx(math.exp(0.2))
-
-
-@given(st.lists(st.floats(-2, 2), min_size=4, max_size=4),
-       st.sets(st.integers(0, 3)), st.sets(st.integers(0, 3)))
-def test_lambda_multiplicative_on_disjoint(entries, i_set, j_set):
-    i_set, j_set = set(i_set), set(j_set) - set(i_set)
-    diag = np.exp(np.array(entries))
-    combined = lambda_I(diag, sorted(i_set | j_set))
-    assert combined == pytest.approx(lambda_I(diag, sorted(i_set)) * lambda_I(diag, sorted(j_set)), rel=1e-12)
 
 
 def test_rho_density_examples(p2, p21):
