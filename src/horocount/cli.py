@@ -302,11 +302,12 @@ def run_selftest(verbose: bool = True) -> int:
     check("decomposition reconstruction + hand height", quick_decomposition)
 
     def quick_enumeration():
-        bfs = CS.enumerate_bfs(p2, 1.5)
-        brute = CS.enumerate_brute(p2, 1.5)
-        return CS.coset_sets_equal(bfs, brute)
+        # [1, 2] takes the scan's walk over the last column's classes
+        return all(
+            CS.coset_sets_equal(CS.enumerate_bfs(part, r), CS.enumerate_brute(part, r))
+            for part, r in ((p2, 1.5), (make_partition(3, [1, 2]), 1.0)))
 
-    check("enumeration oracle equivalence (N=2, R=1.5)", quick_enumeration)
+    check("enumeration oracle equivalence (N=2 R=1.5, N=3 [1,2] R=1)", quick_enumeration)
 
     def block_gram_heights():
         # the integer Gram path of a size-3 block against the float frame

@@ -43,9 +43,12 @@ Two strategies are implemented and validated against each other:
   singular values are right-stabilizer invariants), which also cap the
   columns' norms, and solving the final column from the determinant
   equation.  It scans only reduced representatives (columns signed,
-  ordered within a block and size-reduced against the earlier blocks, one
-  completion per class of the last column), so each coset is derived
-  about once.
+  ordered within a block and size-reduced against the earlier blocks) and
+  solves the last column's classes directly: every completion of a prefix
+  is one particular solution plus the prefix columns, its coset depends
+  only on the multiple of the last block's first column, and the height
+  rises with a convex function of that multiple.  So a coset is derived
+  once or a few times.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -129,36 +132,25 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
-def solve_dot_one(w: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Particular solution of <w, x> = 1 plus a basis of the full kernel lattice.
+def solve_dot_one(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Integer x with <w, x> = 1; requires gcd(w) = 1.
 
-    Requires gcd(w) = 1.  Built by accumulating unimodular column operations
-    that sweep w to (1, 0, ..., 0).
+    Extended Euclid folded over the entries: after entry j, x solves
+    <w, x> = gcd(w_0, ..., w_j) with x zero beyond j.
     """
-    n = len(w)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of U
-    vec = list(w)
-    for j in range(1, n):
-        a, b = vec[0], vec[j]
-        if b == 0:
-            continue
-        g, x, y = _ext_gcd(a, b)
-        # columns 0 and j of U: (c0, cj) -> (x c0 + y cj, -(b/g) c0 + (a/g) cj)
-        bg, ag = b // g, a // g
-        for i in range(n):
-            c0, cj = u[i][0], u[i][j]
-            u[i][0] = x * c0 + y * cj
-            u[i][j] = -bg * c0 + ag * cj
-        vec[0], vec[j] = g, 0
-    if vec[0] < 0:
-        vec[0] = -vec[0]
-        for i in range(n):
-            u[i][0] = -u[i][0]
-    if vec[0] != 1:
-        raise ValueError(f"gcd of {w} is {vec[0]}, not 1")
-    particular = tuple(u[i][0] for i in range(n))
-    kernel = [tuple(u[i][j] for i in range(n)) for j in range(1, n)]
-    return particular, kernel
+    x = [0] * len(w)
+    x[0] = 1
+    g = w[0]
+    for j in range(1, len(w)):
+        if w[j]:
+            g, s, x[j] = _ext_gcd(g, w[j])
+            for i in range(j):
+                x[i] *= s
+    if g < 0:
+        g, x = -g, [-v for v in x]
+    if g != 1:
+        raise ValueError(f"gcd of {w} is {g}, not 1")
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +401,6 @@ class EnumerationReport:
     params: dict = field(default_factory=dict)
     partial: bool = False
 
-    def heights(self) -> list[float]:
-        return sorted(r.height for r in self.records)
-
 
 # ---------------------------------------------------------------------------
 # breadth-first search over the Schreier graph
@@ -592,10 +581,10 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
 
     Columns are generated recursively; branches are cut by coset-invariant
     bounds (block singular values, prefix covolumes, partial height) plus
-    wedge primitivity at block boundaries, and the last column is solved
-    exactly from the determinant equation.  The scanned columns are drawn
-    from the integer vectors of norm at most the largest block singular
-    value bound times 1 + (n - 1) / 2, which also sizes the box.
+    wedge primitivity at block boundaries, and the last column's classes
+    are solved exactly from the determinant equation.  The scanned columns
+    are drawn from the integer vectors of norm at most the largest block
+    singular value bound times 1 + (n - 1) / 2, which also sizes the box.
     For [1, 2] the first column v of the last block is cut as well: that
     block's Gram matrix has determinant |c_0|^2 and largest eigenvalue at
     least |c_0 ^ v|^2, which bounds its chamber part from below.
@@ -624,17 +613,29 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
        such a column.  At n <= 3 only the second column of [1, 1, 1] and
        [1, 2] has an earlier-block column, c_0, and the test is the integer
        inequality 2 |<v, c_0>| <= |c_0|^2.
-    4. Last column: the completions x_0 + Z * kernel of one prefix that
-       differ by earlier-block columns are one coset, so one completion is
-       derived per class of omega_e ^ x, omega_e the wedge of the earlier
-       blocks' columns.  For a singleton last block the class is
-       det g = 1, and the first completion that passes the determinant
-       check is the only one derived.  A class is derived exactly when
-       some completion of it within the cap passes the determinant check.
+    4. Last column: the columns c_0, ..., c_(n-2) of a prefix span a
+       primitive lattice (its cofactor vector w has gcd 1), which is the
+       kernel lattice of <w, .>, so the completions are x_0 + Z c_0 + ... +
+       Z c_(n-2), x_0 from ``solve_dot_one``.  Adding earlier-block columns
+       keeps the coset.  For a singleton last block every completion is
+       one coset, whose height does not depend on x (its entry is
+       det g = 1), and x_0 alone is derived.  For [1, 2] the completion
+       x_0 + s c_0 + t c_1 has c_0 ^ x = b + t a with a = c_0 ^ c_1 and
+       b = c_0 ^ x_0, so its coset depends on t only.  The last block's
+       Gram matrix has entries |a|^2, <a, b + t a> and q(t) = |b + t a|^2,
+       and its determinant |a|^2 |b|^2 - <a, b>^2 does not depend on t,
+       nor does the b-part, which that determinant fixes.  At a fixed
+       determinant the largest eigenvalue, and with it the chamber part,
+       rises with the trace, so the height rises with q(t), which is
+       convex in t with its minimum at t* = -<a, b> / |a|^2.  The scan
+       derives t = round(t*) and walks t outward in both directions until
+       the height exceeds R.  The last column of a record is not
+       size-reduced.
 
     ``params`` reports ``box``, ``prefixes`` (prefixes of n - 1 columns
     handed to the last-column solve) and ``completions`` (completions that
-    reached the height test).
+    reached the height test).  A derived matrix of determinant other than
+    one is a fault of the scan and raises ``RuntimeError``.
     """
     require_scannable(partition)
     if not (math.isfinite(radius) and radius >= 0):
@@ -662,30 +663,32 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     master_norms = np.sqrt(master_sq)
     master_rows = [tuple(row) for row in master.tolist()]  # lexicographic order
 
-    last_block = partition.blocks[-1]
-    earlier = last_block[0]  # columns before the last block
-    class_table = _wedge_table(n, earlier)
+    singleton_last = len(partition.blocks[-1]) == 1
 
     seen: set[tuple[int, ...]] = set()
     records: list[CosetRecord] = []
     prefixes = 0
     completions = 0
 
-    def accept(mat: Matrix) -> None:
+    def accept(cols: list[tuple[int, ...]]) -> bool:
+        """Record the coset of the complete columns; False above the height."""
         nonlocal completions
         completions += 1
+        mat = tuple(zip(*cols))
+        if int_det(mat) != 1:
+            raise RuntimeError(f"scan derived {mat}, of determinant {int_det(mat)}")
         state = _matrix_state(mat, layout)
         h = _state_height(state, layout)
         if h > radius + HEIGHT_TOL:
-            return
+            return False
         key = _state_key(state, layout)
-        if key in seen:
-            return
-        seen.add(key)
-        records.append(CosetRecord(
-            representative=mat, key=key, height=h,
-            boundary=abs(h - radius) <= HEIGHT_TOL,
-        ))
+        if key not in seen:
+            seen.add(key)
+            records.append(CosetRecord(
+                representative=mat, key=key, height=h,
+                boundary=abs(h - radius) <= HEIGHT_TOL,
+            ))
+        return True
 
     def column_budget(j: int, chosen_norms: list[float]) -> float:
         k = partition.block_of[j]
@@ -739,44 +742,31 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
                 continue
             yield vec, float(log_v[i]), float(b_new[i]), a_new
 
-    def last_column(cols: list[tuple[int, ...]], budget: float) -> None:
+    def last_column(cols: list[tuple[int, ...]]) -> None:
         nonlocal prefixes
         prefixes += 1
         w = _cofactor_vector(cols)
-        if math.gcd(*[abs(x) for x in w]) != 1:
+        if math.gcd(*w) != 1:
             return
-        particular, kernel = solve_dot_one(w)
-        # orthogonal part of any completion is exactly 1/||w||; the in-plane
-        # part of a size-reduced representative is at most the Babai radius
-        j = n - 1
-        blk = partition.block_of[j]
-        inplane = 0.0
-        for i in range(n - 1):
-            norm_i = math.hypot(*cols[i])
-            inplane += norm_i if partition.block_of[i] == blk else 0.5 * norm_i
-        w_norm = math.hypot(*w)
-        cap = min(budget, 1.0 / w_norm + inplane, float(box) * math.sqrt(n)) + 1e-9
-        # restriction 4: one completion per class of omega_e ^ x
-        omega_e = _columns_wedge(cols[:earlier], n)
-        derived = set()
-        for cand in _affine_lattice_points(particular, kernel, cap):
-            full = cols + [cand]
-            mat = tuple(tuple(full[j][i] for j in range(n)) for i in range(n))
-            if int_det(mat) != 1:
-                continue
-            cls = _wedge(omega_e, cand, class_table)
-            if cls in derived:
-                continue
-            derived.add(cls)
-            accept(mat)
-            if len(last_block) == 1:
-                return  # the only class is det g = 1
+        x0 = solve_dot_one(w)
+        # restriction 4: x0 alone, or x0 + t c_1 for [1, 2]
+        if singleton_last:
+            accept(cols + [x0])
+            return
+        c0, c1 = cols
+        a = _columns_wedge([c0, c1], n)
+        b = _columns_wedge([c0, x0], n)
+        a_sq = sum(u * u for u in a)
+        t0 = (a_sq - 2 * sum(u * v for u, v in zip(a, b))) // (2 * a_sq)  # round(t*)
+        for t, step in ((t0, 1), (t0 - 1, -1)):
+            while accept(cols + [tuple(x + t * c for x, c in zip(x0, c1))]):
+                t += step
 
     def recurse(cols: list[tuple[int, ...]], norms: list[float],
                 log_v: float, b_partial: float, a_partial: float) -> None:
         j = len(cols)
         if j == n - 1:
-            last_column(cols, column_budget(j, norms))
+            last_column(cols)
             return
         mask = master_norms <= column_budget(j, norms) + 1e-9
         k = partition.block_of[j]
@@ -845,61 +835,6 @@ def _cofactor_vector(cols: list[tuple[int, ...]]) -> tuple[int, ...]:
     for sign, r, idx in terms:
         w[r] = sign * omega[idx]
     return tuple(w)
-
-
-def _affine_lattice_points(x0: tuple[int, ...], basis: list[tuple[int, ...]],
-                           cap: float):
-    """All points of x0 + Z*basis with Euclidean norm <= cap (rank <= 2)."""
-    n = len(x0)
-    if not basis:
-        if math.hypot(*x0) <= cap:
-            yield x0
-        return
-    b = [np.array(v, dtype=float) for v in basis]
-    x = np.array(x0, dtype=float)
-    if len(b) == 1:
-        u = b[0]
-        t_center = -float(x @ u) / float(u @ u)
-        radius = cap / math.sqrt(float(u @ u))
-        for t in range(math.floor(t_center - radius) - 1, math.ceil(t_center + radius) + 2):
-            cand = tuple(int(x0[i] + t * basis[0][i]) for i in range(n))
-            if math.hypot(*cand) <= cap + 1e-9:
-                yield cand
-        return
-    if len(b) == 2:
-        # Gauss-reduce the rank-2 basis for tight loop ranges
-        b1, b2 = basis[0], basis[1]
-        while True:
-            n1 = sum(v * v for v in b1)
-            n2 = sum(v * v for v in b2)
-            if n1 > n2:
-                b1, b2 = b2, b1
-                n1, n2 = n2, n1
-            mu = round(sum(p * q for p, q in zip(b1, b2)) / n1)
-            if mu == 0:
-                break
-            b2 = tuple(q - mu * p for p, q in zip(b1, b2))
-        u1 = np.array(b1, dtype=float)
-        u2 = np.array(b2, dtype=float)
-        # orthogonalize u2 against u1 for range bounds
-        proj = float(u2 @ u1) / float(u1 @ u1)
-        u2_perp = u2 - proj * u1
-        s_center = -float(x @ u2_perp) / float(u2_perp @ u2_perp)
-        s_radius = cap / math.sqrt(float(u2_perp @ u2_perp))
-        for s in range(math.floor(s_center - s_radius) - 1,
-                       math.ceil(s_center + s_radius) + 2):
-            shifted = x + s * u2
-            t_center = -float(shifted @ u1) / float(u1 @ u1)
-            t_radius = cap / math.sqrt(float(u1 @ u1))
-            for t in range(math.floor(t_center - t_radius) - 1,
-                           math.ceil(t_center + t_radius) + 2):
-                cand = tuple(
-                    int(x0[i] + s * b2[i] + t * b1[i]) for i in range(n)
-                )
-                if math.hypot(*cand) <= cap + 1e-9:
-                    yield cand
-        return
-    raise NotImplementedError("affine enumeration implemented for rank <= 2")
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ __all__ = [
     "p_norm_squared",
 ]
 
-TRACELESS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Partition:

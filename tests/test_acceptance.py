@@ -120,9 +120,11 @@ def test_enumeration_oracle_equivalence():
         brute = CS.enumerate_brute(p2, radius)
         assert CS.coset_sets_equal(bfs, brute), f"N=2 mismatch at R={radius}"
     # [1,2] counts as its dual [2,1] does; at R=2 an over-strong bound on
-    # its last block loses cosets that R=1.5 does not show
+    # its last block loses cosets that R=1.5 does not show, and R=2.5 walks
+    # the last column's classes farthest
     cases = (([1, 1, 1], 2.0, 1236), ([2, 1], 2.0, 1473), ([1, 2], 1.5, 309),
-             ([1, 2], 2.0, 1473), ([1, 1, 1], 2.5, 5856), ([2, 1], 2.5, 7245))
+             ([1, 2], 2.0, 1473), ([1, 1, 1], 2.5, 5856), ([2, 1], 2.5, 7245),
+             ([1, 2], 2.5, 7245))
     for sizes, radius, count in cases:
         part = make_partition(3, sizes)
         brute = CS.enumerate_brute(part, radius)

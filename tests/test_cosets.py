@@ -33,11 +33,19 @@ def test_exact_linear_algebra():
 
 def test_solve_dot_one():
     for w in [(2, 3), (-1, 0), (0, 1), (6, 10, 15), (-3, 5, -7)]:
-        x, kernel = CS.solve_dot_one(w)
+        x = CS.solve_dot_one(w)
         assert sum(a * b for a, b in zip(w, x)) == 1
-        for k in kernel:
-            assert sum(a * b for a, b in zip(w, k)) == 0
-        assert len(kernel) == len(w) - 1
+    with pytest.raises(ValueError):
+        CS.solve_dot_one((2, 4))
+
+
+def test_brute_raises_on_wrong_determinant(monkeypatch):
+    # the scan's completions have determinant one by construction, so a
+    # wrong one is a fault of the scan, not a completion to skip
+    real = CS.solve_dot_one
+    monkeypatch.setattr(CS, "solve_dot_one", lambda w: tuple(2 * x for x in real(w)))
+    with pytest.raises(RuntimeError, match="determinant 2"):
+        CS.enumerate_brute(make_partition(3, [2, 1]), 0.3)
 
 
 def test_stabilizer_membership_examples(p2):
@@ -197,11 +205,13 @@ def test_boundary_flagging(p2):
 
 
 @pytest.mark.parametrize("n, sizes, count, per_coset", [
-    (2, [1, 1], 8, 1), (3, [1, 1, 1], 252, 1.25), (3, [2, 1], 309, 1), (3, [1, 2], 309, 8),
+    (2, [1, 1], 8, 1), (3, [1, 1, 1], 252, 1.25), (3, [2, 1], 309, 1), (3, [1, 2], 309, 4.5),
 ])
 def test_brute_derives_each_coset_about_once(n, sizes, count, per_coset):
     # guards against re-deriving: a scan of every representative in its box
-    # derives 479 ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset
+    # derives 479 ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset,
+    # and a search of the last column's lattice points derives 7.1 for [1,2];
+    # the walk over t derives 1368 / 309 = 4.43, two per prefix (828) above R
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == count
     assert rep.count <= rep.params["completions"] <= per_coset * rep.count
