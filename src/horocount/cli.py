@@ -191,7 +191,8 @@ def _cmd_volume(args) -> int:
           f"error={res.standard_error!r} samples={res.samples}")
     if res.converged is False:
         print("warning: grid refinement stopped before successive estimates agreed "
-              "to 1e-3 relative; try a smaller --grid step", file=sys.stderr)
+              f"to {M.GRID_REL_TARGET:g} relative; try a smaller --grid step",
+              file=sys.stderr)
     if args.csv:
         rows = [{
             "R": args.radius, "region": res.region, "method": res.method,

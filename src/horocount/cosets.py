@@ -42,13 +42,15 @@ Two strategies are implemented and validated against each other:
   branches by coset-invariant bounds (prefix covolumes and per-block
   singular values are right-stabilizer invariants), which also cap the
   columns' norms, and solving the final column from the determinant
-  equation.  It scans only reduced representatives (columns signed,
-  ordered within a block and size-reduced against the earlier blocks) and
-  solves the last column's classes directly: every completion of a prefix
-  is one particular solution plus the prefix columns, its coset depends
-  only on the multiple of the last block's first column, and the height
-  rises with a convex function of that multiple.  So a coset is derived
-  once or a few times.
+  equation.  At a block boundary one integer product gives each candidate
+  column's exact wedge omega ^ v with the prefix, whose gcd tests the
+  prefix for primitivity and whose norm is the prefix covolume.  It scans
+  only reduced representatives (columns signed, ordered within a block and
+  size-reduced against the earlier blocks) and solves the last column's
+  classes directly: every completion of a prefix is one particular
+  solution plus the prefix columns, its coset depends only on the multiple
+  of the last block's first column, and the height rises with a convex
+  function of that multiple.  So a coset is derived once or a few times.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -192,6 +194,17 @@ def _columns_wedge(cols, n: int) -> tuple[int, ...]:
     return omega
 
 
+def _wedge_matrix(cols, n: int) -> np.ndarray:
+    """Integer matrix W with W v = omega ^ v, omega the wedge of ``cols``."""
+    omega = _columns_wedge(cols, n)
+    table = _wedge_table(n, len(cols))
+    w = np.zeros((len(table), n), dtype=np.int64)
+    for row, terms in zip(w, table):
+        for sign, r, idx in terms:
+            row[r] = sign * omega[idx]
+    return w
+
+
 def _step_ops(n: int, degree: int, start: int,
               gen: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """(target, source, coefficient) updates of one column's coordinates of
@@ -298,15 +311,13 @@ def _pair_block(x, y) -> tuple[int, float]:
     d = pq - r^2 = |omega ^ v_1 ^ v_2|^2 |omega|^2.  Scaled to determinant
     one the block has squared singular values s^(+-2) with
     s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / (2 sqrt(d)), so its chamber
-    part is (t, -t), t = log(s^2) / 2, of squared norm 2 t^2.  A degenerate
-    block (d = 0) returns (0, inf).
+    part is (t, -t), t = log(s^2) / 2, of squared norm 2 t^2.  The block
+    must be nondegenerate (d > 0).
     """
     p = sum([u * u for u in x])
     q = sum([w * w for w in y])
     r = sum([u * w for u, w in zip(x, y)])
     d = p * q - r * r
-    if d == 0:
-        return 0, math.inf
     s_sq = (p + q + math.sqrt((p - q) ** 2 + 4 * r * r)) / (2.0 * math.sqrt(d))
     t = 0.5 * math.log(s_sq)
     return d, 2.0 * t * t
@@ -462,14 +473,16 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     cosets of positive height) and ``descent_failures`` (those of them with
     no strictly lower neighbour).  Exceeding the state budget raises
     ``ResourceLimitError`` carrying the partial report, the only case
-    marked ``partial``.  A negative or non-finite radius or margin raises
-    ``ValueError``.
+    marked ``partial``.  A negative or non-finite radius or margin, or a
+    state budget below one, raises ``ValueError``.
     """
     require_horocycle_partition(partition)
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     start_time = time.monotonic()
     n = partition.n
     layout = _layout(partition)
@@ -562,11 +575,6 @@ def _prefix_logcov_bound(partition: Partition, radius: float, m: int) -> float:
     return radius * math.sqrt(m * (n - m) / n)
 
 
-def _wedge_gcd(cols: list[tuple[int, ...]]) -> int:
-    """gcd of the maximal minors of the n x r column matrix."""
-    return math.gcd(*_columns_wedge(cols, len(cols[0])))
-
-
 def require_scannable(partition: Partition) -> None:
     """Raise unless ``enumerate_brute`` can scan the partition (n <= 3)."""
     require_horocycle_partition(partition)
@@ -582,12 +590,15 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     Columns are generated recursively; branches are cut by coset-invariant
     bounds (block singular values, prefix covolumes, partial height) plus
     wedge primitivity at block boundaries, and the last column's classes
-    are solved exactly from the determinant equation.  The scanned columns
-    are drawn from the integer vectors of norm at most the largest block
-    singular value bound times 1 + (n - 1) / 2, which also sizes the box.
-    For [1, 2] the first column v of the last block is cut as well: that
-    block's Gram matrix has determinant |c_0|^2 and largest eigenvalue at
-    least |c_0 ^ v|^2, which bounds its chamber part from below.
+    are solved exactly from the determinant equation.  At a boundary, the
+    wedge omega ^ v of the prefix with a candidate column v is exact: the
+    extended prefix is primitive when the wedge's entries have gcd one, and
+    its covolume is |omega ^ v|, from the integer squared norm.  The scanned
+    columns are drawn from the integer vectors of norm at most the largest
+    block singular value bound times 1 + (n - 1) / 2, which also sizes the
+    box.  For [1, 2] the first column v of the last block is cut as well:
+    that block's Gram matrix has determinant |c_0|^2 and largest eigenvalue
+    at least |c_0 ^ v|^2, which bounds its chamber part from below.
 
     Only reduced representatives are scanned, so a coset is derived about
     once.  Every coset has a representative that meets all of the
@@ -614,8 +625,9 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
        [1, 2] has an earlier-block column, c_0, and the test is the integer
        inequality 2 |<v, c_0>| <= |c_0|^2.
     4. Last column: the columns c_0, ..., c_(n-2) of a prefix span a
-       primitive lattice (its cofactor vector w has gcd 1), which is the
-       kernel lattice of <w, .>, so the completions are x_0 + Z c_0 + ... +
+       primitive lattice (its cofactor vector w, the single row of the
+       wedge matrix of the n - 1 columns, has gcd 1), which is the kernel
+       lattice of <w, .>, so the completions are x_0 + Z c_0 + ... +
        Z c_(n-2), x_0 from ``solve_dot_one``.  Adding earlier-block columns
        keeps the coset.  For a singleton last block every completion is
        one coset, whose height does not depend on x (its entry is
@@ -701,22 +713,22 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     def boundary_filter(cols: list[tuple[int, ...]], idx: np.ndarray, k: int,
                         m: int, log_v_prev: float, b_partial: float,
                         a_partial: float):
-        """Vectorized coset-invariant pruning for candidates completing the
-        prefix of size m; yields (vector, log_v, b_partial', a_partial')."""
+        """Vectorized coset-invariant pruning for candidates v completing the
+        prefix of size m; yields (vector, log_v, b_partial', a_partial').
+
+        One product gives each candidate's exact wedge omega ^ v, omega the
+        wedge of ``cols``.  The prefix ``cols`` + v is primitive when the
+        wedge's entries have gcd one, which also makes the wedge nonzero,
+        and its log covolume is log |omega ^ v|, from the integer squared
+        norm.
+        """
         size = partition.sizes[k]
-        cand = master[idx]
-        if cols:
-            prev = np.array(cols, dtype=float).T  # n x (m-1)
-            q, _ = np.linalg.qr(prev)
-            proj = cand @ q
-            perp_sq = np.einsum("ij,ij->i", cand, cand) - np.einsum("ij,ij->i", proj, proj)
-            log_v_prefix_prev = _log_gram_volume(prev)
-        else:
-            perp_sq = np.einsum("ij,ij->i", cand.astype(float), cand.astype(float))
-            log_v_prefix_prev = 0.0
-        ok = perp_sq > 1e-12
-        log_v = np.where(ok, log_v_prefix_prev + 0.5 * np.log(np.maximum(perp_sq, 1e-300)), np.inf)
-        ok &= np.abs(log_v) <= _prefix_logcov_bound(partition, r_eff, m) + 1e-9
+        # at n <= 3 the entries are minors of at most two columns: int64 is exact
+        wedges = master[idx] @ _wedge_matrix(cols, n).T
+        primitive = np.gcd.reduce(wedges, axis=1) == 1
+        idx, wedges = idx[primitive], wedges[primitive]
+        log_v = 0.5 * np.log(np.einsum("ij,ij->i", wedges, wedges))
+        ok = np.abs(log_v) <= _prefix_logcov_bound(partition, r_eff, m) + 1e-9
         beta = (log_v - log_v_prev) / size
         b_new = b_partial + size * beta * beta
         future = log_v * log_v / (n - m)
@@ -732,20 +744,16 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
             vec = master_rows[idx[i]]
             a_new = a_partial
             if size > 1:
-                d, chamber_sq = _pair_block(first_wedge, _wedge(omega, vec, table))
-                if d == 0:
-                    continue
+                _, chamber_sq = _pair_block(first_wedge, _wedge(omega, vec, table))
                 a_new = a_partial + chamber_sq
                 if a_new + b_new[i] + future[i] > r_eff * r_eff + 1e-9:
                     continue
-            if _wedge_gcd(cols + [vec]) != 1:
-                continue
             yield vec, float(log_v[i]), float(b_new[i]), a_new
 
     def last_column(cols: list[tuple[int, ...]]) -> None:
         nonlocal prefixes
         prefixes += 1
-        w = _cofactor_vector(cols)
+        (w,) = _wedge_matrix(cols, n).tolist()  # det(cols..., x) = <w, x>
         if math.gcd(*w) != 1:
             return
         x0 = solve_dot_one(w)
@@ -809,14 +817,6 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     )
 
 
-def _log_gram_volume(arr: np.ndarray) -> float:
-    gram = arr.T @ arr
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        return -math.inf
-    return 0.5 * logdet
-
-
 def _integer_vectors(n: int, box: int, norm_cap: float) -> np.ndarray:
     axes = [np.arange(-box, box + 1)] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
@@ -824,17 +824,6 @@ def _integer_vectors(n: int, box: int, norm_cap: float) -> np.ndarray:
     grid = grid[np.linalg.norm(grid, axis=1) <= norm_cap + 1e-9]
     order = np.lexsort(grid.T[::-1])
     return grid[order]
-
-
-def _cofactor_vector(cols: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """w with det(cols..., x) = <w, x> for the missing last column."""
-    n = len(cols[0])
-    omega = _columns_wedge(cols, n)
-    (terms,) = _wedge_table(n, n - 1)
-    w = [0] * n
-    for sign, r, idx in terms:
-        w[r] = sign * omega[idx]
-    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

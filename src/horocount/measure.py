@@ -60,6 +60,8 @@ _METHODS = ("mc", "plain", "grid")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CHUNK = 250_000   # samples per random stream (one SeedSequence child each)
 _BLOCK = 16_384    # rows weighed at once: the block's arrays stay in cache
+GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
+_GRID_MAX_ROUNDS = 8     # step halvings before the grid gives up
 
 
 @dataclass(frozen=True)
@@ -360,19 +362,18 @@ def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
     raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n_dim + 1}")
 
 
-def _grid_refine(integrand: _Integrand, step: float, rel_target: float = 1e-3,
-                 max_rounds: int = 8) -> tuple[float, float, int, bool]:
-    """Halve the step until successive estimates agree to ``rel_target``,
-    at most ``max_rounds`` times; the last flag says whether they did."""
+def _grid_refine(integrand: _Integrand, step: float) -> tuple[float, float, int, bool]:
+    """Halve the step until successive estimates agree to ``GRID_REL_TARGET``,
+    at most ``_GRID_MAX_ROUNDS`` times; the last flag says whether they did."""
     prev, _ = _grid_estimate(integrand, step)
-    for _ in range(max_rounds):
+    for _ in range(_GRID_MAX_ROUNDS):
         step /= 2.0
         cur, samples = _grid_estimate(integrand, step)
         delta = abs(cur - prev)
         prev = cur
         if not math.isfinite(delta):   # past the double range: refining cannot help
             break
-        if prev != 0 and delta / abs(prev) < rel_target:
+        if prev != 0 and delta / abs(prev) < GRID_REL_TARGET:
             return prev, delta, samples, True
     return prev, delta, samples, False
 

@@ -9,7 +9,6 @@ diagonal).  Indices are 0-based throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -98,15 +97,6 @@ class Partition:
             if not self.same_block(i, j)
         ]
 
-    def to_json(self) -> str:
-        """Serialize as the JSON array of block sizes, e.g. ``[2,1]``."""
-        return json.dumps(list(self.sizes))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        sizes = json.loads(text)
-        return make_partition(sum(sizes), sizes)
-
 
 def make_partition(n: int, block_sizes: Sequence[int]) -> Partition:
     """Contiguous ordered partition of {0,...,n-1} with the given block sizes.
@@ -182,9 +172,6 @@ class Cone:
             normal[list(part.prefix(k))] = 1.0
             out.append((normal, self.offset))
         return out
-
-    def contains(self, y: Sequence[float], tol: float = 1e-12) -> bool:
-        return cone_contains(self, y, tol=tol)
 
 
 def cone_contains(cone: Cone, y: Sequence[float], tol: float = 1e-12) -> bool:

@@ -173,6 +173,8 @@ def test_exit_codes(capsys):
     assert run(capsys, *count, "nan")[0] == 2
     assert run(capsys, *count, "3", "--margin", "nan")[0] == 2
     assert run(capsys, *count, "3", "--margin", "-5")[0] == 2
+    for budget in ("0", "-5"):  # ran out at depth 1 and exited 3
+        assert run(capsys, *count, "3", "--max-states", budget)[0] == 2
     volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius")
     for bad in (("nan",), ("inf",), ("3", "--region", "bc+", "--offset", "nan"),
                 ("3", "--grid", "-0.1"), ("3", "--grid", "0"), ("3", "--mc", "0")):

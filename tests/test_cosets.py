@@ -204,18 +204,23 @@ def test_boundary_flagging(p2):
     assert all(abs(r.height - target) <= 1e-9 for r in flagged)
 
 
-@pytest.mark.parametrize("n, sizes, count, per_coset", [
-    (2, [1, 1], 8, 1), (3, [1, 1, 1], 252, 1.25), (3, [2, 1], 309, 1), (3, [1, 2], 309, 4.5),
+@pytest.mark.parametrize("n, sizes, count, per_coset, prefixes", [
+    pytest.param(2, [1, 1], 8, 1, 8, id="2-sizes0-8-1"),
+    pytest.param(3, [1, 1, 1], 252, 1.25, 294, id="3-sizes1-252-1.25"),
+    pytest.param(3, [2, 1], 309, 1, 309, id="3-sizes2-309-1"),
+    pytest.param(3, [1, 2], 309, 4.5, 414, id="3-sizes3-309-4.5"),
 ])
-def test_brute_derives_each_coset_about_once(n, sizes, count, per_coset):
+def test_brute_derives_each_coset_about_once(n, sizes, count, per_coset, prefixes):
     # guards against re-deriving: a scan of every representative in its box
     # derives 479 ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset,
     # and a search of the last column's lattice points derives 7.1 for [1,2];
-    # the walk over t derives 1368 / 309 = 4.43, two per prefix (828) above R
+    # the walk over t derives 1368 / 309 = 4.43, two per prefix (828) above R.
+    # The exact prefix count pins the primitivity prune at block boundaries:
+    # testing only omega ^ v != 0 lets through 12, 456, 420 and 492 prefixes
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == count
     assert rep.count <= rep.params["completions"] <= per_coset * rep.count
-    assert rep.params["prefixes"] <= 2 * rep.count
+    assert rep.params["prefixes"] == prefixes
 
 
 def _dot(u, v):
@@ -299,6 +304,10 @@ def test_enumerate_rejects_large_n(p2):
                            (3.0, math.nan), (3.0, math.inf), (3.0, -5.0)):
         with pytest.raises(ValueError):
             CS.enumerate_bfs(p2, radius, margin=margin)
+    # a state budget below one ran out at depth 1 (a resource error)
+    for max_states in (0, -5):
+        with pytest.raises(ValueError):
+            CS.enumerate_bfs(p2, 3.0, max_states=max_states)
     # the scan sized its entry box from exp(inf) and crashed with OverflowError
     for radius in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):

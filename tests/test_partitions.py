@@ -30,14 +30,6 @@ def test_make_partition_examples():
         make_partition(3, [])
 
 
-def test_partition_json_roundtrip():
-    p = make_partition(3, [2, 1])
-    assert p.to_json() == "[2, 1]"
-    from horocount.partitions import Partition
-
-    assert Partition.from_json("[2, 1]") == p
-
-
 def test_rho_density_examples(p2, p21):
     s = 0.7
     assert rho_density(p2, np.zeros(2), np.array([s, -s])) == pytest.approx(math.exp(2 * s))
