@@ -5,7 +5,10 @@ Library layout:
 * :mod:`horocount.partitions` -- block partitions, Cartan vectors, cones,
   the Haar density factor and the growth vector v0.
 * :mod:`horocount.decompose` -- QR/Langlands/per-block-Cartan
-  factorizations and the height function.
+  factorizations and the float height function: the oracle that the tests
+  and ``selftest`` compare the exact coset heights against.  Import it as
+  ``horocount.decompose``; it is not re-exported here, so that importing
+  the package does not load numpy.
 * :mod:`horocount.constants` -- zeta/xi special values, compact-group
   volumes and the asymptotic counting constant.
 * :mod:`horocount.cosets` -- exact enumeration of lifts of bounded height
@@ -40,4 +43,3 @@ from .constants import (  # noqa: F401
     xi_identity_check,
     zeta,
 )
-from .decompose import HorocycleFrame, block_cartan, height, langlands_decompose, qr_positive  # noqa: F401

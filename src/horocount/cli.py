@@ -30,7 +30,7 @@ EXIT_RESOURCE = 3
 EXIT_UNKNOWN = 64
 
 _SUBCOMMANDS = ("constant", "count", "volume", "classify", "selftest")
-# Options given before the subcommand, each taking one value.
+# Options taken before the subcommand (and after it), each with one value.
 _GLOBAL_OPTIONS = ("--threads",)
 
 
@@ -375,18 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="horocount",
         description="Asymptotic constants and exact counts for horocycle lifts",
     )
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads (default: HOROCOUNT_THREADS or CPU count)")
+    threads_help = "worker threads (default: HOROCOUNT_THREADS or CPU count)"
+    parser.add_argument("--threads", type=_positive_int, default=None, help=threads_help)
+    # the same option after the subcommand; it sets nothing unless given, so
+    # a value given before the subcommand stands
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS,
+                        help=threads_help)
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("constant", help="asymptotic counting constant")
+    p = sub.add_parser("constant", parents=[common], help="asymptotic counting constant")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_constant)
 
-    p = sub.add_parser("count", help="enumerate lift cosets of height <= R")
+    p = sub.add_parser("count", parents=[common], help="enumerate lift cosets of height <= R")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--radius", type=float, required=True)
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("volume", help="quadrature of the diagonal measure")
+    p = sub.add_parser("volume", parents=[common], help="quadrature of the diagonal measure")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--radius", type=float, required=True)
@@ -420,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_volume)
 
-    p = sub.add_parser("classify", help="limit classification of a clean sequence")
+    p = sub.add_parser("classify", parents=[common],
+                       help="limit classification of a clean sequence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--a-behavior", type=str, default=None,
@@ -429,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list per proper prefix: inf|one|zero")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("selftest", help="run the acceptance checks at small scale")
+    p = sub.add_parser("selftest", parents=[common],
+                       help="run the acceptance checks at small scale")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

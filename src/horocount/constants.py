@@ -10,6 +10,7 @@ cross-check (recursion vs closed product, xi-identity, dual-path constant).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,13 +188,27 @@ def counting_constant_general(partition: Partition, vol_hor_quotient: float,
 
 
 def counting_constant(partition: Partition) -> CountingConstant:
-    """Counting constant for Gamma = SL_N(Z), fully explicit."""
+    """Counting constant for Gamma = SL_N(Z), fully explicit.
+
+    Raises ``ValueError`` when the coefficient is not a finite normal
+    double (a subnormal one has lost digits): from about N = 45 it underflows
+    to 0, and from about N = 63 a factor leaves the double range (Vol(SO_N)
+    falls to 0, then overflows).
+    """
     n = partition.n
-    return counting_constant_general(
-        partition,
-        vol_hor_quotient=vol_hor_quotient_slz(partition),
-        vol_locally_symmetric=vol_sl_mod(n) / vol_so(n),
-    )
+    try:
+        cc = counting_constant_general(
+            partition,
+            vol_hor_quotient=vol_hor_quotient_slz(partition),
+            vol_locally_symmetric=vol_sl_mod(n) / vol_so(n),
+        )
+    except ArithmeticError as exc:  # an overflow, or a division by an underflow
+        raise ValueError(f"a factor of the counting constant at N={n} is outside "
+                         f"the double range ({exc})") from exc
+    if not (sys.float_info.min <= cc.coefficient < math.inf):
+        raise ValueError(f"the counting constant at N={n} is outside the double "
+                         f"range (computed as {cc.coefficient!r})")
+    return cc
 
 
 def hardcoded_example_constant(partition: Partition) -> float:

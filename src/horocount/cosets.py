@@ -56,6 +56,13 @@ Two strategies are implemented and validated against each other:
 same key and height functions as the walk.  All arithmetic on matrices and
 states is exact (Python ints); heights use floating point with a 1e-9
 boundary tolerance.
+
+numpy is imported only where arrays are built: by the scan
+(``enumerate_brute``, ``_wedge_matrix`` and ``_integer_vectors``), which
+filters all candidate columns at once, and by ``_block_gram`` for the
+eigenvalues of a block of size >= 3 (N >= 4).  The walk at N <= 3, and at
+N = 4 without such a block, runs without it, and so does a process that
+only walks: importing numpy takes longer than most walks.
 """
 
 from __future__ import annotations
@@ -66,10 +73,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .partitions import Partition, require_horocycle_partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CosetRecord",
@@ -196,6 +205,8 @@ def _columns_wedge(cols, n: int) -> tuple[int, ...]:
 
 def _wedge_matrix(cols, n: int) -> np.ndarray:
     """Integer matrix W with W v = omega ^ v, omega the wedge of ``cols``."""
+    import numpy as np
+
     omega = _columns_wedge(cols, n)
     table = _wedge_table(n, len(cols))
     w = np.zeros((len(table), n), dtype=np.int64)
@@ -332,6 +343,8 @@ def _block_gram(segs) -> tuple[int, float]:
     lambda_i / d^(1/m), lambda the eigenvalues of G, so its chamber part has
     squared norm sum_i (log(lambda_i) / 2 - log(d) / (2m))^2.
     """
+    import numpy as np
+
     m = len(segs)
     gram = tuple(tuple(sum([u * w for u, w in zip(x, y)]) for y in segs) for x in segs)
     d = int_det(gram)
@@ -649,6 +662,8 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     reached the height test).  A derived matrix of determinant other than
     one is a fault of the scan and raises ``RuntimeError``.
     """
+    import numpy as np
+
     require_scannable(partition)
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
@@ -818,6 +833,8 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
 
 
 def _integer_vectors(n: int, box: int, norm_cap: float) -> np.ndarray:
+    import numpy as np
+
     axes = [np.arange(-box, box + 1)] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     grid = grid[np.any(grid != 0, axis=1)]

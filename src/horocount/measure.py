@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +301,8 @@ def _sampled_estimate(integrand: _Integrand, sampler, seeds: list, sizes: list[i
         return total, total_sq
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_stream, range(len(seeds))))
     else:

@@ -5,15 +5,21 @@ contiguous blocks.  Diagonal group elements are stored in logarithmic
 coordinates: a "Cartan vector" is a length-N float vector with zero sum,
 normed by the trace form (which restricts to the Euclidean norm on the
 diagonal).  Indices are 0-based throughout.
+
+The partition itself and the exact norms are plain Python.  numpy is
+imported only inside the helpers that return or read arrays (``v0``,
+``Cone.half_spaces``, ``block_split``, ``cone_contains`` and
+``rho_density``), so that ``constant`` and the coset walk start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Partition",
@@ -137,6 +143,8 @@ class BlockDiagonalSplit:
 
 def block_split(partition: Partition, y: Sequence[float]) -> BlockDiagonalSplit:
     """Split a Cartan vector into its block-traceless and block-scalar parts."""
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     if y.shape != (partition.n,):
         raise ValueError(f"vector has shape {y.shape}, expected ({partition.n},)")
@@ -161,6 +169,8 @@ class Cone:
 
     def half_spaces(self) -> list[tuple[np.ndarray, float]]:
         """The cone as half-spaces <normal, y> >= floor, as (normal, floor)."""
+        import numpy as np
+
         part = self.partition
         out = []
         for i, j in part.intra_pairs():
@@ -175,6 +185,8 @@ class Cone:
 
 
 def cone_contains(cone: Cone, y: Sequence[float], tol: float = 1e-12) -> bool:
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     n = cone.partition.n
     if y.shape != (n,):
@@ -192,6 +204,8 @@ def rho_density(partition: Partition, a: Sequence[float], b: Sequence[float],
     times exp of the sum of b_i - b_j over cross-block pairs.  Chamber
     walls give 0; a strictly negative intra-block difference is rejected.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (partition.n,) or b.shape != (partition.n,):
@@ -212,6 +226,8 @@ def v0(n: int) -> np.ndarray:
     """The sum-of-positive-roots vector diag(N-1, N-3, ..., -N+1)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    import numpy as np
+
     return np.array([n - 2 * i - 1 for i in range(n)], dtype=float)
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -130,18 +133,47 @@ def test_count_manifest_reruns_zero_radius(tmp_path, capsys):
 
 
 def test_global_threads_before_subcommand(tmp_path, capsys):
+    # and after it, where it exited 2: "unrecognized arguments: --threads 2"
+    volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2.0",
+              "--mc", "50000", "--seed", "42")
     csv_path = tmp_path / "vol.csv"
-    code, _, _ = run(capsys, "--threads", "2", "volume", "--n", "2", "--blocks", "1,1",
-                     "--radius", "2.0", "--mc", "50000", "--seed", "42",
-                     "--csv", str(csv_path))
-    assert code == 0
-    first = csv_path.read_text()
     manifest_path = tmp_path / "vol.csv.manifest.json"
-    assert json.loads(manifest_path.read_text())["params"]["threads"] == 2
-    code = cli.rerun_manifest(str(manifest_path))
-    capsys.readouterr()
-    assert code == 0
-    assert csv_path.read_text() == first
+    outputs = []
+    for argv in (("--threads", "2") + volume, volume + ("--threads", "2")):
+        code, out, _ = run(capsys, *argv, "--csv", str(csv_path))
+        assert code == 0
+        first = csv_path.read_text()
+        assert json.loads(manifest_path.read_text())["params"]["threads"] == 2
+        code = cli.rerun_manifest(str(manifest_path))
+        capsys.readouterr()
+        assert code == 0
+        assert csv_path.read_text() == first
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    args = cli.build_parser().parse_args(["--threads", "2", *volume, "--threads", "3"])
+    assert args.threads == 3
+
+
+# pytest itself has loaded numpy, so a fresh interpreter runs each command
+_REPORT_NUMPY = ("import sys; from horocount import cli; code = cli.dispatch(sys.argv[1:]); "
+                 "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "--n", "3", "--blocks", "2,1"),
+    ("count", "--n", "2", "--blocks", "1,1", "--radius", "4"),
+    ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5"),
+], ids=["constant", "count-n2", "count-n3"])
+def test_commands_run_without_numpy(argv):
+    # the walk and the constant are plain Python; importing numpy would
+    # double the start-up time of these commands
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
 def test_volume_grid(capsys):
@@ -181,6 +213,7 @@ def test_exit_codes(capsys):
         assert run(capsys, *volume, *bad)[0] == 2, bad
     for threads in ("0", "-4"):
         assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
+        assert run(capsys, *volume, "1", "--mc", "10", "--threads", threads)[0] == 2
     assert run(capsys, *count, "inf", "--method", "brute")[0] == 2
     # the scan stops at n = 3: rejected before the walk, which exhausted
     # its state budget first (exit 3) or walked for minutes
@@ -192,6 +225,12 @@ def test_exit_codes(capsys):
     for bad in (n5 + ("120", "--mc", "1000"), n5 + ("112", "--mc", "1000"),
                 volume + ("600", "--grid", "1")):
         assert run(capsys, *bad)[0] == 2, bad
+    # constants past the double range: were c = 0.0 with exit 0 (N = 50, 60)
+    # and an OverflowError traceback (N = 80)
+    for n in (50, 60, 80):
+        assert run(capsys, "constant", "--n", str(n), "--blocks", f"{n // 2},{n // 2}")[0] == 2
+    code, out, _ = run(capsys, "constant", "--n", "40", "--blocks", "20,20")
+    assert code == 0 and float(out.split("c = ")[1]) > 0
 
 
 def test_exit_code_resource(capsys):

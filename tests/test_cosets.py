@@ -204,22 +204,25 @@ def test_boundary_flagging(p2):
     assert all(abs(r.height - target) <= 1e-9 for r in flagged)
 
 
-@pytest.mark.parametrize("n, sizes, count, per_coset, prefixes", [
-    pytest.param(2, [1, 1], 8, 1, 8, id="2-sizes0-8-1"),
-    pytest.param(3, [1, 1, 1], 252, 1.25, 294, id="3-sizes1-252-1.25"),
-    pytest.param(3, [2, 1], 309, 1, 309, id="3-sizes2-309-1"),
-    pytest.param(3, [1, 2], 309, 4.5, 414, id="3-sizes3-309-4.5"),
+# the ids keep the per-coset bounds that the exact completion counts replaced
+@pytest.mark.parametrize("n, sizes, count, completions, prefixes", [
+    pytest.param(2, [1, 1], 8, 8, 8, id="2-sizes0-8-1"),
+    pytest.param(3, [1, 1, 1], 252, 294, 294, id="3-sizes1-252-1.25"),
+    pytest.param(3, [2, 1], 309, 309, 309, id="3-sizes2-309-1"),
+    pytest.param(3, [1, 2], 309, 1368, 414, id="3-sizes3-309-4.5"),
 ])
-def test_brute_derives_each_coset_about_once(n, sizes, count, per_coset, prefixes):
+def test_brute_derives_each_coset_about_once(n, sizes, count, completions, prefixes):
     # guards against re-deriving: a scan of every representative in its box
     # derives 479 ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset,
     # and a search of the last column's lattice points derives 7.1 for [1,2];
     # the walk over t derives 1368 / 309 = 4.43, two per prefix (828) above R.
+    # The exact completion count pins both halves of that walk: without the
+    # downward half the [1,2] count stays 309 with 810 completions.
     # The exact prefix count pins the primitivity prune at block boundaries:
     # testing only omega ^ v != 0 lets through 12, 456, 420 and 492 prefixes
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == count
-    assert rep.count <= rep.params["completions"] <= per_coset * rep.count
+    assert rep.params["completions"] == completions
     assert rep.params["prefixes"] == prefixes
 
 
