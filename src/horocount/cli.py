@@ -413,12 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=["b+", "bc+", "annulus"], default="b+")
     p.add_argument("--mc", type=int, default=1_000_000,
                    help="Monte Carlo sample budget")
-    p.add_argument("--grid", type=float, default=None,
-                   help="initial grid step (switches to the grid rule, N <= 3; "
-                        "samples then counts the points (N=2) or the exactly "
-                        "integrated sections (N=3) of the last refinement)")
-    p.add_argument("--plain", action="store_true",
-                   help="plain rejection sampling (slow oracle, small R)")
+    rule = p.add_mutually_exclusive_group()
+    rule.add_argument("--grid", type=float, default=None,
+                      help="initial grid step (switches to the grid rule, N <= 3; "
+                           "samples then counts the points (N=2) or the exactly "
+                           "integrated sections (N=3) of the last refinement)")
+    rule.add_argument("--plain", action="store_true",
+                      help="plain rejection sampling (slow oracle, small R)")
     p.add_argument("--offset", type=float, default=0.0, help="cone offset C for bc+")
     p.add_argument("--eps", type=float, default=None, help="annulus inner fraction")
     p.add_argument("--seed", type=int, default=0)

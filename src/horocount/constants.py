@@ -27,7 +27,6 @@ __all__ = [
     "c7",
     "CountingConstant",
     "counting_constant",
-    "counting_constant_general",
     "hardcoded_example_constant",
     "asymptotic_count",
     "xi_identity_check",
@@ -167,48 +166,37 @@ class CountingConstant:
     coefficient: float
 
 
-def counting_constant_general(partition: Partition, vol_hor_quotient: float,
-                              vol_locally_symmetric: float) -> CountingConstant:
-    """Counting constant for a general lattice commensurable with SL_N(Z).
-
-    ``vol_hor_quotient`` is Vol(G_hor / G_hor cap Gamma) and
-    ``vol_locally_symmetric`` is Vol(K \\ G / Gamma); both must be supplied
-    by the caller (no congruence-subgroup arithmetic is performed here).
-    """
-    require_horocycle_partition(partition)
-    n = partition.n
-    p = p_norm(n)
-    coeff = (
-        0.5 ** (n * (n - 1) / 2.0)
-        * (2.0 * math.pi / p) ** ((n - 2) / 2.0)
-        * vol_hor_quotient
-        / (pi0_stabilizer(partition) * vol_locally_symmetric)
-    )
-    return CountingConstant(poly_exponent=Fraction(n - 2, 2), exp_rate=p, coefficient=coeff)
-
-
 def counting_constant(partition: Partition) -> CountingConstant:
     """Counting constant for Gamma = SL_N(Z), fully explicit.
+
+    c = 2^(-N(N-1)/2) (2 pi / q)^((N-2)/2) Vol(G_hor / G_hor cap Gamma)
+        / ((2^k0 - 1) Vol(K \\ G / Gamma)) with q = p_norm(N), the first
+    volume from vol_hor_quotient_slz and the second vol_sl_mod / vol_so.
 
     Raises ``ValueError`` when the coefficient is not a finite normal
     double (a subnormal one has lost digits): from about N = 45 it underflows
     to 0, and from about N = 63 a factor leaves the double range (Vol(SO_N)
     falls to 0, then overflows).
     """
+    require_horocycle_partition(partition)
     n = partition.n
     try:
-        cc = counting_constant_general(
-            partition,
-            vol_hor_quotient=vol_hor_quotient_slz(partition),
-            vol_locally_symmetric=vol_sl_mod(n) / vol_so(n),
+        vol_hor_quotient = vol_hor_quotient_slz(partition)
+        vol_locally_symmetric = vol_sl_mod(n) / vol_so(n)
+        p = p_norm(n)
+        coeff = (
+            0.5 ** (n * (n - 1) / 2.0)
+            * (2.0 * math.pi / p) ** ((n - 2) / 2.0)
+            * vol_hor_quotient
+            / (pi0_stabilizer(partition) * vol_locally_symmetric)
         )
     except ArithmeticError as exc:  # an overflow, or a division by an underflow
         raise ValueError(f"a factor of the counting constant at N={n} is outside "
                          f"the double range ({exc})") from exc
-    if not (sys.float_info.min <= cc.coefficient < math.inf):
+    if not (sys.float_info.min <= coeff < math.inf):
         raise ValueError(f"the counting constant at N={n} is outside the double "
-                         f"range (computed as {cc.coefficient!r})")
-    return cc
+                         f"range (computed as {coeff!r})")
+    return CountingConstant(poly_exponent=Fraction(n - 2, 2), exp_rate=p, coefficient=coeff)
 
 
 def hardcoded_example_constant(partition: Partition) -> float:

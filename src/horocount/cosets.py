@@ -39,8 +39,8 @@ Two strategies are implemented and validated against each other:
   the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
 * ``enumerate_brute`` scans integer matrices column by column, pruning
-  branches by coset-invariant bounds (prefix covolumes and per-block
-  singular values are right-stabilizer invariants), which also cap the
+  branches by coset-invariant bounds (per-block singular values and the
+  partial height are right-stabilizer invariants), which also cap the
   columns' norms, and solving the final column from the determinant
   equation.  At a block boundary one integer product gives each candidate
   column's exact wedge omega ^ v with the prefix, whose gcd tests the
@@ -91,7 +91,6 @@ __all__ = [
     "enumerate_bfs",
     "enumerate_brute",
     "require_scannable",
-    "empirical_ratio",
     "coset_sets_equal",
 ]
 
@@ -582,12 +581,6 @@ def _block_sigma_bound(partition: Partition, radius: float, k: int) -> float:
     return radius * math.sqrt(chamber + central)
 
 
-def _prefix_logcov_bound(partition: Partition, radius: float, m: int) -> float:
-    """Upper bound on |log covolume| of a size-m block prefix."""
-    n = partition.n
-    return radius * math.sqrt(m * (n - m) / n)
-
-
 def require_scannable(partition: Partition) -> None:
     """Raise unless ``enumerate_brute`` can scan the partition (n <= 3)."""
     require_horocycle_partition(partition)
@@ -601,7 +594,7 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
     """All distinct lift cosets of height <= R by exhaustive column scan.
 
     Columns are generated recursively; branches are cut by coset-invariant
-    bounds (block singular values, prefix covolumes, partial height) plus
+    bounds (block singular values, partial height) plus
     wedge primitivity at block boundaries, and the last column's classes
     are solved exactly from the determinant equation.  At a boundary, the
     wedge omega ^ v of the prefix with a candidate column v is exact: the
@@ -735,7 +728,9 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
         wedge of ``cols``.  The prefix ``cols`` + v is primitive when the
         wedge's entries have gcd one, which also makes the wedge nonzero,
         and its log covolume is log |omega ^ v|, from the integer squared
-        norm.
+        norm.  The partial-height test bounds the covolume too: the b-part
+        of the prefix is at least log_v^2 / m (Cauchy-Schwarz), so the test
+        forces |log_v| <= r sqrt(m (n - m) / n).
         """
         size = partition.sizes[k]
         # at n <= 3 the entries are minors of at most two columns: int64 is exact
@@ -743,11 +738,10 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
         primitive = np.gcd.reduce(wedges, axis=1) == 1
         idx, wedges = idx[primitive], wedges[primitive]
         log_v = 0.5 * np.log(np.einsum("ij,ij->i", wedges, wedges))
-        ok = np.abs(log_v) <= _prefix_logcov_bound(partition, r_eff, m) + 1e-9
         beta = (log_v - log_v_prev) / size
         b_new = b_partial + size * beta * beta
         future = log_v * log_v / (n - m)
-        ok &= a_partial + b_new + future <= r_eff * r_eff + 1e-9
+        ok = a_partial + b_new + future <= r_eff * r_eff + 1e-9
         start = m - size
         if size > 1:
             # at n <= 3 a block before the last has at most two columns
@@ -844,7 +838,7 @@ def _integer_vectors(n: int, box: int, norm_cap: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# comparisons, ratios, samplers
+# comparison
 # ---------------------------------------------------------------------------
 
 def coset_sets_equal(a: EnumerationReport, b: EnumerationReport) -> bool:
@@ -852,31 +846,4 @@ def coset_sets_equal(a: EnumerationReport, b: EnumerationReport) -> bool:
     return a.count == b.count and (
         {rec.key for rec in a.records} == {rec.key for rec in b.records}
     )
-
-
-def empirical_ratio(partition: Partition, radii, margin: float = 0.0,
-                    max_states: int = 4_000_000) -> list[dict]:
-    """Measured-count over stated-asymptotic table for increasing radii.
-
-    Counts come from the graph search.  A None ratio marks radii where the
-    stated asymptotic vanishes (R = 0 with a positive power).
-    """
-    from .constants import asymptotic_count, counting_constant
-
-    cc = counting_constant(partition)
-    rows = []
-    for r in radii:
-        rep = enumerate_bfs(partition, r, margin=margin, max_states=max_states)
-        asym = asymptotic_count(cc, r) if r > 0 or cc.poly_exponent == 0 else 0.0
-        rows.append({
-            "R": r,
-            "count": rep.count,
-            "asymptotic": asym,
-            "ratio": rep.count / asym if asym > 0 else None,
-            "method": rep.method,
-            "margin": margin,
-            "depth": rep.params["depth_reached"],
-            "seconds": rep.wall_time,
-        })
-    return rows
 

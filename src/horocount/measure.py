@@ -47,11 +47,8 @@ __all__ = [
     "QuadratureResult",
     "mu_A_ball",
     "cone_integral",
-    "asym_ratio_report",
-    "well_rounded_margin",
     "closed_form_asymptotic",
     "mu_n2_closed_form",
-    "cone_n2_closed_form",
 ]
 
 _REGIONS = ("b+", "bc+", "annulus")
@@ -207,8 +204,12 @@ def _validate(region: str, method: str, radius: float, offset: float,
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if region == "bc+" and not (math.isfinite(offset) and offset <= 0):
         raise ValueError(f"bc+ region needs a finite offset C <= 0, got {offset}")
+    if region != "bc+" and offset != 0.0:
+        raise ValueError(f"offset {offset} applies to the bc+ region only, not {region}")
     if region == "annulus" and (eps is None or not 0.0 < eps < 1.0):
         raise ValueError("annulus region needs eps in (0, 1)")
+    if region != "annulus" and eps is not None:
+        raise ValueError(f"eps {eps} applies to the annulus region only, not {region}")
     if method == "grid":
         if not (grid_step is not None and math.isfinite(grid_step) and grid_step > 0):
             raise ValueError(f"grid step must be positive and finite, got {grid_step}")
@@ -429,7 +430,8 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
 
     ``region`` is one of ``b+`` (positive cone cap), ``bc+`` (offset cone
     cap, needs a finite ``offset`` <= 0) and ``annulus`` (B+(R) minus
-    B+(eps R)).  ``method``: ``mc`` (importance sampling), ``grid``
+    B+(eps R)); a nonzero ``offset`` or any ``eps`` given for another region
+    is rejected.  ``method``: ``mc`` (importance sampling), ``grid``
     (refinement doubling from a positive ``grid_step``; N <= 3) or
     ``plain`` (rejection oracle, small R only); the sampling methods need a
     ``budget`` of at least 2.
@@ -460,60 +462,9 @@ def closed_form_asymptotic(partition: Partition, radius: float) -> float:
 
 
 def mu_n2_closed_form(radius: float) -> float:
-    """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1)."""
+    """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1).
+
+    At N = 2 the density is exp(<v0, y>), so this is also the positive-cone
+    ``cone_integral`` at offset 0."""
     return math.sqrt(2.0) / 2.0 * (math.exp(math.sqrt(2.0) * radius) - 1.0)
 
-
-def cone_n2_closed_form(radius: float) -> float:
-    """Exact positive-cone integral for N = 2: (e^(sqrt2 R) - 1)/sqrt2."""
-    return (math.exp(math.sqrt(2.0) * radius) - 1.0) / math.sqrt(2.0)
-
-
-def asym_ratio_report(partition: Partition, radii, method: str = "mc",
-                      budget: int = 1_000_000, seed: int = 0,
-                      threads: int = 1) -> dict:
-    """Measured-over-stated ratios for B+(R) with a 1/R extrapolation.
-
-    Rows carry (R, estimate, standard error, closed form, ratio); the
-    extrapolated limit comes from a least-squares fit of log(ratio)
-    against 1/R (intercept at R = infinity).
-    """
-    radii = list(radii)
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-    rows = []
-    for i, r in enumerate(radii):
-        res = mu_A_ball(partition, r, "b+", method, budget, seed=seed + i,
-                        threads=threads)
-        stated = closed_form_asymptotic(partition, r)
-        rows.append({
-            "R": r,
-            "estimate": res.estimate,
-            "standard_error": res.standard_error,
-            "closed_form": stated,
-            "ratio": res.estimate / stated,
-        })
-    limit = None
-    if len(rows) >= 2:
-        xs = np.array([1.0 / row["R"] for row in rows])
-        ys = np.array([math.log(row["ratio"]) for row in rows])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        limit = math.exp(intercept)
-    return {"rows": rows, "extrapolated_ratio": limit}
-
-
-def well_rounded_margin(partition: Partition, radius: float, delta: float,
-                        method: str = "mc", budget: int = 1_000_000,
-                        seed: int = 0, threads: int = 1) -> tuple[float, float]:
-    """(vol(B_{R+delta})/vol(B_R), vol(B_{R-delta})/vol(B_R)) for the B+ family.
-
-    A shared seed correlates the estimates, stabilizing the ratios.
-    """
-    if not 0.0 < delta < radius:
-        raise ValueError("need 0 < delta < R")
-    base = mu_A_ball(partition, radius, "b+", method, budget, seed=seed, threads=threads)
-    up = mu_A_ball(partition, radius + delta, "b+", method, budget, seed=seed,
-                   threads=threads)
-    down = mu_A_ball(partition, radius - delta, "b+", method, budget, seed=seed,
-                     threads=threads)
-    return up.estimate / base.estimate, down.estimate / base.estimate

@@ -157,10 +157,11 @@ def test_empirical_ratio_experiment():
     start = time.monotonic()
     p2 = make_partition(2, [1, 1])
     radii = [4.0, 6.0, 8.0]
-    rows = CS.empirical_ratio(p2, radii)
-    for row in rows:
-        assert row["count"] == _disk_count_oracle(row["R"]), row
-    ratios = [row["ratio"] for row in rows]
+    cc = C.counting_constant(p2)
+    counts = [CS.enumerate_bfs(p2, r).count for r in radii]
+    for r, count in zip(radii, counts):
+        assert count == _disk_count_oracle(r), (r, count)
+    ratios = [count / C.asymptotic_count(cc, r) for r, count in zip(radii, counts)]
     diffs = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
     assert diffs[1] < diffs[0], f"ratio sequence not settling: {ratios}"
     limit_estimate = ratios[-1]
@@ -169,7 +170,7 @@ def test_empirical_ratio_experiment():
     elapsed = time.monotonic() - start
     _report(
         "empirical ratio experiment: counts "
-        + str([row["count"] for row in rows])
+        + str(counts)
         + f", ratios {[f'{r:.4f}' for r in ratios]}, recorded limit estimate "
         + f"{limit_estimate:.4f} (stated prediction 1.0, deviation "
         + f"{abs(limit_estimate - 1.0) * 100:.1f}%, under the 20% flag "

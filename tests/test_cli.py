@@ -211,6 +211,11 @@ def test_exit_codes(capsys):
     for bad in (("nan",), ("inf",), ("3", "--region", "bc+", "--offset", "nan"),
                 ("3", "--grid", "-0.1"), ("3", "--grid", "0"), ("3", "--mc", "0")):
         assert run(capsys, *volume, *bad)[0] == 2, bad
+    # options that were ignored, giving another estimate with exit 0
+    for bad in (("3", "--grid", "0.1", "--plain"), ("3", "--offset", "-1"), ("3", "--eps", "0.5"),
+                ("3", "--region", "annulus", "--eps", "0.5", "--offset", "-1"),
+                ("3", "--region", "bc+", "--offset", "-1", "--eps", "0.5")):
+        assert run(capsys, *volume, *bad)[0] == 2, bad
     for threads in ("0", "-4"):
         assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
         assert run(capsys, *volume, "1", "--mc", "10", "--threads", threads)[0] == 2

@@ -97,18 +97,6 @@ def test_counting_constant_values(p3, p21, p2):
     assert cc.coefficient == pytest.approx(2 * math.sqrt(2) / math.pi, rel=1e-12)
 
 
-def test_general_form_reduces_to_corollary(p3, p21, p2):
-    for part in (p3, p21, p2):
-        n = part.n
-        general = C.counting_constant_general(
-            part,
-            vol_hor_quotient=C.vol_hor_quotient_slz(part),
-            vol_locally_symmetric=C.vol_sl_mod(n) / C.vol_so(n),
-        )
-        direct = C.counting_constant(part)
-        assert abs(general.coefficient / direct.coefficient - 1.0) <= 1e-12
-
-
 def test_asymptotic_count(p3, p2):
     cc3 = C.counting_constant(p3)
     assert C.asymptotic_count(cc3, 0.0) == 0.0  # R^{1/2} factor

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocount import cli
+from horocount import constants as C
 from horocount import cosets as CS
 from horocount.decompose import height as frame_height
 from horocount.partitions import make_partition
@@ -283,18 +284,10 @@ def test_inconsistency_detection(capsys, monkeypatch):
     assert "scan lacks 1 of the walk's cosets and the walk lacks 0" in err
 
 
-def test_empirical_ratio_rows(p2):
-    rows = CS.empirical_ratio(p2, [0.5, 1.5])
-    assert [r["R"] for r in rows] == [0.5, 1.5]
-    assert all(r["ratio"] is not None for r in rows)
-    assert rows[0]["count"] == CS.enumerate_bfs(p2, 0.5).count
-
-
 def test_empirical_ratio_degenerate_row(p3):
-    rows = CS.empirical_ratio(p3, [0.0])
-    assert rows[0]["count"] == 6
-    assert rows[0]["asymptotic"] == 0.0
-    assert rows[0]["ratio"] is None
+    # at R = 0 the stated asymptotic vanishes (R^(1/2)), so the ratio is undefined
+    assert CS.enumerate_bfs(p3, 0.0).count == 6
+    assert C.asymptotic_count(C.counting_constant(p3), 0.0) == 0.0
 
 
 def test_enumerate_rejects_large_n(p2):

@@ -37,7 +37,8 @@ def test_shrinking_region(p2):
 
 
 def test_cone_integral_n2(p2):
-    exact = M.cone_n2_closed_form(4.0)
+    # at N = 2 the density is exp(<v0, y>): the cone integral is the B+ measure
+    exact = M.mu_n2_closed_form(4.0)
     res = M.cone_integral(p2, 0.0, 4.0, "grid", grid_step=0.01)
     assert abs(res.estimate / exact - 1.0) < 1e-3
     res_mc = M.cone_integral(p2, 0.0, 4.0, "mc", budget=200_000, seed=3)
@@ -130,37 +131,46 @@ def test_estimator_consistency_across_seeds(p2):
     assert abs(a.estimate - b.estimate) <= 3 * (a.standard_error + b.standard_error)
 
 
+def _asym_ratios(partition, radii):
+    """Grid mu(B+(R)) over the stated closed form, one ratio per radius."""
+    return [M.mu_A_ball(partition, r, "b+", "grid").estimate
+            / M.closed_form_asymptotic(partition, r) for r in radii]
+
+
+def _well_rounded_margin(partition, radius, delta, method="grid", **kwargs):
+    """(mu(B+(R + delta)) / mu(B+(R)), mu(B+(R - delta)) / mu(B+(R))), all
+    three estimates at the same seed, which correlates them."""
+    base, up, down = (M.mu_A_ball(partition, r, "b+", method, **kwargs).estimate
+                      for r in (radius, radius + delta, radius - delta))
+    return up / base, down / base
+
+
 def test_asym_ratio_report_n2(p2):
-    report = M.asym_ratio_report(p2, [4.0, 6.0, 8.0], method="grid")
-    rows = report["rows"]
-    assert [row["R"] for row in rows] == [4.0, 6.0, 8.0]
+    ratios = _asym_ratios(p2, [4.0, 6.0, 8.0])
     # stated form misses a 1/||v0|| factor in one dimension: the measured
-    # ratio extrapolates to sqrt(2)/2, not 1
-    assert report["extrapolated_ratio"] == pytest.approx(math.sqrt(2) / 2, rel=0.02)
-    for row in rows:
-        assert row["ratio"] == pytest.approx(math.sqrt(2) / 2, rel=0.05)
+    # ratio tends to sqrt(2)/2, not 1
+    assert ratios[-1] == pytest.approx(math.sqrt(2) / 2, rel=0.02)
+    for ratio in ratios:
+        assert ratio == pytest.approx(math.sqrt(2) / 2, rel=0.05)
 
 
 def test_asym_ratio_report_n3(p3):
-    report = M.asym_ratio_report(p3, [6.0, 8.0, 10.0], method="grid")
-    rows = report["rows"]
-    ratios = [row["ratio"] for row in rows]
+    ratios = _asym_ratios(p3, [6.0, 8.0, 10.0])
     # ratio sequence settles: successive changes shrink
     assert abs(ratios[2] - ratios[1]) < abs(ratios[1] - ratios[0]) + 0.02
-    assert report["extrapolated_ratio"] > 0
 
 
 def test_well_rounded_margins_n2(p2):
-    up, down = M.well_rounded_margin(p2, 4.0, 0.01, method="grid")
+    up, down = _well_rounded_margin(p2, 4.0, 0.01)
     assert up <= math.exp(math.sqrt(2) * 0.01) + 2e-3
     assert down >= math.exp(-math.sqrt(2) * 0.01) - 2e-3
-    up2, down2 = M.well_rounded_margin(p2, 8.0, 0.01, method="grid")
+    up2, down2 = _well_rounded_margin(p2, 8.0, 0.01)
     assert up2 <= math.exp(math.sqrt(2) * 0.01) + 2e-3
 
 
 def test_well_rounded_margin_shrinks_with_delta(p2):
-    up1, down1 = M.well_rounded_margin(p2, 4.0, 0.2, method="grid")
-    up2, down2 = M.well_rounded_margin(p2, 4.0, 0.02, method="grid")
+    up1, down1 = _well_rounded_margin(p2, 4.0, 0.2)
+    up2, down2 = _well_rounded_margin(p2, 4.0, 0.02)
     assert abs(up2 - 1.0) < abs(up1 - 1.0)
     assert abs(down2 - 1.0) < abs(down1 - 1.0)
     assert up2 > 1.0 > down2
@@ -169,8 +179,8 @@ def test_well_rounded_margin_shrinks_with_delta(p2):
 def test_well_rounded_n3(p21):
     delta = 0.05
     rate = p_norm(3)
-    up, down = M.well_rounded_margin(p21, 6.0, delta, method="mc",
-                                     budget=300_000, seed=55)
+    up, down = _well_rounded_margin(p21, 6.0, delta, method="mc",
+                                    budget=300_000, seed=55)
     # e^{+-||v0|| delta} envelope with slack for the polynomial factor and noise
     assert up <= math.exp(rate * delta) * 1.03
     assert down >= math.exp(-rate * delta) * 0.97
@@ -214,8 +224,20 @@ def test_region_validation(p2):
             M.cone_integral(p2, 0.0, radius)
     with pytest.raises(ValueError):
         M.cone_integral(p2, 0.0, 1.0, "sorcery")
+    # an option of another region: was ignored, giving the plain b+ estimate
+    for offset in (-1.0, 0.5, math.nan):
+        with pytest.raises(ValueError):
+            M.mu_A_ball(p2, 1.0, "b+", "grid", offset=offset)
+        with pytest.raises(ValueError):
+            M.mu_A_ball(p2, 1.0, "annulus", "grid", offset=offset, eps=0.5)
     with pytest.raises(ValueError):
-        M.asym_ratio_report(p2, [4.0, 3.0])
+        M.mu_A_ball(p2, 1.0, "b+", "grid", eps=0.5)
+    with pytest.raises(ValueError):
+        M.mu_A_ball(p2, 1.0, "bc+", "grid", offset=-1.0, eps=0.5)
+    # an offset of exactly 0 stays allowed for every region (manifests store 0.0)
+    for region, eps in (("b+", None), ("bc+", None), ("annulus", 0.5)):
+        for offset in (0.0, -0.0):
+            assert M.mu_A_ball(p2, 1.0, region, "grid", offset=offset, eps=eps).estimate > 0
 
 
 def _density(partition, y):
