@@ -194,13 +194,17 @@ def _cmd_volume(args) -> int:
               f"to {M.GRID_REL_TARGET:g} relative; try a smaller --grid step",
               file=sys.stderr)
     if args.csv:
+        # the diagnostics are empty for the columns a method does not report
         rows = [{
             "R": args.radius, "region": res.region, "method": res.method,
             "estimate": res.estimate, "error": res.standard_error,
-            "samples": res.samples, "seed": args.seed,
+            "samples": res.samples, "seed": args.seed, "ess": res.ess,
+            "in_region": res.in_region, "max_weight_share": res.max_weight_share,
+            "converged": res.converged,
         }]
         _write_csv(args.csv, rows,
-                   ["R", "region", "method", "estimate", "error", "samples", "seed"])
+                   ["R", "region", "method", "estimate", "error", "samples", "seed",
+                    "ess", "in_region", "max_weight_share", "converged"])
         _write_manifest(args.csv, args, args.seed, started)
     return EXIT_OK
 

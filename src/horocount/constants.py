@@ -173,10 +173,14 @@ def counting_constant(partition: Partition) -> CountingConstant:
         / ((2^k0 - 1) Vol(K \\ G / Gamma)) with q = p_norm(N), the first
     volume from vol_hor_quotient_slz and the second vol_sl_mod / vol_so.
 
+    The power of 2 is applied last and exactly (``math.ldexp``): alone it
+    leaves the double range from N = 47, long before c does.
+
     Raises ``ValueError`` when the coefficient is not a finite normal
-    double (a subnormal one has lost digits): from about N = 45 it underflows
-    to 0, and from about N = 63 a factor leaves the double range (Vol(SO_N)
-    falls to 0, then overflows).
+    double (a subnormal one has lost digits): for two near-equal blocks c is
+    about 10^-293.9 at N = 49 and subnormal from N = 50 (partitions with more
+    blocks get there sooner), and from about N = 63 a factor leaves the
+    double range (Vol(SO_N) falls to 0, then overflows).
     """
     require_horocycle_partition(partition)
     n = partition.n
@@ -184,11 +188,11 @@ def counting_constant(partition: Partition) -> CountingConstant:
         vol_hor_quotient = vol_hor_quotient_slz(partition)
         vol_locally_symmetric = vol_sl_mod(n) / vol_so(n)
         p = p_norm(n)
-        coeff = (
-            0.5 ** (n * (n - 1) / 2.0)
-            * (2.0 * math.pi / p) ** ((n - 2) / 2.0)
-            * vol_hor_quotient
+        coeff = math.ldexp(
+            vol_hor_quotient
             / (pi0_stabilizer(partition) * vol_locally_symmetric)
+            * (2.0 * math.pi / p) ** ((n - 2) / 2.0),
+            -(n * (n - 1) // 2),
         )
     except ArithmeticError as exc:  # an overflow, or a division by an underflow
         raise ValueError(f"a factor of the counting constant at N={n} is outside "

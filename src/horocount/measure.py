@@ -14,20 +14,29 @@ B+(R) minus B+(eps*R).
 
 An integrand is data, not a callable: exp(<c, y>) * prod_k sinh(<alpha_k, y>)
 over the region.  ``mu_A_ball`` takes c = the sum of the cross-block pairs
-and the intra-block differences as the alpha_k; ``cone_integral`` takes
-c = v0 and no alpha_k.  These linear forms and the cone's half-spaces
-(``partitions.Cone``) are projected once onto the orthonormal basis of
-``traceless_basis``, so every estimator works in the (N-1)-dimensional
-sample coordinates x (y = basis @ x) and never builds y.  One dispatch,
-``_quadrature``, validates the region and method parameters, picks the
-estimator and rejects a non-finite result.
+and the intra-block differences as the alpha_k.  These linear forms and the
+cone's half-spaces (``partitions.Cone``) are projected once onto the
+orthonormal basis of ``traceless_basis``, so every estimator works in the
+(N-1)-dimensional sample coordinates x (y = basis @ x) and never builds y.
+One dispatch, ``_quadrature``, validates the region and method parameters,
+picks the estimator and rejects a non-finite result.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
-(taming the exp(||v0||R) dynamic range), evaluated in blocks of rows with
-one matrix product per block; plain rejection sampling over the ball, a
-slow oracle for small R; and a grid rule with refinement doubling.  For
-N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at fixed
-first coordinate t is integrated exactly along s: written with two
+(taming the exp(||v0||R) dynamic range); plain rejection sampling over the
+ball, a slow oracle for small R; and a grid rule with refinement doubling.
+
+Both samplers stream.  The budget is cut into chunks of ``_CHUNK`` samples,
+one SeedSequence child each, and every chunk has one random stream per
+random variable: the t-uniforms, the cross-section normals and the radial
+uniforms.  A chunk draws, places and weighs ``_BLOCK`` rows at a time, with
+one matrix product per block, in buffers it allocates once, so memory is
+one block per thread whatever the budget.  ``_BLOCK`` never changes a
+result, and neither does the thread count: a result depends on the seed and
+the budget alone.  The same pass yields the weight diagnostics (effective
+sample size, in-region fraction, largest weight share).
+
+For N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at
+fixed first coordinate t is integrated exactly along s: written with two
 exponentials per sinh, the integrand is a signed sum of exponentials of
 linear forms.  Only the outer trapezoid in t remains.
 """
@@ -46,7 +55,6 @@ from .partitions import Cone, Partition, v0 as v0_vector, p_norm
 __all__ = [
     "QuadratureResult",
     "mu_A_ball",
-    "cone_integral",
     "closed_form_asymptotic",
     "mu_n2_closed_form",
 ]
@@ -54,8 +62,9 @@ __all__ = [
 _REGIONS = ("b+", "bc+", "annulus")
 _METHODS = ("mc", "plain", "grid")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_CHUNK = 250_000   # samples per random stream (one SeedSequence child each)
-_BLOCK = 16_384    # rows weighed at once: the block's arrays stay in cache
+_CHUNK = 250_000   # samples per SeedSequence child
+_STREAMS = 3       # streams per chunk: t-uniforms, cross-section normals, radial uniforms
+_BLOCK = 16_384    # rows drawn, placed and weighed at once: the block's arrays stay in cache
 GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
 _GRID_MAX_ROUNDS = 8     # step halvings before the grid gives up
 
@@ -69,6 +78,12 @@ class QuadratureResult:
     it counts the points of the last N = 2 trapezoid, or the non-empty
     sections of the last N = 3 grid.  ``converged`` says whether the grid's
     refinement met its relative target (None for the sampling methods).
+
+    The sampling methods also report how far their weights can be trusted
+    (None for ``grid``): ``ess``, the effective sample size
+    (sum w)^2 / sum w^2 (0 when every weight is 0); ``in_region``, the
+    fraction of samples inside the region; and ``max_weight_share``, the
+    largest weight over the sum of the weights (NaN when that sum is 0).
     """
 
     estimate: float
@@ -78,6 +93,9 @@ class QuadratureResult:
     method: str
     seed: int | None = None
     converged: bool | None = None
+    ess: float | None = None
+    in_region: float | None = None
+    max_weight_share: float | None = None
 
     def __post_init__(self):
         if self.standard_error < 0:
@@ -221,119 +239,174 @@ def _log_ball_volume(d: int) -> float:
     return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
 
 
-def _row_norms(g: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of g as a column, 0 replaced by 1."""
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+def _ball_points(g: np.ndarray, v: np.ndarray, radius, out: np.ndarray) -> None:
+    """Points uniform in the ball of ``radius`` (a scalar, or one per row)
+    into ``out``, from rows of standard normals g and one uniform per row v
+    (overwritten); ``out`` may be g."""
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
     norms[norms == 0] = 1.0
-    return norms
+    np.power(v, 1.0 / g.shape[1], out=v)
+    v *= radius
+    v /= norms
+    np.multiply(g, v[:, None], out=out)
 
 
 class _TiltedBallSampler:
     """Proposal on the ball: exponential first coordinate, uniform cross-section.
 
     q(t, w) = [rate e^{rate t} / Z] * Uniform(cross-section ball of radius
-    sqrt(R^2 - t^2)) with Z = (e^{rate R} - e^{-rate R}) / rate.
+    sqrt(R^2 - t^2)) with Z = (e^{rate R} - e^{-rate R}) / rate.  The buffers
+    hold ``rows`` points and are reused by every ``sample`` call.
     """
 
-    def __init__(self, n_dim: int, radius: float, rate: float):
-        self.n_dim = n_dim
+    def __init__(self, n_dim: int, radius: float, rate: float, rows: int):
         self.radius = radius
         self.rate = rate
-        self.log_z = math.log1p(-math.exp(-2.0 * rate * radius)) + rate * radius - math.log(rate)
+        self.span = -math.expm1(-2.0 * rate * radius)   # 1 - e^{-2 rate R}
+        self.log_z = math.log(self.span) + rate * radius - math.log(rate)
+        self.x = np.empty((rows, n_dim))
+        self.t = np.empty(rows)
+        self.log_q = np.empty(rows)
+        self.g = np.empty((rows, n_dim - 1))
+        self.v = np.empty(rows)
 
-    def draw(self, rng, count: int) -> tuple[np.ndarray, ...]:
-        """The random numbers of ``count`` points, in a fixed order: uniforms
-        for t, then normals and uniforms for the cross-section (if any)."""
-        u = rng.random(count)
-        if self.n_dim == 1:
-            return (u,)
-        return u, rng.standard_normal((count, self.n_dim - 1)), rng.random((count, 1))
-
-    def place(self, u: np.ndarray, g: np.ndarray | None = None,
-              v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Points x and their log proposal density from rows of ``draw``."""
+    def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` points x and their log proposal density, drawn from the
+        t-uniform, normal and radial-uniform streams ``rngs``.  They are views
+        of the buffers, overwritten by the next call."""
         r, rate = self.radius, self.rate
+        x, t, log_q = self.x[:rows], self.t[:rows], self.log_q[:rows]
+        rngs[0].random(out=t)
         # inverse CDF of the truncated exponential on [-R, R]
-        t = r + np.log1p((u - 1.0) * (1.0 - math.exp(-2.0 * rate * r))) / rate
-        x = np.empty((len(u), self.n_dim))
+        t -= 1.0
+        t *= self.span
+        np.log1p(t, out=t)
+        t /= rate
+        t += r
         x[:, 0] = t
-        log_q = rate * t - self.log_z
-        if g is not None:
-            d = self.n_dim - 1
-            cross = np.sqrt(np.maximum(r * r - t * t, 0.0))
-            x[:, 1:] = g * (cross[:, None] * v ** (1.0 / d) / _row_norms(g))
-            log_q -= _log_ball_volume(d) + d * np.log(np.maximum(cross, 1e-300))
+        np.multiply(t, rate, out=log_q)
+        log_q -= self.log_z
+        d = x.shape[1] - 1
+        if d:
+            g, v = self.g[:rows], self.v[:rows]
+            rngs[1].standard_normal(out=g)
+            rngs[2].random(out=v)
+            cross = t   # t is kept in x[:, 0]: its buffer takes the cross-section radius
+            np.multiply(t, t, out=cross)
+            np.subtract(r * r, cross, out=cross)
+            np.maximum(cross, 0.0, out=cross)
+            np.sqrt(cross, out=cross)
+            _ball_points(g, v, cross, x[:, 1:])
+            np.maximum(cross, 1e-300, out=cross)
+            np.log(cross, out=cross)
+            cross *= d
+            log_q -= cross
+            log_q -= _log_ball_volume(d)
         return x, log_q
 
 
 class _UniformBallSampler:
-    """Proposal uniform on the ball, for the rejection oracle."""
+    """Proposal uniform on the ball, for the rejection oracle.  The buffers
+    hold ``rows`` points and are reused by every ``sample`` call."""
 
-    def __init__(self, n_dim: int, radius: float):
-        self.n_dim = n_dim
+    def __init__(self, n_dim: int, radius: float, rows: int):
         self.radius = radius
-        self.log_q = -(_log_ball_volume(n_dim) + n_dim * math.log(radius))
+        self.x = np.empty((rows, n_dim))
+        self.v = np.empty(rows)
+        self.log_q = np.full(rows, -(_log_ball_volume(n_dim) + n_dim * math.log(radius)))
 
-    def draw(self, rng, count: int) -> tuple[np.ndarray, ...]:
-        return rng.standard_normal((count, self.n_dim)), rng.random((count, 1))
+    def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Like ``_TiltedBallSampler.sample``; the t-uniform stream is unused."""
+        x, v = self.x[:rows], self.v[:rows]
+        rngs[1].standard_normal(out=x)
+        rngs[2].random(out=v)
+        _ball_points(x, v, self.radius, x)
+        return x, self.log_q[:rows]
 
-    def place(self, g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = g * (self.radius * v ** (1.0 / self.n_dim) / _row_norms(g))
-        return x, np.full(len(g), self.log_q)
+
+def _fold(carry: float, a: np.ndarray) -> float:
+    """carry + a[0] + a[1] + ..., added strictly left to right, so a run of
+    values sums the same however it is cut into blocks; overwrites a."""
+    a[0] += carry
+    np.cumsum(a, out=a)
+    return float(a[-1])
 
 
-def _sampled_estimate(integrand: _Integrand, sampler, seeds: list, sizes: list[int],
-                      log_scale: float, threads: int = 1) -> tuple[float, float, int]:
-    """Importance-sampling mean and standard error of the integrand.
+def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: int,
+                      log_scale: float, threads: int = 1) -> dict:
+    """Importance-sampling mean and standard error of the integrand, and the
+    weight diagnostics, as ``QuadratureResult`` fields.
 
-    One random stream per seed draws ``sizes[i]`` points; they are placed
-    and weighed in blocks of ``_BLOCK`` rows.  Weights reach about
-    e^(||v0|| R), so they are summed scaled by e^(-log_scale) and the mean
-    and error multiplied back, which keeps their squares finite.
+    The budget is cut into chunks of ``_CHUNK`` samples, one SeedSequence
+    child each, and each child spawns one stream per random variable
+    (``_STREAMS``).  A chunk draws, places and weighs ``_BLOCK`` rows at a
+    time in the buffers of one ``make_sampler(rows)``, so memory is one
+    block per thread whatever the budget.  The numbers a chunk draws do not
+    depend on ``_BLOCK``, and its sums are left folds over its samples in
+    order, so neither ``_BLOCK`` nor ``threads`` changes a result.
+
+    Weights reach about e^(||v0|| R), so they are summed scaled by
+    e^(-log_scale) and the mean and error multiplied back, which keeps their
+    squares finite.  The diagnostics are the effective sample size
+    (sum w)^2 / sum w^2, the fraction of samples in the region (finite
+    log-weight) and the largest weight's share of the sum.
     """
-    def one_stream(idx: int) -> tuple[float, float]:
-        draws = sampler.draw(np.random.default_rng(seeds[idx]), sizes[idx])
-        total = total_sq = 0.0
-        for start in range(0, sizes[idx], _BLOCK):
-            x, log_q = sampler.place(*(a[start:start + _BLOCK] for a in draws))
-            w = np.exp(integrand.log_weight(x) - log_q - log_scale)
-            total += float(w.sum())
-            total_sq += float((w * w).sum())
-        return total, total_sq
+    children = np.random.SeedSequence(seed).spawn(math.ceil(budget / _CHUNK))
+
+    def one_chunk(idx: int) -> tuple[float, float, float, int]:
+        rngs = [np.random.default_rng(s) for s in children[idx].spawn(_STREAMS)]
+        size = min(_CHUNK, budget - idx * _CHUNK)
+        sampler = make_sampler(min(_BLOCK, size))
+        total = total_sq = w_max = 0.0
+        hits = 0
+        for start in range(0, size, _BLOCK):
+            x, log_q = sampler.sample(rngs, min(_BLOCK, size - start))
+            w = integrand.log_weight(x)
+            hits += int(np.count_nonzero(np.isfinite(w)))
+            w -= log_q
+            w -= log_scale
+            np.exp(w, out=w)
+            w_max = max(w_max, float(w.max()))
+            total_sq = _fold(total_sq, w * w)
+            total = _fold(total, w)
+        return total, total_sq, w_max, hits
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_stream, range(len(seeds))))
+            parts = list(pool.map(one_chunk, range(len(children))))
     else:
-        parts = [one_stream(i) for i in range(len(seeds))]
-    count = sum(sizes)
-    mean = sum(p[0] for p in parts) / count
-    var = max(sum(p[1] for p in parts) / count - mean * mean, 0.0)
+        parts = [one_chunk(i) for i in range(len(children))]
+    total = sum(p[0] for p in parts)
+    total_sq = sum(p[1] for p in parts)
+    mean = total / budget
+    var = max(total_sq / budget - mean * mean, 0.0)
     scale = math.exp(log_scale) if log_scale <= _LOG_FLOAT_MAX else math.inf
-    return mean * scale, math.sqrt(var / count) * scale, count
+    return {
+        "estimate": mean * scale,
+        "standard_error": math.sqrt(var / budget) * scale,
+        "samples": budget,
+        "ess": total * (total / total_sq) if total_sq else 0.0,
+        "in_region": sum(p[3] for p in parts) / budget,
+        "max_weight_share": max(p[2] for p in parts) / total if total else math.nan,
+    }
 
 
 def _mc_estimate(integrand: _Integrand, n: int, budget: int, seed: int,
-                 threads: int = 1) -> tuple[float, float, int]:
-    """Tilted importance sampling in chunks of ``_CHUNK`` samples, one
-    SeedSequence child each, so the result does not depend on ``threads``."""
+                 threads: int = 1) -> dict:
+    """Importance sampling tilted along the first coordinate at rate ||v0||."""
     rate = p_norm(n)
-    sampler = _TiltedBallSampler(n - 1, integrand.radius, rate)
-    n_chunks = max(1, math.ceil(budget / _CHUNK))
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, budget - i * _CHUNK) for i in range(n_chunks)]
-    return _sampled_estimate(integrand, sampler, seeds, sizes,
-                             rate * integrand.radius, threads)
+    return _sampled_estimate(
+        integrand, lambda rows: _TiltedBallSampler(n - 1, integrand.radius, rate, rows),
+        budget, seed, rate * integrand.radius, threads)
 
 
-def _rejection_estimate(integrand: _Integrand, n: int, budget: int,
-                        seed: int) -> tuple[float, float, int]:
+def _rejection_estimate(integrand: _Integrand, n: int, budget: int, seed: int) -> dict:
     """Uniform sampling over the ball; slow oracle for small radii."""
-    sampler = _UniformBallSampler(n - 1, integrand.radius)
-    return _sampled_estimate(integrand, sampler, [seed], [budget],
-                             p_norm(n) * integrand.radius)
+    return _sampled_estimate(
+        integrand, lambda rows: _UniformBallSampler(n - 1, integrand.radius, rows),
+        budget, seed, p_norm(n) * integrand.radius)
 
 
 def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
@@ -364,10 +437,11 @@ def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
     raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n_dim + 1}")
 
 
-def _grid_refine(integrand: _Integrand, step: float) -> tuple[float, float, int, bool]:
+def _grid_refine(integrand: _Integrand, step: float) -> dict:
     """Halve the step until successive estimates agree to ``GRID_REL_TARGET``,
-    at most ``_GRID_MAX_ROUNDS`` times; the last flag says whether they did."""
+    at most ``_GRID_MAX_ROUNDS`` times; ``converged`` says whether they did."""
     prev, _ = _grid_estimate(integrand, step)
+    converged = False
     for _ in range(_GRID_MAX_ROUNDS):
         step /= 2.0
         cur, samples = _grid_estimate(integrand, step)
@@ -376,8 +450,10 @@ def _grid_refine(integrand: _Integrand, step: float) -> tuple[float, float, int,
         if not math.isfinite(delta):   # past the double range: refining cannot help
             break
         if prev != 0 and delta / abs(prev) < GRID_REL_TARGET:
-            return prev, delta, samples, True
-    return prev, delta, samples, False
+            converged = True
+            break
+    return {"estimate": prev, "standard_error": delta, "samples": samples,
+            "converged": converged}
 
 
 def _quadrature(partition: Partition, c: np.ndarray, alphas: list[np.ndarray],
@@ -385,27 +461,24 @@ def _quadrature(partition: Partition, c: np.ndarray, alphas: list[np.ndarray],
                 eps: float | None, seed: int, grid_step: float | None,
                 threads: int) -> QuadratureResult:
     """Integral of exp(<c, y>) * prod_k sinh(<alphas[k], y>) over a region:
-    the one validation and method dispatch behind ``mu_A_ball`` and
-    ``cone_integral``.  A result that is not finite (past the double range)
-    raises ValueError."""
+    the one validation and method dispatch behind ``mu_A_ball``.  A result
+    that is not finite (past the double range) raises ValueError."""
     _validate(region, method, radius, offset, eps, budget, grid_step)
     cone = Cone(partition, offset if region == "bc+" else 0.0)
     inner = eps * radius if region == "annulus" else None
     integrand = _Integrand.project(cone, c, alphas, radius, inner)
-    converged = None
     if method == "mc":
-        estimate, error, samples = _mc_estimate(integrand, partition.n, budget, seed,
-                                                threads)
+        fields = _mc_estimate(integrand, partition.n, budget, seed, threads)
     elif method == "plain":
-        estimate, error, samples = _rejection_estimate(integrand, partition.n,
-                                                       budget, seed)
+        fields = _rejection_estimate(integrand, partition.n, budget, seed)
     else:
-        estimate, error, samples, converged = _grid_refine(integrand, grid_step)
+        fields = _grid_refine(integrand, grid_step)
         seed = None
+    estimate, error = fields["estimate"], fields["standard_error"]
     if not (math.isfinite(estimate) and math.isfinite(error)):
         raise ValueError(f"{method} quadrature at R={radius} is not finite "
                          f"(estimate {estimate}, error {error}): past the double range")
-    return QuadratureResult(estimate, error, samples, region, method, seed, converged)
+    return QuadratureResult(region=region, method=method, seed=seed, **fields)
 
 
 def _density_forms(partition: Partition) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -435,21 +508,15 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     (refinement doubling from a positive ``grid_step``; N <= 3) or
     ``plain`` (rejection oracle, small R only); the sampling methods need a
     ``budget`` of at least 2.
+
+    A sampling estimate depends on (``seed``, ``budget``) alone: each chunk
+    of the budget has one random stream per random variable, and the block
+    size and ``threads`` (``mc`` only) never change a result.  Memory is one
+    block of rows per thread, whatever the budget.
     """
     c, alphas = _density_forms(partition)
     return _quadrature(partition, c, alphas, radius, region, method, budget, offset,
                        eps, seed, grid_step, threads)
-
-
-def cone_integral(partition: Partition, offset: float, radius: float,
-                  method: str = "mc", budget: int = 1_000_000, *,
-                  seed: int = 0, grid_step: float = 0.05,
-                  threads: int = 1) -> QuadratureResult:
-    """Integral of exp(<v0, y>) over the offset cone (finite offset <= 0)
-    intersected with the ball."""
-    return _quadrature(partition, v0_vector(partition.n), [], radius,
-                       "b+" if offset == 0.0 else "bc+", method, budget, offset,
-                       None, seed, grid_step, threads)
 
 
 def closed_form_asymptotic(partition: Partition, radius: float) -> float:
@@ -464,7 +531,7 @@ def closed_form_asymptotic(partition: Partition, radius: float) -> float:
 def mu_n2_closed_form(radius: float) -> float:
     """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1).
 
-    At N = 2 the density is exp(<v0, y>), so this is also the positive-cone
-    ``cone_integral`` at offset 0."""
+    At N = 2 the density is exp(<v0, y>), so this is also the integral of
+    exp(<v0, y>) over the positive cone within the ball."""
     return math.sqrt(2.0) / 2.0 * (math.exp(math.sqrt(2.0) * radius) - 1.0)
 

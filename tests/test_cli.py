@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -115,6 +116,30 @@ def test_volume_manifest_reproducibility(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert csv_path.read_text() == first
+
+
+def test_volume_csv_diagnostics(tmp_path, capsys):
+    # trailing columns: the weight diagnostics for the sampling methods,
+    # convergence for the grid; the stdout line keeps its fields
+    base = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "2.0")
+    rows = {}
+    for method in (("--mc", "20000"), ("--plain", "--mc", "20000"), ("--grid", "0.05")):
+        csv_path = tmp_path / f"{method[0][2:]}.csv"
+        code, out, _ = run(capsys, *base, *method, "--csv", str(csv_path))
+        assert code == 0
+        assert [field.split("=")[0] for field in out.split()] == [
+            "region", "method", "estimate", "error", "samples"]
+        with open(csv_path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert list(row)[-4:] == ["ess", "in_region", "max_weight_share", "converged"]
+        rows[row["method"]] = row
+    for method in ("mc", "plain"):
+        assert 0 < float(rows[method]["ess"]) <= 20000
+        assert 0 < float(rows[method]["in_region"]) <= 1
+        assert 0 < float(rows[method]["max_weight_share"]) < 1
+        assert rows[method]["converged"] == ""
+    assert rows["grid"]["converged"] == "True"
+    assert rows["grid"]["ess"] == rows["grid"]["in_region"] == ""
 
 
 def test_count_manifest_reruns_zero_radius(tmp_path, capsys):

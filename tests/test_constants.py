@@ -125,3 +125,39 @@ def test_counting_constant_rejects_single_block():
 def test_vol_hor_quotient(p21):
     expected = (C.vol_so(2) / (2 * 2)) * (C.vol_so(1) / 1)
     assert C.vol_hor_quotient_slz(p21) == pytest.approx(expected, rel=1e-14)
+
+
+def _mp_counting_constant(sizes):
+    """The counting constant's formula evaluated in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        n = sum(sizes)
+
+        def vol_so(m):
+            spheres = mpmath.fprod(2 * mpmath.pi ** (mpmath.mpf(k) / 2) / mpmath.gamma(mpmath.mpf(k) / 2)
+                                   for k in range(2, m + 1))
+            return mpmath.mpf(2) ** (mpmath.mpf(m * (m - 1)) / 4) * spheres
+
+        vol_hor = mpmath.fprod(vol_so(m) / (mpmath.factorial(m) * 2 ** (m - 1)) for m in sizes)
+        vol_sl = mpmath.fprod(mpmath.zeta(k) for k in range(2, n + 1))
+        q = mpmath.sqrt(mpmath.mpf(n * (n * n - 1)) / 3)
+        return (mpmath.mpf(2) ** (-n * (n - 1) // 2) * (2 * mpmath.pi / q) ** (mpmath.mpf(n - 2) / 2)
+                * vol_hor * vol_so(n) / ((2 ** len(sizes) - 1) * vol_sl))
+
+
+@pytest.mark.parametrize("sizes", [
+    (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 4, 3), (1,) * 12, (15, 15), (22, 22),
+    (22, 23), (23, 24), (24, 25), (1,) * 46,
+])
+def test_counting_constant_against_mpmath(sizes):
+    # N = 45-49 used to exit 2: 2^(-N(N-1)/2) times (2 pi / q)^((N-2)/2)
+    # underflowed before the volume ratio could lift the product back up
+    part = make_partition(sum(sizes), list(sizes))
+    expected = _mp_counting_constant(sizes)
+    assert C.counting_constant(part).coefficient == pytest.approx(float(expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(25, 25), (1,) * 47, (31, 32), (32, 32)])
+def test_counting_constant_rejects_subnormal_and_overflow(sizes):
+    # c is about 10^-313.1 at (25, 25): subnormal, so digits are lost
+    with pytest.raises(ValueError):
+        C.counting_constant(make_partition(sum(sizes), list(sizes)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,16 @@ import pytest
 from horocount import measure as M
 from horocount.partitions import (Cone, block_split, cone_contains, make_partition,
                                   p_norm, rho_density, v0)
+
+
+def cone_integral(partition, offset, radius, method="mc", budget=1_000_000, *,
+                  seed=0, grid_step=0.05):
+    """Integral of exp(<v0, y>) over the offset cone (finite offset <= 0)
+    intersected with the ball: the measure's integrand without its sinh
+    factors, through the same dispatch as ``mu_A_ball``."""
+    return M._quadrature(partition, v0(partition.n), [], radius,
+                         "b+" if offset == 0.0 else "bc+", method, budget, offset,
+                         None, seed, grid_step, 1)
 
 
 def test_traceless_basis_orthonormal():
@@ -39,9 +50,9 @@ def test_shrinking_region(p2):
 def test_cone_integral_n2(p2):
     # at N = 2 the density is exp(<v0, y>): the cone integral is the B+ measure
     exact = M.mu_n2_closed_form(4.0)
-    res = M.cone_integral(p2, 0.0, 4.0, "grid", grid_step=0.01)
+    res = cone_integral(p2, 0.0, 4.0, "grid", grid_step=0.01)
     assert abs(res.estimate / exact - 1.0) < 1e-3
-    res_mc = M.cone_integral(p2, 0.0, 4.0, "mc", budget=200_000, seed=3)
+    res_mc = cone_integral(p2, 0.0, 4.0, "mc", budget=200_000, seed=3)
     assert abs(res_mc.estimate / exact - 1.0) < 5e-3
 
 
@@ -49,8 +60,8 @@ def test_cone_offset_ratio_tends_to_one(p2):
     # C=-1 versus C=0 cone integrals approach each other as R grows
     ratios = []
     for r in (4.0, 6.0, 8.0):
-        shifted = M.cone_integral(p2, -1.0, r, "grid", grid_step=0.01)
-        base = M.cone_integral(p2, 0.0, r, "grid", grid_step=0.01)
+        shifted = cone_integral(p2, -1.0, r, "grid", grid_step=0.01)
+        base = cone_integral(p2, 0.0, r, "grid", grid_step=0.01)
         ratios.append(shifted.estimate / base.estimate)
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
     assert abs(ratios[-1] - 1.0) < 0.1
@@ -66,8 +77,8 @@ def test_rejection_oracle_small_radius(p21):
 
 def test_cone_rejection_oracle_small_radius(p21):
     r = 0.5
-    plain = M.cone_integral(p21, 0.0, r, "plain", budget=400_000, seed=5)
-    mc = M.cone_integral(p21, 0.0, r, "mc", budget=200_000, seed=6)
+    plain = cone_integral(p21, 0.0, r, "plain", budget=400_000, seed=5)
+    mc = cone_integral(p21, 0.0, r, "mc", budget=200_000, seed=6)
     assert abs(plain.estimate / mc.estimate - 1.0) <= 0.01 + 3 * (
         plain.standard_error + mc.standard_error) / abs(mc.estimate)
 
@@ -94,7 +105,7 @@ def test_density_dominated_by_cone_integral(p21):
     # pure exponential cone integral
     r = 4.0
     mu = M.mu_A_ball(p21, r, "b+", "mc", budget=300_000, seed=31)
-    cone = M.cone_integral(p21, 0.0, r, "mc", budget=300_000, seed=32)
+    cone = cone_integral(p21, 0.0, r, "mc", budget=300_000, seed=32)
     bound = 0.5 ** len(p21.intra_pairs()) * cone.estimate
     slack = 3 * (mu.standard_error + 0.5 * cone.standard_error)
     assert mu.estimate <= bound + slack
@@ -119,10 +130,91 @@ def test_seed_reproducibility(p21):
     assert c.estimate != a.estimate
 
 
-def test_threaded_mc_deterministic(p21):
+def test_threaded_mc_deterministic(p21, monkeypatch):
+    # a result depends on (seed, budget) alone: not on the threads, nor on
+    # the block size, which cuts both the draws and the sums
     single = M.mu_A_ball(p21, 3.0, "b+", "mc", budget=600_000, seed=9, threads=1)
-    multi = M.mu_A_ball(p21, 3.0, "b+", "mc", budget=600_000, seed=9, threads=4)
-    assert single.estimate == multi.estimate
+    for threads in (2, 4):
+        multi = M.mu_A_ball(p21, 3.0, "b+", "mc", budget=600_000, seed=9, threads=threads)
+        assert multi == single
+    monkeypatch.setattr(M, "_BLOCK", 1000)
+    for threads in (1, 2, 4):
+        small = M.mu_A_ball(p21, 3.0, "b+", "mc", budget=600_000, seed=9, threads=threads)
+        assert small == single
+    plain = M.mu_A_ball(p21, 1.0, "b+", "plain", budget=30_001, seed=9)
+    monkeypatch.setattr(M, "_BLOCK", 16_384)
+    assert M.mu_A_ball(p21, 1.0, "b+", "plain", budget=30_001, seed=9) == plain
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_memory_is_one_block():
+    # all of a 250k-sample chunk's random numbers were drawn before its first
+    # block was weighed: 11.7 MB at N=5; one block of buffers is about 2.5 MB
+    p5 = make_partition(5, [1] * 5)
+
+    def run(budget):
+        return lambda: M.mu_A_ball(p5, 4.0, "b+", "mc", budget=budget, seed=1)
+
+    run(1000)()   # first-call allocations are not the sampler's
+    peak = _peak_bytes(run(600_000))
+    assert peak < 4e6
+    assert _peak_bytes(run(2_400_000)) == pytest.approx(peak, rel=0.1)
+
+
+@pytest.mark.parametrize("budget", [16_385, 250_001])
+def test_odd_budgets_count_every_sample(p21, budget):
+    # one row past a block, and one sample in a chunk of its own
+    for method in ("mc", "plain"):
+        assert M.mu_A_ball(p21, 1.0, "b+", method, budget=budget, seed=3).samples == budget
+
+
+def test_streamed_sums_match_whole_chunk(p21, monkeypatch):
+    # reference: the chunk's rows drawn in one call and weighed as one array
+    radius, budget, seed = 3.0, 40_000, 5
+    monkeypatch.setattr(M, "_BLOCK", 1000)
+    res = M.mu_A_ball(p21, radius, "b+", "mc", budget=budget, seed=seed)
+    rate = p_norm(3)
+    streams = np.random.SeedSequence(seed).spawn(1)[0].spawn(3)
+    sampler = M._TiltedBallSampler(2, radius, rate, budget)
+    x, log_q = sampler.sample([np.random.default_rng(s) for s in streams], budget)
+    integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
+    log_w = integrand.log_weight(x)
+    w = np.exp(log_w - log_q - rate * radius)
+    assert res.estimate == pytest.approx(w.mean() * math.exp(rate * radius), rel=1e-12)
+    assert res.standard_error == pytest.approx(
+        w.std() * math.exp(rate * radius) / math.sqrt(budget), rel=1e-9)
+    assert res.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12)
+    assert res.in_region == np.isfinite(log_w).sum() / budget
+    assert res.max_weight_share == pytest.approx(w.max() / w.sum(), rel=1e-12)
+
+
+def test_sampling_diagnostics(p2, p21):
+    # uniform points: half of the N = 2 ball lies in the cone t >= 0, and
+    # (1 - eps) / 2 of it in the annulus.  There the weight is e^(a t), a =
+    # sqrt(2), so the ESS is the in-region count times (E e^(a t))^2 / E e^(2 a t)
+    radius, a = 2.0, math.sqrt(2.0)
+    plain = M.mu_A_ball(p2, radius, "b+", "plain", budget=200_000, seed=7)
+    assert plain.in_region == pytest.approx(0.5, abs=0.005)
+    moment = math.expm1(a * radius) / (a * radius)
+    moment_sq = math.expm1(2 * a * radius) / (2 * a * radius)
+    assert plain.ess == pytest.approx(
+        plain.in_region * plain.samples * moment ** 2 / moment_sq, rel=0.01)
+    ann = M.mu_A_ball(p2, 2.0, "annulus", "plain", budget=200_000, eps=0.4, seed=7)
+    assert ann.in_region == pytest.approx(0.3, abs=0.005)
+    mc = M.mu_A_ball(p21, 6.0, "b+", "mc", budget=200_000, seed=7)
+    assert 0.5 * mc.samples < mc.ess <= mc.samples
+    assert 0.0 < mc.in_region <= 1.0
+    assert 0.0 < mc.max_weight_share < 1e-3
+    grid = M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.04)
+    assert (grid.ess, grid.in_region, grid.max_weight_share) == (None, None, None)
 
 
 def test_estimator_consistency_across_seeds(p2):
@@ -218,12 +310,12 @@ def test_region_validation(p2):
             with pytest.raises(ValueError):
                 M.mu_A_ball(p2, 1.0, "b+", method, budget=budget)
     with pytest.raises(ValueError):
-        M.cone_integral(p2, 0.5, 1.0)
+        cone_integral(p2, 0.5, 1.0)
     for radius in (0.0, -1.0):
         with pytest.raises(ValueError):
-            M.cone_integral(p2, 0.0, radius)
+            cone_integral(p2, 0.0, radius)
     with pytest.raises(ValueError):
-        M.cone_integral(p2, 0.0, 1.0, "sorcery")
+        cone_integral(p2, 0.0, 1.0, "sorcery")
     # an option of another region: was ignored, giving the plain b+ estimate
     for offset in (-1.0, 0.5, math.nan):
         with pytest.raises(ValueError):
