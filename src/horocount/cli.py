@@ -4,9 +4,9 @@ Subcommands: ``constant`` (asymptotic counting constant), ``count``
 (lift enumeration), ``volume`` (diagonal-measure quadrature), ``classify``
 (limit-measure classifier) and ``selftest``.  Every run that writes an
 output file also writes a JSON manifest holding the full parameter set,
-seed, version and timestamps; rerunning a manifest reproduces every
-deterministic output byte for byte.  Floats in text, CSV and JSON output
-are written as their shortest round-trip ``repr``.
+seed, version, timestamps and environment; rerunning a manifest reproduces
+every deterministic output byte for byte.  Floats in text, CSV and JSON
+output are written as their shortest round-trip ``repr``.
 
 Exit codes: 0 success, 2 validation error, 3 resource/consistency error,
 64 unknown subcommand.
@@ -39,11 +39,17 @@ def _now() -> str:
 
 
 def _threads(args) -> int:
+    """``--threads``, else ``HOROCOUNT_THREADS``, else the CPU count; the
+    variable obeys the option's rule (an integer of at least 1)."""
     if args.threads is not None:
         return args.threads
     env = os.environ.get("HOROCOUNT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return _positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError("HOROCOUNT_THREADS must be an integer of at least 1, "
+                             f"got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -66,9 +72,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_manifest(out_path: str, args, seed: int | None, started: str) -> None:
+def _write_manifest(out_path: str, args, seed: int | None, started: str,
+                    threads: int = 1) -> None:
     """Write ``<out_path>.manifest.json``: the run's parameters, seed,
-    version, start and finish times and output file."""
+    version, start and finish times, output file and environment: the
+    Python and numpy versions (numpy null when the run never loaded it) and
+    the ``threads`` the run used."""
+    numpy = sys.modules.get("numpy")
     manifest = {
         "subcommand": args.subcommand,
         "params": {k: v for k, v in vars(args).items() if k != "func"},
@@ -77,6 +87,11 @@ def _write_manifest(out_path: str, args, seed: int | None, started: str) -> None
         "started": started,
         "finished": _now(),
         "outputs": [out_path],
+        "environment": {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": numpy.__version__ if numpy is not None else None,
+            "threads": threads,
+        },
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
@@ -183,10 +198,11 @@ def _cmd_volume(args) -> int:
 
     part = _partition_from(args)
     method = "grid" if args.grid is not None else ("plain" if args.plain else "mc")
+    threads = _threads(args)
     started = _now()
     res = M.mu_A_ball(part, args.radius, args.region, method, args.mc,
                       offset=args.offset, eps=args.eps, seed=args.seed,
-                      grid_step=args.grid, threads=_threads(args))
+                      grid_step=args.grid, threads=threads)
     print(f"region={res.region} method={res.method} estimate={res.estimate!r} "
           f"error={res.standard_error!r} samples={res.samples}")
     if res.converged is False:
@@ -205,7 +221,9 @@ def _cmd_volume(args) -> int:
         _write_csv(args.csv, rows,
                    ["R", "region", "method", "estimate", "error", "samples", "seed",
                     "ess", "in_region", "max_weight_share", "converged"])
-        _write_manifest(args.csv, args, args.seed, started)
+        # only the importance sampler runs on more than one thread
+        _write_manifest(args.csv, args, args.seed, started,
+                        threads if method == "mc" else 1)
     return EXIT_OK
 
 
@@ -458,10 +476,16 @@ def _first_positional(argv: list[str]) -> str | None:
     return None
 
 
-def dispatch(argv: list[str]) -> int:
-    """Parse and run; maps error classes to the documented exit codes."""
+def _resource_errors() -> tuple:
+    """The errors that exit 3.  Evaluated only when a run raises, so a
+    subcommand that never enumerates does not load ``cosets``."""
     from .cosets import InconsistencyError, ResourceLimitError
 
+    return ResourceLimitError, InconsistencyError, MemoryError
+
+
+def dispatch(argv: list[str]) -> int:
+    """Parse and run; maps error classes to the documented exit codes."""
     subcommand = _first_positional(argv)
     if subcommand is not None and subcommand not in _SUBCOMMANDS:
         print(f"unknown subcommand: {subcommand}", file=sys.stderr)
@@ -476,7 +500,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (ResourceLimitError, InconsistencyError, MemoryError) as exc:
+    except _resource_errors() as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError, NotImplementedError) as exc:

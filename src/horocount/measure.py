@@ -26,14 +26,18 @@ Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 ball, a slow oracle for small R; and a grid rule with refinement doubling.
 
 Both samplers stream.  The budget is cut into chunks of ``_CHUNK`` samples,
-one SeedSequence child each, and every chunk has one random stream per
-random variable: the t-uniforms, the cross-section normals and the radial
-uniforms.  A chunk draws, places and weighs ``_BLOCK`` rows at a time, with
-one matrix product per block, in buffers it allocates once, so memory is
-one block per thread whatever the budget.  ``_BLOCK`` never changes a
-result, and neither does the thread count: a result depends on the seed and
-the budget alone.  The same pass yields the weight diagnostics (effective
-sample size, in-region fraction, largest weight share).
+one SeedSequence child each, and every chunk spawns its random streams in a
+fixed order: the t-uniforms, then the radial uniforms, then one normal stream
+per coordinate.  A chunk draws, places and weighs ``_BLOCK`` points at a
+time in buffers it allocates once, so memory is one block per thread
+whatever the budget.  A block is stored coordinate-major, shape
+(n_dim, rows): coordinate i is one contiguous row, filled from normal stream
+i (the tilted sampler takes its first coordinate from the t-uniforms and
+leaves normal stream 0 unused), and the block is weighed with one matrix
+product ``forms.T @ x``.  ``_BLOCK`` never changes a result, and neither
+does the thread count: a result depends on the seed and the budget alone.
+The same pass yields the weight diagnostics (effective sample size,
+in-region fraction, largest weight share).
 
 For N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at
 fixed first coordinate t is integrated exactly along s: written with two
@@ -63,8 +67,7 @@ _REGIONS = ("b+", "bc+", "annulus")
 _METHODS = ("mc", "plain", "grid")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CHUNK = 250_000   # samples per SeedSequence child
-_STREAMS = 3       # streams per chunk: t-uniforms, cross-section normals, radial uniforms
-_BLOCK = 16_384    # rows drawn, placed and weighed at once: the block's arrays stay in cache
+_BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
 GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
 _GRID_MAX_ROUNDS = 8     # step halvings before the grid gives up
 
@@ -150,10 +153,11 @@ class _Integrand:
         return cls(forms, len(alphas), floors, radius, inner)
 
     def log_weight(self, x: np.ndarray) -> np.ndarray:
-        """log of the integrand at rows of x; -inf outside the region."""
-        f = self.forms.T @ x.T   # one contiguous row per linear form
+        """log of the integrand at the columns of x (one row per
+        coordinate); -inf outside the region."""
+        f = self.forms.T @ x   # one row per linear form
         k = self.n_sinh
-        r2 = np.einsum("ij,ij->i", x, x)
+        r2 = np.einsum("ij,ij->j", x, x)
         inside = r2 <= self.radius * self.radius
         if self.inner is not None:
             inside &= r2 > self.inner * self.inner
@@ -240,15 +244,15 @@ def _log_ball_volume(d: int) -> float:
 
 
 def _ball_points(g: np.ndarray, v: np.ndarray, radius, out: np.ndarray) -> None:
-    """Points uniform in the ball of ``radius`` (a scalar, or one per row)
-    into ``out``, from rows of standard normals g and one uniform per row v
-    (overwritten); ``out`` may be g."""
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    """Points uniform in the ball of ``radius`` (a scalar, or one per point)
+    into the columns of ``out``, from standard normals g (one row per
+    coordinate) and one uniform per point v (overwritten); ``out`` may be g."""
+    norms = np.sqrt(np.einsum("ij,ij->j", g, g))
     norms[norms == 0] = 1.0
-    np.power(v, 1.0 / g.shape[1], out=v)
+    np.power(v, 1.0 / g.shape[0], out=v)
     v *= radius
     v /= norms
-    np.multiply(g, v[:, None], out=out)
+    np.multiply(g, v, out=out)
 
 
 class _TiltedBallSampler:
@@ -264,18 +268,20 @@ class _TiltedBallSampler:
         self.rate = rate
         self.span = -math.expm1(-2.0 * rate * radius)   # 1 - e^{-2 rate R}
         self.log_z = math.log(self.span) + rate * radius - math.log(rate)
-        self.x = np.empty((rows, n_dim))
-        self.t = np.empty(rows)
+        self.x = np.empty((n_dim, rows))
         self.log_q = np.empty(rows)
-        self.g = np.empty((rows, n_dim - 1))
+        self.cross = np.empty(rows)
         self.v = np.empty(rows)
 
     def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """``rows`` points x and their log proposal density, drawn from the
-        t-uniform, normal and radial-uniform streams ``rngs``.  They are views
-        of the buffers, overwritten by the next call."""
+        """``rows`` points x (columns) and their log proposal density.  The
+        first coordinate t comes from the t-uniform stream ``rngs[0]``, the
+        radii from ``rngs[1]`` and cross-section coordinate i from the normal
+        stream ``rngs[2 + i]``.  They are views of the buffers, overwritten
+        by the next call."""
         r, rate = self.radius, self.rate
-        x, t, log_q = self.x[:rows], self.t[:rows], self.log_q[:rows]
+        x, log_q = self.x[:, :rows], self.log_q[:rows]
+        t = x[0]
         rngs[0].random(out=t)
         # inverse CDF of the truncated exponential on [-R, R]
         t -= 1.0
@@ -283,20 +289,19 @@ class _TiltedBallSampler:
         np.log1p(t, out=t)
         t /= rate
         t += r
-        x[:, 0] = t
         np.multiply(t, rate, out=log_q)
         log_q -= self.log_z
-        d = x.shape[1] - 1
+        d = x.shape[0] - 1
         if d:
-            g, v = self.g[:rows], self.v[:rows]
-            rngs[1].standard_normal(out=g)
-            rngs[2].random(out=v)
-            cross = t   # t is kept in x[:, 0]: its buffer takes the cross-section radius
+            g, v, cross = x[1:], self.v[:rows], self.cross[:rows]
+            for row, rng in zip(g, rngs[3:]):
+                rng.standard_normal(out=row)
+            rngs[1].random(out=v)
             np.multiply(t, t, out=cross)
             np.subtract(r * r, cross, out=cross)
             np.maximum(cross, 0.0, out=cross)
             np.sqrt(cross, out=cross)
-            _ball_points(g, v, cross, x[:, 1:])
+            _ball_points(g, v, cross, g)
             np.maximum(cross, 1e-300, out=cross)
             np.log(cross, out=cross)
             cross *= d
@@ -311,15 +316,17 @@ class _UniformBallSampler:
 
     def __init__(self, n_dim: int, radius: float, rows: int):
         self.radius = radius
-        self.x = np.empty((rows, n_dim))
+        self.x = np.empty((n_dim, rows))
         self.v = np.empty(rows)
         self.log_q = np.full(rows, -(_log_ball_volume(n_dim) + n_dim * math.log(radius)))
 
     def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Like ``_TiltedBallSampler.sample``; the t-uniform stream is unused."""
-        x, v = self.x[:rows], self.v[:rows]
-        rngs[1].standard_normal(out=x)
-        rngs[2].random(out=v)
+        """Like ``_TiltedBallSampler.sample``, with coordinate i from the
+        normal stream ``rngs[2 + i]``; the t-uniform stream is unused."""
+        x, v = self.x[:, :rows], self.v[:rows]
+        for row, rng in zip(x, rngs[2:]):
+            rng.standard_normal(out=row)
+        rngs[1].random(out=v)
         _ball_points(x, v, self.radius, x)
         return x, self.log_q[:rows]
 
@@ -338,12 +345,14 @@ def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: in
     weight diagnostics, as ``QuadratureResult`` fields.
 
     The budget is cut into chunks of ``_CHUNK`` samples, one SeedSequence
-    child each, and each child spawns one stream per random variable
-    (``_STREAMS``).  A chunk draws, places and weighs ``_BLOCK`` rows at a
-    time in the buffers of one ``make_sampler(rows)``, so memory is one
-    block per thread whatever the budget.  The numbers a chunk draws do not
-    depend on ``_BLOCK``, and its sums are left folds over its samples in
-    order, so neither ``_BLOCK`` nor ``threads`` changes a result.
+    child each.  Each child spawns 2 + n_dim streams: the t-uniforms, the
+    radial uniforms and then one normal stream per coordinate.  A chunk
+    draws, places and weighs ``_BLOCK`` points at a time in the buffers of
+    one ``make_sampler(rows)``, coordinate-major (one row per coordinate),
+    so memory is one block per thread whatever the budget.  Every stream
+    fills its own row of the block in order, so the numbers a chunk draws
+    do not depend on ``_BLOCK``; its sums are left folds over its samples
+    in order, so neither ``_BLOCK`` nor ``threads`` changes a result.
 
     Weights reach about e^(||v0|| R), so they are summed scaled by
     e^(-log_scale) and the mean and error multiplied back, which keeps their
@@ -352,9 +361,10 @@ def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: in
     log-weight) and the largest weight's share of the sum.
     """
     children = np.random.SeedSequence(seed).spawn(math.ceil(budget / _CHUNK))
+    n_dim = integrand.forms.shape[0]
 
     def one_chunk(idx: int) -> tuple[float, float, float, int]:
-        rngs = [np.random.default_rng(s) for s in children[idx].spawn(_STREAMS)]
+        rngs = [np.random.default_rng(s) for s in children[idx].spawn(2 + n_dim)]
         size = min(_CHUNK, budget - idx * _CHUNK)
         sampler = make_sampler(min(_BLOCK, size))
         total = total_sq = w_max = 0.0
@@ -422,7 +432,7 @@ def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
     n_dim = integrand.forms.shape[0]
     if n_dim == 1:
         with np.errstate(over="ignore", invalid="ignore"):   # inf: rejected by the caller
-            return float(np.trapezoid(np.exp(integrand.log_weight(ts[:, None])), ts)), m
+            return float(np.trapezoid(np.exp(integrand.log_weight(ts[None, :])), ts)), m
     if n_dim == 2:
         lo, hi = integrand.sections(ts)
         vals = integrand.section_integrals(ts, lo, hi)
@@ -510,9 +520,10 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     ``budget`` of at least 2.
 
     A sampling estimate depends on (``seed``, ``budget``) alone: each chunk
-    of the budget has one random stream per random variable, and the block
+    of the budget spawns its streams in the order t-uniforms, radial
+    uniforms, then one normal stream per sample coordinate, and the block
     size and ``threads`` (``mc`` only) never change a result.  Memory is one
-    block of rows per thread, whatever the budget.
+    block of points per thread, whatever the budget.
     """
     c, alphas = _density_forms(partition)
     return _quadrature(partition, c, alphas, radius, region, method, budget, offset,

@@ -179,9 +179,24 @@ def test_global_threads_before_subcommand(tmp_path, capsys):
     assert args.threads == 3
 
 
-# pytest itself has loaded numpy, so a fresh interpreter runs each command
-_REPORT_NUMPY = ("import sys; from horocount import cli; code = cli.dispatch(sys.argv[1:]); "
-                 "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)")
+# pytest itself has loaded numpy and cosets, so a fresh interpreter runs
+# each command and prints whether it loaded ``module``
+_REPORT_MODULE = ("import sys; from horocount import cli; code = cli.dispatch(sys.argv[2:]); "
+                  "print('loaded:', sys.argv[1] in sys.modules); sys.exit(code)")
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's horocount."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def _loads_module(module, argv) -> bool:
+    proc = _fresh_python("-c", _REPORT_MODULE, module, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "loaded: True"
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,13 +207,59 @@ _REPORT_NUMPY = ("import sys; from horocount import cli; code = cli.dispatch(sys
 def test_commands_run_without_numpy(argv):
     # the walk and the constant are plain Python; importing numpy would
     # double the start-up time of these commands
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _REPORT_NUMPY, *argv],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+    assert not _loads_module("numpy", argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "--n", "3", "--blocks", "2,1"),
+    ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2", "--grid", "0.1"),
+], ids=["constant", "volume-grid"])
+def test_commands_run_without_cosets(argv):
+    # dispatch loaded cosets only to name its error classes
+    assert not _loads_module("horocount.cosets", argv)
+
+
+def test_resource_errors_exit_3(capsys, monkeypatch):
+    from horocount import measure as M
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("no room for the block")
+
+    monkeypatch.setattr(M, "mu_A_ball", no_memory)
+    code, _, err = run(capsys, "volume", "--n", "2", "--blocks", "1,1", "--radius", "1")
+    assert code == 3 and "no room for the block" in err
+    monkeypatch.setattr(CS, "coset_sets_equal", lambda *reports: False)
+    code, _, err = run(capsys, "count", "--n", "2", "--blocks", "1,1", "--radius", "1",
+                       "--method", "both")
+    assert code == 3 and "disagree" in err
+
+
+def test_manifest_environment(tmp_path, capsys):
+    import numpy as np
+
+    python = "{}.{}.{}".format(*sys.version_info[:3])
+    volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2.0", "--mc", "20000")
+    for method, threads, used in ((("--threads", "3"), 3, 3), (("--grid", "0.1"), None, 1),
+                                  (("--plain", "--threads", "2"), 2, 1)):
+        csv_path = tmp_path / "vol.csv"
+        assert run(capsys, *volume, *method, "--csv", str(csv_path))[0] == 0
+        manifest = json.loads((tmp_path / "vol.csv.manifest.json").read_text())
+        assert manifest["environment"] == {"python": python, "numpy": np.__version__,
+                                           "threads": used}
+        assert manifest["params"]["threads"] == threads
+    # a count that never loads numpy records null; the rerun ignores the key
+    csv_path = tmp_path / "c.csv"
+    proc = _fresh_python("-m", "horocount.cli", "count", "--n", "2", "--blocks", "1,1",
+                         "--radius", "1", "--csv", str(csv_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+    manifest_path = tmp_path / "c.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["environment"] == {"python": python, "numpy": None, "threads": 1}
+    first = csv_path.read_text().splitlines()
+    assert cli.rerun_manifest(str(manifest_path)) == 0
+    capsys.readouterr()
+    rerun = csv_path.read_text().splitlines()
+    assert rerun[1].split(",")[:-1] == first[1].split(",")[:-1]  # drop seconds
 
 
 def test_volume_grid(capsys):
@@ -286,6 +347,19 @@ def test_selftest_detects_fault(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_threads_env_validated(capsys, monkeypatch):
+    # 0 and -3 ran one thread with exit 0; "abc" exited 2 with a bare
+    # "invalid literal for int()"
+    volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "1", "--mc", "10")
+    for bad in ("0", "-3", "abc", "1.5"):
+        monkeypatch.setenv("HOROCOUNT_THREADS", bad)
+        code, _, err = run(capsys, *volume)
+        assert code == 2, bad
+        assert "HOROCOUNT_THREADS" in err and repr(bad) in err
+        # the option, where given, still stands
+        assert run(capsys, *volume, "--threads", "1")[0] == 0
 
 
 def test_threads_env(monkeypatch):

@@ -146,6 +146,48 @@ def test_threaded_mc_deterministic(p21, monkeypatch):
     assert M.mu_A_ball(p21, 1.0, "b+", "plain", budget=30_001, seed=9) == plain
 
 
+@pytest.mark.parametrize("n, blocks", [(4, [2, 2]), (5, [1] * 5)], ids=["2,2", "1^5"])
+def test_per_axis_streams_deterministic(n, blocks, monkeypatch):
+    # two or more cross-section coordinates, each row from its own stream
+    part = make_partition(n, blocks)
+
+    def mc(threads=1):
+        return M.mu_A_ball(part, 4.0, "b+", "mc", budget=520_000, seed=13, threads=threads)
+
+    single = mc()
+    for threads in (2, 4):
+        assert mc(threads) == single
+    plain = M.mu_A_ball(part, 1.0, "b+", "plain", budget=30_001, seed=13) if n == 4 else None
+    monkeypatch.setattr(M, "_BLOCK", 1000)
+    for threads in (1, 2, 4):
+        assert mc(threads) == single
+    if plain is not None:
+        assert M.mu_A_ball(part, 1.0, "b+", "plain", budget=30_001, seed=13) == plain
+
+
+def test_tilted_sampler_distribution():
+    # N = 5: the cross-section w of each point is uniform in the ball of
+    # radius h = sqrt(R^2 - t^2), so (|w|/h)^3 is Uniform(0, 1) and w/h has
+    # covariance I/5; a coordinate row holding another row's numbers (a
+    # transposed row, or two rows from one stream) breaks one of these
+    radius, rows = 4.0, 100_000
+    sampler = M._TiltedBallSampler(4, radius, p_norm(5), rows)
+    streams = np.random.SeedSequence(29).spawn(2 + 4)
+    x, _ = sampler.sample([np.random.default_rng(s) for s in streams], rows)
+    assert x.shape == (4, rows)
+    assert ((x * x).sum(axis=0) <= radius * radius * (1 + 1e-12)).all()
+    h = np.sqrt(radius * radius - x[0] * x[0])
+    keep = h > 1e-6
+    w = x[1:, keep] / h[keep]
+    u = ((w * w).sum(axis=0)) ** 1.5
+    m = keep.sum()
+    assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / m)
+    assert abs(u.var() - 1 / 12) < 5 * math.sqrt(1 / 180 / m)   # var of (U - 1/2)^2 is 1/180
+    assert np.abs(w.mean(axis=1)).max() < 5 * math.sqrt(0.2 / m)
+    # each coordinate has variance 1/5, and no two are correlated
+    assert np.abs(np.cov(w) - 0.2 * np.eye(3)).max() < 0.004
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -182,7 +224,7 @@ def test_streamed_sums_match_whole_chunk(p21, monkeypatch):
     monkeypatch.setattr(M, "_BLOCK", 1000)
     res = M.mu_A_ball(p21, radius, "b+", "mc", budget=budget, seed=seed)
     rate = p_norm(3)
-    streams = np.random.SeedSequence(seed).spawn(1)[0].spawn(3)
+    streams = np.random.SeedSequence(seed).spawn(1)[0].spawn(2 + 2)
     sampler = M._TiltedBallSampler(2, radius, rate, budget)
     x, log_q = sampler.sample([np.random.default_rng(s) for s in streams], budget)
     integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
@@ -348,7 +390,7 @@ def test_log_weight_matches_density(blocks, rng):
     cone = Cone(part, offset)
     integrand = M._Integrand.project(cone, *M._density_forms(part), radius, 1.0)
     x = rng.uniform(-radius, radius, size=(400, part.n - 1))
-    log_w = integrand.log_weight(x)
+    log_w = integrand.log_weight(x.T)
     hits = 0
     for row, value in zip(x, log_w):
         y = basis @ row
