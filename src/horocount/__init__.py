@@ -12,7 +12,7 @@ Library layout:
 * :mod:`horocount.constants` -- zeta/xi special values, compact-group
   volumes and the asymptotic counting constant.
 * :mod:`horocount.cosets` -- exact enumeration of lifts of bounded height
-  (graph search + exhaustive scan oracle).
+  (graph search + flag scan oracle, N <= 3).
 * :mod:`horocount.measure` -- quadrature of the diagonal measure over
   height balls and cones.
 * :mod:`horocount.dynamics` -- clean-sequence limit classifier, stable

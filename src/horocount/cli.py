@@ -156,7 +156,7 @@ def _cmd_count(args) -> int:
             part, args.radius, margin=args.margin, max_states=args.max_states,
         ))
     if args.method in ("brute", "both"):
-        reports.append(CS.enumerate_brute(part, args.radius))
+        reports.append(CS.enumerate_brute(part, args.radius, max_states=args.max_states))
     if args.method == "both" and not CS.coset_sets_equal(*reports):
         walk, scan = ({rec.key for rec in rep.records} for rep in reports)
         raise CS.InconsistencyError(
@@ -325,7 +325,7 @@ def run_selftest(verbose: bool = True) -> int:
     check("decomposition reconstruction + hand height", quick_decomposition)
 
     def quick_enumeration():
-        # [1, 2] takes the scan's walk over the last column's classes
+        # [1, 2] takes the scan's walk over the second basis vector of v x Z^3
         return all(
             CS.coset_sets_equal(CS.enumerate_bfs(part, r), CS.enumerate_brute(part, r))
             for part, r in ((p2, 1.5), (make_partition(3, [1, 2]), 1.0)))

@@ -38,47 +38,33 @@ Two strategies are implemented and validated against each other:
   height only.  By default it expands only the cosets of height <= R (and
   the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
-* ``enumerate_brute`` scans integer matrices column by column, pruning
-  branches by coset-invariant bounds (per-block singular values and the
-  partial height are right-stabilizer invariants), which also cap the
-  columns' norms, and solving the final column from the determinant
-  equation.  At a block boundary one integer product gives each candidate
-  column's exact wedge omega ^ v with the prefix, whose gcd tests the
-  prefix for primitivity and whose norm is the prefix covolume.  It scans
-  only reduced representatives (columns signed, ordered within a block and
-  size-reduced against the earlier blocks) and solves the last column's
-  classes directly: every completion of a prefix is one particular
-  solution plus the prefix columns, its coset depends only on the multiple
-  of the last block's first column, and the height rises with a convex
-  function of that multiple.  So a coset is derived once or a few times.
+* ``enumerate_brute`` lists the cosets as flags (n <= 3): a primitive
+  first column v, then, at n = 3, a primitive vector of the plane lattice
+  v x Z^3 from a reduced basis, and for a block of size two a second
+  vector v_2 + k v_1, with k walked outward from the shortest.  Each level
+  is cut by a lower bound on the height, and each coset is derived exactly
+  once.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
 states is exact (Python ints); heights use floating point with a 1e-9
 boundary tolerance.
 
-numpy is imported only where arrays are built: by the scan
-(``enumerate_brute``, ``_wedge_matrix`` and ``_integer_vectors``), which
-filters all candidate columns at once, and by ``_block_gram`` for the
-eigenvalues of a block of size >= 3 (N >= 4).  The walk at N <= 3, and at
-N = 4 without such a block, runs without it, and so does a process that
-only walks: importing numpy takes longer than most walks.
+numpy is imported only by ``_block_gram``, for the eigenvalues of a block
+of size >= 3 (N >= 4).  The walk and the scan at N <= 3, and the walk at
+N = 4 without such a block, run without it: importing numpy takes longer
+than most walks.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .partitions import Partition, require_horocycle_partition
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CosetRecord",
@@ -200,19 +186,6 @@ def _columns_wedge(cols, n: int) -> tuple[int, ...]:
     for p, v in enumerate(cols):
         omega = _wedge(omega, v, _wedge_table(n, p))
     return omega
-
-
-def _wedge_matrix(cols, n: int) -> np.ndarray:
-    """Integer matrix W with W v = omega ^ v, omega the wedge of ``cols``."""
-    import numpy as np
-
-    omega = _columns_wedge(cols, n)
-    table = _wedge_table(n, len(cols))
-    w = np.zeros((len(table), n), dtype=np.int64)
-    for row, terms in zip(w, table):
-        for sign, r, idx in terms:
-            row[r] = sign * omega[idx]
-    return w
 
 
 def _step_ops(n: int, degree: int, start: int,
@@ -569,17 +542,8 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# flag scan
 # ---------------------------------------------------------------------------
-
-def _block_sigma_bound(partition: Partition, radius: float, k: int) -> float:
-    """Upper bound on log of the largest block singular value, coset-invariant."""
-    n = partition.n
-    m = partition.sizes[k]
-    chamber = (m - 1) / m
-    central = (n - m) / (m * n)
-    return radius * math.sqrt(chamber + central)
-
 
 def require_scannable(partition: Partition) -> None:
     """Raise unless ``enumerate_brute`` can scan the partition (n <= 3)."""
@@ -590,105 +554,126 @@ def require_scannable(partition: Partition) -> None:
         )
 
 
-def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
-    """All distinct lift cosets of height <= R by exhaustive column scan.
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum([x * y for x, y in zip(a, b)])
 
-    Columns are generated recursively; branches are cut by coset-invariant
-    bounds (block singular values, partial height) plus
-    wedge primitivity at block boundaries, and the last column's classes
-    are solved exactly from the determinant equation.  At a boundary, the
-    wedge omega ^ v of the prefix with a candidate column v is exact: the
-    extended prefix is primitive when the wedge's entries have gcd one, and
-    its covolume is |omega ^ v|, from the integer squared norm.  The scanned
-    columns are drawn from the integer vectors of norm at most the largest
-    block singular value bound times 1 + (n - 1) / 2, which also sizes the
-    box.  For [1, 2] the first column v of the last block is cut as well:
-    that block's Gram matrix has determinant |c_0|^2 and largest eigenvalue
-    at least |c_0 ^ v|^2, which bounds its chamber part from below.
 
-    Only reduced representatives are scanned, so a coset is derived about
-    once.  Every coset has a representative that meets all of the
-    restrictions below: going through the blocks in order, reduce the
-    block's columns against the earlier blocks' columns, then fix their
-    signs and order.  Each step is right multiplication by an element of
-    the stabilizer, leaves the earlier blocks alone and keeps the reductions
-    already made, and the column norms that the column budgets bound are
-    those of a size-reduced representative.
+def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
-    1. Signs: every column but the last is positive in its first nonzero
-       entry.  The stabilizer's diagonal signs flip any column; flipping the
-       last column as well restores det g = 1, and that column is solved,
-       not scanned.
-    2. Order: the scanned columns of one block increase lexicographically.
-       A permutation of a block's columns is a stabilizer move (the last
-       column's sign again takes up the determinant).  At n <= 3 this
-       orders the two columns of the first block of [2, 1].
-    3. Size reduction: a scanned column v satisfies
-       |<v, c*_i>| <= |c*_i|^2 / 2 (ties allowed) against the Gram-Schmidt
-       vectors c*_i of the earlier blocks' columns.  Adding earlier-block
-       columns is a stabilizer move, and Babai's nearest-plane step yields
-       such a column.  At n <= 3 only the second column of [1, 1, 1] and
-       [1, 2] has an earlier-block column, c_0, and the test is the integer
-       inequality 2 |<v, c_0>| <= |c_0|^2.
-    4. Last column: the columns c_0, ..., c_(n-2) of a prefix span a
-       primitive lattice (its cofactor vector w, the single row of the
-       wedge matrix of the n - 1 columns, has gcd 1), which is the kernel
-       lattice of <w, .>, so the completions are x_0 + Z c_0 + ... +
-       Z c_(n-2), x_0 from ``solve_dot_one``.  Adding earlier-block columns
-       keeps the coset.  For a singleton last block every completion is
-       one coset, whose height does not depend on x (its entry is
-       det g = 1), and x_0 alone is derived.  For [1, 2] the completion
-       x_0 + s c_0 + t c_1 has c_0 ^ x = b + t a with a = c_0 ^ c_1 and
-       b = c_0 ^ x_0, so its coset depends on t only.  The last block's
-       Gram matrix has entries |a|^2, <a, b + t a> and q(t) = |b + t a|^2,
-       and its determinant |a|^2 |b|^2 - <a, b>^2 does not depend on t,
-       nor does the b-part, which that determinant fixes.  At a fixed
-       determinant the largest eigenvalue, and with it the chamber part,
-       rises with the trace, so the height rises with q(t), which is
-       convex in t with its minimum at t* = -<a, b> / |a|^2.  The scan
-       derives t = round(t*) and walks t outward in both directions until
-       the height exceeds R.  The last column of a record is not
-       size-reduced.
 
-    ``params`` reports ``box``, ``prefixes`` (prefixes of n - 1 columns
-    handed to the last-column solve) and ``completions`` (completions that
-    reached the height test).  A derived matrix of determinant other than
-    one is a fault of the scan and raises ``RuntimeError``.
+def _axpy(k: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """b + k a."""
+    return tuple([y + k * x for x, y in zip(a, b)])
+
+
+def _plane_points(v: tuple[int, ...], limit_sq: float):
+    """Primitive u of L(v) = v x Z^3 up to sign, v primitive, each with a w
+    of v x w = u, that may have |u|^2 <= limit_sq.
+
+    With g = gcd(v_0, v_1) = s v_0 + t v_1, k_1 = (v_1, -v_0, 0) / g and
+    k_2 = (s v_2, t v_2, -g) (e_1 and e_2 when g = 0) are a basis of
+    v^perp in Z^3, which is L(v), of covolume |k_1 x k_2| = |v|.  For x with
+    <v, x> = 1, v x (k_2 x x) = k_2 and v x (x x k_1) = -k_1; Lagrange-Gauss
+    reduction of (k_2, -k_1) carries these preimages along.  Then
+    u = alpha e_1 + beta e_2 has |u|^2 >= beta^2 |v|^2 / |e_1|^2.
     """
-    import numpy as np
+    g, s, t = _ext_gcd(v[0], v[1])
+    _, s2, t2 = _ext_gcd(g, v[2])
+    x = (s2 * s, s2 * t, t2)  # <v, x> = s2 g + t2 v_2 = 1
+    k1, k2 = ((1, 0, 0), (0, 1, 0)) if not g else (
+        (v[1] // g, -v[0] // g, 0), (s * v[2], t * v[2], -g))
+    # each basis vector e is followed by its preimage p
+    a, b = k2 + _cross(k2, x), tuple([-c for c in k1]) + _cross(x, k1)
+    while True:
+        if _dot(b[:3], b[:3]) < _dot(a[:3], a[:3]):
+            a, b = b, a
+        n1 = _dot(a[:3], a[:3])
+        mu = (2 * _dot(a[:3], b[:3]) + n1) // (2 * n1)  # round(<e_1, e_2> / |e_1|^2)
+        if not mu:
+            break
+        b = _axpy(-mu, a, b)
+    det, dot12 = _dot(v, v), _dot(a[:3], b[:3])
+    yield a[:3], a[3:]
+    for beta in range(1, math.floor(math.sqrt(limit_sq * n1 / det)) + 1):
+        # beta^2 det <= limit_sq n1 up to rounding, by the range of beta
+        half = math.sqrt(max(0.0, limit_sq * n1 - beta * beta * det)) / n1
+        centre = -dot12 * beta / n1
+        for alpha in range(math.ceil(centre - half), math.floor(centre + half) + 1):
+            if math.gcd(alpha, beta) == 1:
+                point = tuple([alpha * p + beta * q for p, q in zip(a, b)])
+                yield point[:3], point[3:]
 
+
+def enumerate_brute(partition: Partition, radius: float,
+                    max_states: int = 2_000_000) -> EnumerationReport:
+    """All distinct lift cosets of height <= R by a flag scan, each derived once.
+
+    At n <= 3 a coset is a flag of primitive vectors, listed level by level
+    and completed to a matrix only to read its key and height with the
+    walk's functions.  Each level is cut by a lower bound on the height at
+    R + 1e-6, so that rounding keeps every coset of height <= R inside.
+
+    * The first column v, positive in its first nonzero entry, has
+      x = log|v| <= R sqrt((n - 1) / n).  At n = 2 the coset is v up to
+      sign, and the last column is ``solve_dot_one((-v_1, v_0))``.
+    * At n = 3, u runs over the primitive vectors of L(v) = v x Z^3 up to
+      sign, each with a w of v x w = u (``_plane_points``); y = log|u|.
+      [1, 1, 1] is (+-v, +-u), of height^2 1.5 x^2 + 2 (y - x/2)^2, with the
+      columns v, w, ``solve_dot_one(u)``.  [2, 1] is {+-v, +-v_2}, with
+      v_2 = w + k v and the same last column.  [1, 2] is v with the basis
+      {+-u, +-b} of L(v): the columns v, w, x_0 + k w, x_0 =
+      ``solve_dot_one(u)``, give b = v x x_0 + k u.  A block's larger
+      eigenvalue is at least its first vector's squared norm, so height^2 >=
+      1.5 y^2 + 2 max(0, x - y/2)^2 for [2, 1], and the same with x and y
+      swapped for [1, 2].
+    * At a fixed Gram determinant a pair's height rises with the second
+      vector's squared norm, which is convex in k, so k is walked outward
+      from the minimum, both ways, until the height passes R.  A pair is
+      kept only when its first vector is the shorter, or on a tie when its
+      ``_positive`` form sorts first.
+
+    ``params`` reports ``levels`` (per level, the vectors inside its bound)
+    and ``completions`` (matrices that reached the height test).  A box of
+    more than ``max_states`` outer vectors, or more than ``max_states``
+    cosets, raises ``ResourceLimitError`` with the partial report; a matrix
+    of determinant other than one, or a coset derived twice, ``RuntimeError``
+    (a fault of the scan); a negative, non-finite or overflowing radius, or
+    a state budget below one, ``ValueError``.
+    """
     require_scannable(partition)
     if not (math.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     start_time = time.monotonic()
     n = partition.n
+    sizes = partition.sizes
     layout = _layout(partition)
     r_eff = radius + 1e-6
-    sigma_bounds = [math.exp(_block_sigma_bound(partition, r_eff, k))
-                    for k in range(partition.k0)]
-    boundary_after = {}
-    pos = 0
-    for k, m in enumerate(partition.sizes):
-        pos += m
-        if k < partition.k0 - 1:
-            boundary_after[pos - 1] = (k, pos)
-
-    global_cap = max(sigma_bounds) * (1.0 + 0.5 * (n - 1))
-    box = math.ceil(global_cap)
-    master = _integer_vectors(n, box, global_cap)
-    # restriction 1: scanned columns are positive in their first nonzero entry
-    first_nonzero = master[np.arange(len(master)), np.argmax(master != 0, axis=1)]
-    master = master[first_nonzero > 0]
-    master_sq = np.einsum("ij,ij->i", master, master)
-    master_norms = np.sqrt(master_sq)
-    master_rows = [tuple(row) for row in master.tolist()]  # lexicographic order
-
-    singleton_last = len(partition.blocks[-1]) == 1
-
+    x_max = r_eff * math.sqrt((n - 1) / n)
+    try:
+        bound = math.exp(x_max)
+    except OverflowError:
+        raise ValueError(f"radius {radius!r} puts the scan's bound e^{x_max:.6g} "
+                         "past the double range") from None
     seen: set[tuple[int, ...]] = set()
     records: list[CosetRecord] = []
-    prefixes = 0
+    levels = [0] * (n - 1)
     completions = 0
+
+    def report(partial: bool) -> EnumerationReport:
+        return EnumerationReport(
+            partition=partition, radius=radius, count=len(seen), method="brute",
+            records=records, wall_time=time.monotonic() - start_time,
+            params={"levels": levels, "completions": completions},
+            partial=partial,
+        )
+
+    box = math.floor(bound)
+    if n * math.log(2 * box + 1) > math.log(max_states):
+        raise ResourceLimitError(f"the scan's box of (2 * {box:.4g} + 1)^{n} vectors "
+                                 f"exceeds the state budget {max_states}", report(partial=True))
 
     def accept(cols: list[tuple[int, ...]]) -> bool:
         """Record the coset of the complete columns; False above the height."""
@@ -702,139 +687,64 @@ def enumerate_brute(partition: Partition, radius: float) -> EnumerationReport:
         if h > radius + HEIGHT_TOL:
             return False
         key = _state_key(state, layout)
-        if key not in seen:
-            seen.add(key)
-            records.append(CosetRecord(
-                representative=mat, key=key, height=h,
-                boundary=abs(h - radius) <= HEIGHT_TOL,
-            ))
+        if key in seen:
+            raise RuntimeError(f"scan derived the coset of {mat} twice")
+        seen.add(key)
+        records.append(CosetRecord(
+            representative=mat, key=key, height=h,
+            boundary=abs(h - radius) <= HEIGHT_TOL,
+        ))
+        if len(seen) > max_states:
+            raise ResourceLimitError(f"state budget {max_states} exceeded after "
+                                     f"{levels[0]} outer vectors", report(partial=True))
         return True
 
-    def column_budget(j: int, chosen_norms: list[float]) -> float:
-        k = partition.block_of[j]
-        slack = 0.5 * sum(
-            chosen_norms[i] for i in range(len(chosen_norms))
-            if partition.block_of[i] != k
-        )
-        return sigma_bounds[k] + slack
+    def walk(first, base, columns) -> None:
+        """Accept ``columns(k)`` outward from the k nearest the minimum of
+        |base + k first|^2, for the pairs whose first vector is the shorter."""
+        norm = _dot(first, first)
+        k0 = -((2 * _dot(base, first) + norm) // (2 * norm))
+        rank = _positive(first)
+        for k, step in ((k0, 1), (k0 - 1, -1)):
+            while True:
+                second = _axpy(k, first, base)
+                norm2 = _dot(second, second)
+                if norm2 > norm or (norm2 == norm and rank < _positive(second)):
+                    if not accept(columns(k)):
+                        break
+                k += step
 
-    def boundary_filter(cols: list[tuple[int, ...]], idx: np.ndarray, k: int,
-                        m: int, log_v_prev: float, b_partial: float,
-                        a_partial: float):
-        """Vectorized coset-invariant pruning for candidates v completing the
-        prefix of size m; yields (vector, log_v, b_partial', a_partial').
+    r_sq = r_eff * r_eff
+    # a lower bound on height^2 from x = log|v| and y = log|u|
+    low_sq = {(1, 1, 1): lambda x, y: 1.5 * x * x + 2 * (y - x / 2) ** 2,
+              (2, 1): lambda x, y: 1.5 * y * y + 2 * max(0.0, x - y / 2) ** 2,
+              (1, 2): lambda x, y: 1.5 * x * x + 2 * max(0.0, y - x / 2) ** 2}.get(sizes)
+    origin = (0,) * n
+    for v in itertools.product(range(-box, box + 1), repeat=n):
+        # primitive, |v| <= bound, and above the origin: first nonzero entry positive
+        if not (v > origin and math.gcd(*v) == 1 and _dot(v, v) <= bound * bound):
+            continue
+        levels[0] += 1
+        if n == 2:
+            accept([v, solve_dot_one((-v[1], v[0]))])
+            continue
+        x = 0.5 * math.log(_dot(v, v))
+        d = math.sqrt(max(0.0, r_sq / 2 - 0.75 * x * x))
+        # the largest y that the partition's bound allows at this x
+        y_max = x_max if sizes == (2, 1) and 2 * x <= x_max else x / 2 + d
+        for u, w in _plane_points(v, math.exp(2 * y_max)):
+            if low_sq(x, 0.5 * math.log(_dot(u, u))) > r_sq:
+                continue
+            levels[1] += 1
+            last = solve_dot_one(u)
+            if sizes == (1, 1, 1):
+                accept([v, w, last])
+            elif sizes == (2, 1):
+                walk(v, w, lambda k: [v, _axpy(k, v, w), last])
+            else:
+                walk(u, _cross(v, last), lambda k: [v, w, _axpy(k, w, last)])
 
-        One product gives each candidate's exact wedge omega ^ v, omega the
-        wedge of ``cols``.  The prefix ``cols`` + v is primitive when the
-        wedge's entries have gcd one, which also makes the wedge nonzero,
-        and its log covolume is log |omega ^ v|, from the integer squared
-        norm.  The partial-height test bounds the covolume too: the b-part
-        of the prefix is at least log_v^2 / m (Cauchy-Schwarz), so the test
-        forces |log_v| <= r sqrt(m (n - m) / n).
-        """
-        size = partition.sizes[k]
-        # at n <= 3 the entries are minors of at most two columns: int64 is exact
-        wedges = master[idx] @ _wedge_matrix(cols, n).T
-        primitive = np.gcd.reduce(wedges, axis=1) == 1
-        idx, wedges = idx[primitive], wedges[primitive]
-        log_v = 0.5 * np.log(np.einsum("ij,ij->i", wedges, wedges))
-        beta = (log_v - log_v_prev) / size
-        b_new = b_partial + size * beta * beta
-        future = log_v * log_v / (n - m)
-        ok = a_partial + b_new + future <= r_eff * r_eff + 1e-9
-        start = m - size
-        if size > 1:
-            # at n <= 3 a block before the last has at most two columns
-            omega = _columns_wedge(cols[:start], n)
-            table = _wedge_table(n, start)
-            (first,) = cols[start:]
-            first_wedge = _wedge(omega, first, table)
-        for i in np.nonzero(ok)[0]:
-            vec = master_rows[idx[i]]
-            a_new = a_partial
-            if size > 1:
-                _, chamber_sq = _pair_block(first_wedge, _wedge(omega, vec, table))
-                a_new = a_partial + chamber_sq
-                if a_new + b_new[i] + future[i] > r_eff * r_eff + 1e-9:
-                    continue
-            yield vec, float(log_v[i]), float(b_new[i]), a_new
-
-    def last_column(cols: list[tuple[int, ...]]) -> None:
-        nonlocal prefixes
-        prefixes += 1
-        (w,) = _wedge_matrix(cols, n).tolist()  # det(cols..., x) = <w, x>
-        if math.gcd(*w) != 1:
-            return
-        x0 = solve_dot_one(w)
-        # restriction 4: x0 alone, or x0 + t c_1 for [1, 2]
-        if singleton_last:
-            accept(cols + [x0])
-            return
-        c0, c1 = cols
-        a = _columns_wedge([c0, c1], n)
-        b = _columns_wedge([c0, x0], n)
-        a_sq = sum(u * u for u in a)
-        t0 = (a_sq - 2 * sum(u * v for u, v in zip(a, b))) // (2 * a_sq)  # round(t*)
-        for t, step in ((t0, 1), (t0 - 1, -1)):
-            while accept(cols + [tuple(x + t * c for x, c in zip(x0, c1))]):
-                t += step
-
-    def recurse(cols: list[tuple[int, ...]], norms: list[float],
-                log_v: float, b_partial: float, a_partial: float) -> None:
-        j = len(cols)
-        if j == n - 1:
-            last_column(cols)
-            return
-        mask = master_norms <= column_budget(j, norms) + 1e-9
-        k = partition.block_of[j]
-        start = partition.blocks[k][0]
-        if start < j:
-            # restriction 2: after the block's previous column
-            mask[:bisect.bisect_right(master_rows, cols[-1])] = False
-        if start > 0:
-            # restriction 3; at n <= 3 there is one earlier-block column
-            (c,) = cols[:start]
-            dots = master @ np.array(c)
-            c_sq = sum(x * x for x in c)
-            mask &= 2 * np.abs(dots) <= c_sq
-            if k == partition.k0 - 1 and partition.sizes[k] == 2:
-                # [1, 2]: the last block's Gram matrix has determinant |c|^2
-                # and largest eigenvalue at least |c ^ v|^2, so its chamber
-                # part is at least 2 t^2 with e^(2t) = max(1, |c ^ v|^2 / |c|)
-                wedge_sq = c_sq * master_sq - dots * dots
-                t = 0.5 * np.log(np.maximum(1.0, wedge_sq / math.sqrt(c_sq)))
-                b_last = log_v * log_v / (n - start)
-                mask &= a_partial + b_partial + b_last + 2.0 * t * t <= r_eff * r_eff + 1e-9
-        idx = np.nonzero(mask)[0]
-        if j in boundary_after:
-            _, m = boundary_after[j]
-            for vec, lv, bp, ap in boundary_filter(cols, idx, k, m, log_v,
-                                                   b_partial, a_partial):
-                recurse(cols + [vec], norms + [math.hypot(*vec)], lv, bp, ap)
-        else:
-            for i in idx:
-                vec = master_rows[i]
-                recurse(cols + [vec], norms + [math.hypot(*vec)],
-                        log_v, b_partial, a_partial)
-
-    recurse([], [], 0.0, 0.0, 0.0)
-
-    return EnumerationReport(
-        partition=partition, radius=radius, count=len(seen), method="brute",
-        records=records, wall_time=time.monotonic() - start_time,
-        params={"box": box, "prefixes": prefixes, "completions": completions},
-    )
-
-
-def _integer_vectors(n: int, box: int, norm_cap: float) -> np.ndarray:
-    import numpy as np
-
-    axes = [np.arange(-box, box + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    grid = grid[np.any(grid != 0, axis=1)]
-    grid = grid[np.linalg.norm(grid, axis=1) <= norm_cap + 1e-9]
-    order = np.lexsort(grid.T[::-1])
-    return grid[order]
+    return report(partial=False)
 
 
 # ---------------------------------------------------------------------------

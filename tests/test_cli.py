@@ -203,10 +203,12 @@ def _loads_module(module, argv) -> bool:
     ("constant", "--n", "3", "--blocks", "2,1"),
     ("count", "--n", "2", "--blocks", "1,1", "--radius", "4"),
     ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5"),
-], ids=["constant", "count-n2", "count-n3"])
+    ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5", "--method", "both"),
+    ("count", "--n", "2", "--blocks", "1,1", "--radius", "2", "--method", "brute"),
+], ids=["constant", "count-n2", "count-n3", "count-n3-both", "count-n2-brute"])
 def test_commands_run_without_numpy(argv):
-    # the walk and the constant are plain Python; importing numpy would
-    # double the start-up time of these commands
+    # the walk, the scan and the constant are plain Python; importing numpy
+    # would double the start-up time of these commands
     assert not _loads_module("numpy", argv)
 
 
@@ -260,6 +262,12 @@ def test_manifest_environment(tmp_path, capsys):
     capsys.readouterr()
     rerun = csv_path.read_text().splitlines()
     assert rerun[1].split(",")[:-1] == first[1].split(",")[:-1]  # drop seconds
+    # so does an N=3 count by both methods: the scan runs without numpy too
+    proc = _fresh_python("-m", "horocount.cli", "count", "--n", "3", "--blocks", "1,2",
+                         "--radius", "1", "--method", "both", "--csv", str(csv_path))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["environment"] == {"python": python, "numpy": None, "threads": 1}
 
 
 def test_volume_grid(capsys):
@@ -306,6 +314,13 @@ def test_exit_codes(capsys):
         assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
         assert run(capsys, *volume, "1", "--mc", "10", "--threads", threads)[0] == 2
     assert run(capsys, *count, "inf", "--method", "brute")[0] == 2
+    # the scan's bound past the double range: was an OverflowError traceback
+    n3 = ("count", "--n", "3", "--blocks", "1,1,1", "--radius")
+    assert run(capsys, *n3, "1e6", "--method", "brute")[0] == 2
+    # a box past the state budget: numpy's "Maximum allowed size exceeded"
+    # (exit 2) before, the scan's refusal now
+    assert run(capsys, *count, "600", "--method", "brute")[0] == 3
+    assert run(capsys, *count, "3", "--method", "brute", "--max-states", "0")[0] == 2
     # the scan stops at n = 3: rejected before the walk, which exhausted
     # its state budget first (exit 3) or walked for minutes
     n4 = ("count", "--n", "4", "--blocks", "2,2", "--radius", "1")

@@ -49,6 +49,15 @@ def test_brute_raises_on_wrong_determinant(monkeypatch):
         CS.enumerate_brute(make_partition(3, [2, 1]), 0.3)
 
 
+def test_brute_raises_on_second_derivation(monkeypatch):
+    # a plane point listed twice derives its coset twice: a fault of the scan
+    real = CS._plane_points
+    monkeypatch.setattr(CS, "_plane_points",
+                        lambda v, limit_sq: (p for p in real(v, limit_sq) for _ in range(2)))
+    with pytest.raises(RuntimeError, match="twice"):
+        CS.enumerate_brute(make_partition(3, [1, 1, 1]), 0.3)
+
+
 def test_stabilizer_membership_examples(p2):
     assert H.stabilizer_membership(E(2, 0, 1, 1), p2)
     assert not H.stabilizer_membership(E(2, 1, 0, 1), p2)
@@ -205,53 +214,49 @@ def test_boundary_flagging(p2):
     assert all(abs(r.height - target) <= 1e-9 for r in flagged)
 
 
-# the ids keep the per-coset bounds that the exact completion counts replaced
-@pytest.mark.parametrize("n, sizes, count, completions, prefixes", [
-    pytest.param(2, [1, 1], 8, 8, 8, id="2-sizes0-8-1"),
-    pytest.param(3, [1, 1, 1], 252, 294, 294, id="3-sizes1-252-1.25"),
-    pytest.param(3, [2, 1], 309, 309, 309, id="3-sizes2-309-1"),
-    pytest.param(3, [1, 2], 309, 1368, 414, id="3-sizes3-309-4.5"),
+# the ids and names are those of the column scan's tests, whose counters
+# these replace
+@pytest.mark.parametrize("n, sizes, count, levels, completions", [
+    pytest.param(2, [1, 1], 8, [8], 8, id="2-sizes0-8-1"),
+    pytest.param(3, [1, 1, 1], 252, [73, 252], 252, id="3-sizes1-252-1.25"),
+    pytest.param(3, [2, 1], 309, [73, 276], 861, id="3-sizes2-309-1"),
+    pytest.param(3, [1, 2], 309, [73, 276], 861, id="3-sizes3-309-4.5"),
 ])
-def test_brute_derives_each_coset_about_once(n, sizes, count, completions, prefixes):
-    # guards against re-deriving: a scan of every representative in its box
-    # derives 479 ([1,1,1]), 147 ([2,1]) and 1541 ([1,2]) completions per coset,
-    # and a search of the last column's lattice points derives 7.1 for [1,2];
-    # the walk over t derives 1368 / 309 = 4.43, two per prefix (828) above R.
-    # The exact completion count pins both halves of that walk: without the
-    # downward half the [1,2] count stays 309 with 810 completions.
-    # The exact prefix count pins the primitivity prune at block boundaries:
-    # testing only omega ^ v != 0 lets through 12, 456, 420 and 492 prefixes
+def test_brute_derives_each_coset_about_once(n, sizes, count, levels, completions):
+    # each coset is derived exactly once (a second derivation raises).  At
+    # N=3 the outer level holds the 73 primitive v up to sign with
+    # |v| <= e^(R sqrt(2/3)); the [1, 1, 1] bound is its exact height, so every
+    # (v, u) inside it is a coset; a pair derives its cosets plus one
+    # completion above R at each end of the walk over k, 309 + 2 * 276 = 861;
+    # [2, 1] and [1, 2] pass the same number of (v, u), their bounds being
+    # each other's with x and y swapped
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
-    assert rep.count == count
+    assert rep.count == len(rep.records) == count
+    assert rep.params["levels"] == levels
     assert rep.params["completions"] == completions
-    assert rep.params["prefixes"] == prefixes
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 @pytest.mark.parametrize("n, sizes", [(2, [1, 1]), (3, [1, 1, 1]), (3, [2, 1]), (3, [1, 2])])
 def test_brute_representatives_are_reduced(n, sizes):
-    # every column but the last is positive in its first nonzero entry, the
-    # scanned columns of a block increase, and a scanned column is reduced
-    # against the earlier block's column c_0: 2 |<v, c_0>| <= |c_0|^2
+    # every representative has determinant one, the record's key and, bit for
+    # bit, its height, and a first column positive in its first nonzero entry
     part = make_partition(n, sizes)
     rep = CS.enumerate_brute(part, 1.5)
     assert rep.count == len(rep.records) > 0
-    reduced = 0
     for rec in rep.records:
-        cols = list(zip(*rec.representative))
-        for j, v in enumerate(cols[:-1]):
-            assert next(x for x in v if x) > 0
-            start = part.blocks[part.block_of[j]][0]
-            if start < j:
-                assert cols[j - 1] < v
-            if start > 0:
-                (c,) = cols[:start]
-                assert 2 * abs(_dot(v, c)) <= _dot(c, c)
-                reduced += 1
-    assert reduced == (rep.count if sizes in ([1, 1, 1], [1, 2]) else 0)
+        assert CS.int_det(rec.representative) == 1
+        assert CS.coset_key(rec.representative, part) == rec.key
+        assert CS.coset_height(rec.representative, part) == rec.height
+        first = [row[0] for row in rec.representative]
+        assert next(x for x in first if x) > 0
+
+
+@pytest.mark.parametrize("sizes, count", [([1, 1, 1], 25272), ([2, 1], 33753)],
+                         ids=["1,1,1", "2,1"])
+def test_brute_counts_past_the_walk(sizes, count):
+    # R = 3 is past the walks in Tier-1; the counts are the stored ones
+    rep = CS.enumerate_brute(make_partition(3, sizes), 3.0)
+    assert rep.count == count
 
 
 def test_resource_limit(p2):
@@ -269,8 +274,8 @@ def test_inconsistency_detection(capsys, monkeypatch):
     # what each side lacks
     honest_scan = CS.enumerate_brute
 
-    def crippled_scan(partition, radius):
-        rep = honest_scan(partition, radius)
+    def crippled_scan(partition, radius, **kwargs):
+        rep = honest_scan(partition, radius, **kwargs)
         rep.records.pop()
         rep.count -= 1
         return rep
@@ -304,10 +309,27 @@ def test_enumerate_rejects_large_n(p2):
     for max_states in (0, -5):
         with pytest.raises(ValueError):
             CS.enumerate_bfs(p2, 3.0, max_states=max_states)
-    # the scan sized its entry box from exp(inf) and crashed with OverflowError
+    # the scan sized its entry box from exp(inf) and crashed with OverflowError;
+    # at R = 1e6 its bound overflowed (OverflowError), and a budget below one
+    # is rejected as the walk's is
     for radius in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):
             CS.enumerate_brute(p2, radius)
+    with pytest.raises(ValueError, match="double range"):
+        CS.enumerate_brute(make_partition(3, [1, 1, 1]), 1e6)
+    for max_states in (0, -5):
+        with pytest.raises(ValueError):
+            CS.enumerate_brute(p2, 3.0, max_states=max_states)
+    # a box past the state budget is refused before the scan (at N=2 R=600
+    # numpy refused the array); a scan past it stops with its partial report
+    with pytest.raises(CS.ResourceLimitError) as info:
+        CS.enumerate_brute(p2, 600.0)
+    assert info.value.partial_report.partial
+    assert info.value.partial_report.count == 0
+    with pytest.raises(CS.ResourceLimitError) as info:
+        CS.enumerate_brute(make_partition(3, [2, 1]), 2.0, max_states=1400)  # 11^3 box
+    partial = info.value.partial_report
+    assert partial.partial and partial.count == len(partial.records) == 1401
 
 
 _STATE_PARTITIONS = [(2, [1, 1]), (3, [2, 1]), (3, [1, 2]), (3, [1, 1, 1]),
