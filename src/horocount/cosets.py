@@ -545,13 +545,40 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
 # flag scan
 # ---------------------------------------------------------------------------
 
-def require_scannable(partition: Partition) -> None:
-    """Raise unless ``enumerate_brute`` can scan the partition (n <= 3)."""
+def require_scannable(partition: Partition, radius: float, max_states: int) -> float:
+    """Raise unless ``enumerate_brute`` can scan the partition (n <= 3) to
+    ``radius`` within ``max_states``; return the bound x_max on log|v| of
+    the first column.
+
+    These are the scan's up-front checks, cheap enough to run before a walk
+    that could take minutes: NotImplementedError past n = 3; ValueError for
+    a negative or non-finite radius, a state budget below one, or a bound
+    e^x_max past the double range; ``ResourceLimitError`` with an empty
+    partial report when the box of first columns exceeds the budget.
+    """
     require_horocycle_partition(partition)
-    if partition.n > 3:
+    n = partition.n
+    if n > 3:
         raise NotImplementedError(
             "brute-force enumeration targets n <= 3 (cost grows like e^(P_N R))"
         )
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    x_max = (radius + 1e-6) * math.sqrt((n - 1) / n)
+    try:
+        box = math.floor(math.exp(x_max))
+    except OverflowError:
+        raise ValueError(f"radius {radius!r} puts the scan's bound e^{x_max:.6g} "
+                         "past the double range") from None
+    if n * math.log(2 * box + 1) > math.log(max_states):
+        empty = EnumerationReport(
+            partition=partition, radius=radius, count=0, method="brute",
+            params={"levels": [0] * (n - 1), "completions": 0}, partial=True)
+        raise ResourceLimitError(f"the scan's box of (2 * {box:.4g} + 1)^{n} vectors "
+                                 f"exceeds the state budget {max_states}", empty)
+    return x_max
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -639,24 +666,16 @@ def enumerate_brute(partition: Partition, radius: float,
     cosets, raises ``ResourceLimitError`` with the partial report; a matrix
     of determinant other than one, or a coset derived twice, ``RuntimeError``
     (a fault of the scan); a negative, non-finite or overflowing radius, or
-    a state budget below one, ``ValueError``.
+    a state budget below one, ``ValueError``.  The checks made before the
+    scan starts are ``require_scannable``.
     """
-    require_scannable(partition)
-    if not (math.isfinite(radius) and radius >= 0):
-        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
-    if max_states < 1:
-        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    x_max = require_scannable(partition, radius, max_states)
     start_time = time.monotonic()
     n = partition.n
     sizes = partition.sizes
     layout = _layout(partition)
     r_eff = radius + 1e-6
-    x_max = r_eff * math.sqrt((n - 1) / n)
-    try:
-        bound = math.exp(x_max)
-    except OverflowError:
-        raise ValueError(f"radius {radius!r} puts the scan's bound e^{x_max:.6g} "
-                         "past the double range") from None
+    bound = math.exp(x_max)
     seen: set[tuple[int, ...]] = set()
     records: list[CosetRecord] = []
     levels = [0] * (n - 1)
@@ -671,9 +690,6 @@ def enumerate_brute(partition: Partition, radius: float,
         )
 
     box = math.floor(bound)
-    if n * math.log(2 * box + 1) > math.log(max_states):
-        raise ResourceLimitError(f"the scan's box of (2 * {box:.4g} + 1)^{n} vectors "
-                                 f"exceeds the state budget {max_states}", report(partial=True))
 
     def accept(cols: list[tuple[int, ...]]) -> bool:
         """Record the coset of the complete columns; False above the height."""

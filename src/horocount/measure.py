@@ -17,9 +17,14 @@ over the region.  ``mu_A_ball`` takes c = the sum of the cross-block pairs
 and the intra-block differences as the alpha_k.  These linear forms and the
 cone's half-spaces (``partitions.Cone``) are projected once onto the
 orthonormal basis of ``traceless_basis``, so every estimator works in the
-(N-1)-dimensional sample coordinates x (y = basis @ x) and never builds y.
+(N-1)-dimensional sample coordinates x (y = basis x) and never builds y.
 One dispatch, ``_quadrature``, validates the region and method parameters,
 picks the estimator and rejects a non-finite result.
+
+numpy is imported only inside the two samplers and ``_Integrand.log_weight``,
+which weighs their points with one array of the projected forms, built once
+from that set-up.  The set-up and the whole grid rule are plain Python, so
+``volume --grid`` runs without numpy.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 (taming the exp(||v0||R) dynamic range); plain rejection sampling over the
@@ -42,7 +47,9 @@ in-region fraction, largest weight share).
 For N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at
 fixed first coordinate t is integrated exactly along s: written with two
 exponentials per sinh, the integrand is a signed sum of exponentials of
-linear forms.  Only the outer trapezoid in t remains.
+linear forms.  Only the outer trapezoid in t remains.  An exponential past
+the double range is inf, as in the samplers, so such a grid estimate is
+rejected as not finite.
 """
 
 from __future__ import annotations
@@ -51,10 +58,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .partitions import Cone, Partition, p_norm
 
-from .partitions import Cone, Partition, v0 as v0_vector, p_norm
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureResult",
@@ -105,25 +115,40 @@ class QuadratureResult:
             raise ValueError("standard error must be nonnegative")
 
 
-def traceless_basis(n: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the traceless diagonal subspace.
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return float(sum([x * y for x, y in zip(a, b)]))
 
-    The first column is the unit vector along v0, so the tilting direction
+
+def _exp(x: float) -> float:
+    """e^x, inf past the double range where ``math.exp`` raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def traceless_basis(n: int) -> list[tuple[float, ...]]:
+    """Orthonormal basis of the traceless diagonal subspace: n - 1 vectors
+    of length n.
+
+    The first vector is the unit vector along v0, so the tilting direction
     is the first coordinate.
     """
-    v = v0_vector(n)
-    cols = [v / np.linalg.norm(v)]
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    norm = p_norm(n)
+    vectors = [tuple([(n - 2 * i - 1) / norm for i in range(n)])]
     for i in range(n - 1):
-        w = np.zeros(n)
+        w = [0.0] * n
         w[i], w[i + 1] = 1.0, -1.0
-        for c in cols:
-            w -= (w @ c) * c
-        norm = np.linalg.norm(w)
+        for c in vectors:
+            d = _dot(w, c)
+            w = [a - d * b for a, b in zip(w, c)]
+        norm = math.sqrt(_dot(w, w))
         if norm > 1e-9:
-            cols.append(w / norm)
-    basis = np.column_stack(cols[: n - 1])
-    assert basis.shape == (n, n - 1)
-    return basis
+            vectors.append(tuple([a / norm for a in w]))
+    assert len(vectors) >= n - 1
+    return vectors[: n - 1]
 
 
 @dataclass(frozen=True)
@@ -131,31 +156,44 @@ class _Integrand:
     """exp(<c, x>) * prod_k sinh(<alpha_k, x>) on a region, in sample
     coordinates x.
 
-    The columns of ``forms`` are c, the ``n_sinh`` alpha_k and then the
-    normals of the cone's half-spaces <normal, x> >= floor.  The region is
-    the cone within the ball of ``radius``, less the ball of ``inner`` when
-    that is given (the annulus).
+    ``forms`` holds c, the ``n_sinh`` alpha_k and then the normals of the
+    cone's half-spaces <normal, x> >= floor, each as a tuple of its n - 1
+    coefficients.  The region is the cone within the ball of ``radius``,
+    less the ball of ``inner`` when that is given (the annulus).
     """
 
-    forms: np.ndarray
+    forms: tuple[tuple[float, ...], ...]
     n_sinh: int
-    floors: np.ndarray
+    floors: tuple[float, ...]
     radius: float
     inner: float | None
 
     @classmethod
-    def project(cls, cone: Cone, c: np.ndarray, alphas: list[np.ndarray],
+    def project(cls, cone: Cone, c: Sequence[float], alphas: list[Sequence[float]],
                 radius: float, inner: float | None) -> "_Integrand":
         basis = traceless_basis(cone.partition.n)
         half = cone.half_spaces()
-        forms = basis.T @ np.column_stack([c, *alphas, *(normal for normal, _ in half)])
-        floors = np.array([floor for _, floor in half])
-        return cls(forms, len(alphas), floors, radius, inner)
+        forms = tuple(tuple([_dot(e, form) for e in basis])
+                      for form in [c, *alphas, *(normal for normal, _ in half)])
+        return cls(forms, len(alphas), tuple(floor for _, floor in half), radius, inner)
+
+    @property
+    def n_dim(self) -> int:
+        return len(self.forms[0])
+
+    @cached_property
+    def _form_rows(self) -> np.ndarray:
+        """The forms as the rows of one array, built once for the samplers."""
+        import numpy as np
+
+        return np.array(self.forms)
 
     def log_weight(self, x: np.ndarray) -> np.ndarray:
         """log of the integrand at the columns of x (one row per
         coordinate); -inf outside the region."""
-        f = self.forms.T @ x   # one row per linear form
+        import numpy as np
+
+        f = self._form_rows @ x   # one row per linear form
         k = self.n_sinh
         r2 = np.einsum("ij,ij->j", x, x)
         inside = r2 <= self.radius * self.radius
@@ -170,29 +208,62 @@ class _Integrand:
                 log_f = log_f + np.log(np.sinh(f[1:1 + k])).sum(axis=0)
         return np.where(inside, log_f, -np.inf)
 
-    def sections(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def line_weight(self, t: float) -> float:
+        """For N = 2: the integrand at x = t, 0 outside the region."""
+        r2 = t * t
+        if r2 > self.radius * self.radius or (self.inner is not None
+                                              and r2 <= self.inner * self.inner):
+            return 0.0
+        k = self.n_sinh
+        if any(a * t < floor for (a,), floor in zip(self.forms[1 + k:], self.floors)):
+            return 0.0
+        log_f = self.forms[0][0] * t
+        for (a,) in self.forms[1:1 + k]:
+            if a * t == 0:   # on the chamber wall (an alpha is one of the cone's normals)
+                return 0.0
+            try:
+                log_f += math.log(math.sinh(a * t))
+            except OverflowError:
+                return math.inf
+        return _exp(log_f)
+
+    def sections(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         """For N = 3: the s-interval [lo, hi] of the region's section at each
         first coordinate t, cone and outer ball only; lo = hi = 0 when empty.
 
         The cone and ball are convex, so a section is the disk chord cut by
         the half-planes a*t + b*s >= floor.
         """
-        cross = self.radius * self.radius - ts * ts
-        hi = np.sqrt(np.maximum(cross, 0.0))
-        lo = -hi
-        empty = cross <= 0
-        for (a, b), floor in zip(self.forms[:, 1 + self.n_sinh:].T, self.floors):
+        r2 = self.radius * self.radius
+        flat, lower, upper = [], [], []   # half-planes that bound no end, lo, hi
+        for (a, b), floor in zip(self.forms[1 + self.n_sinh:], self.floors):
             if abs(b) < 1e-15:
-                empty |= a * ts < floor - 1e-12
-            elif b > 0:
-                lo = np.maximum(lo, (floor - a * ts) / b)
+                flat.append((a, floor - 1e-12))
             else:
-                hi = np.minimum(hi, (floor - a * ts) / b)
-        empty |= lo >= hi
-        return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+                (lower if b > 0 else upper).append((a, b, floor))
+        los, his = [], []
+        for t in ts:
+            cross = r2 - t * t
+            lo = hi = 0.0
+            if cross > 0 and not (flat and any(a * t < floor for a, floor in flat)):
+                hi = math.sqrt(cross)
+                lo = -hi
+                for a, b, floor in lower:
+                    end = (floor - a * t) / b
+                    if end > lo:
+                        lo = end
+                for a, b, floor in upper:
+                    end = (floor - a * t) / b
+                    if end < hi:
+                        hi = end
+                if not lo < hi:
+                    lo = hi = 0.0
+            los.append(lo)
+            his.append(hi)
+        return los, his
 
-    def section_integrals(self, ts: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray) -> np.ndarray:
+    def section_integrals(self, ts: Sequence[float], los: Sequence[float],
+                          his: Sequence[float]) -> list[float]:
         """For N = 3: the exact integral over s in [lo, hi] at each t (lo <= hi).
 
         Each sinh is a difference of two exponentials, so the integrand is
@@ -200,23 +271,33 @@ class _Integrand:
         closed form.  Overflow gives inf or NaN, not an error.
         """
         k = self.n_sinh
-        length = hi - lo
-        total = np.zeros_like(ts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for signs in itertools.product((1.0, -1.0), repeat=k):
-                p, q = self.forms[:, 0] + self.forms[:, 1:1 + k] @ np.array(signs)
+        c, alphas = self.forms[0], self.forms[1:1 + k]
+        terms = []
+        for signs in itertools.product((1.0, -1.0), repeat=k):
+            p = c[0] + sum([sign * a[0] for sign, a in zip(signs, alphas)])
+            q = c[1] + sum([sign * a[1] for sign, a in zip(signs, alphas)])
+            terms.append((math.prod(signs), p, q, abs(q)))
+        out = []
+        for t, lo, hi in zip(ts, los, his):
+            length = hi - lo
+            if not length > 0:
+                # an empty section contributes 0 even where its exponential overflows
+                out.append(0.0)
+                continue
+            total = 0.0
+            for sign, p, q, abs_q in terms:
                 if q == 0.0:
-                    term = np.exp(p * ts) * length
+                    term = _exp(p * t) * length
                 else:
                     # exp at the upper end of the exponential, times a factor <= length
                     top = hi if q > 0 else lo
-                    term = np.exp(p * ts + q * top) * (-np.expm1(-abs(q) * length) / abs(q))
-                total += math.prod(signs) * term
-        # an empty section contributes 0 even where its exponential overflows
-        return np.where(length > 0, total, 0.0) / 2.0 ** k
+                    term = _exp(p * t + q * top) * (-math.expm1(-abs_q * length) / abs_q)
+                total += sign * term
+            out.append(total / 2.0 ** k)
+        return out
 
 
-def _validate(region: str, method: str, radius: float, offset: float,
+def _validate(n: int, region: str, method: str, radius: float, offset: float,
               eps: float | None, budget: int, grid_step: float | None) -> None:
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
@@ -233,6 +314,8 @@ def _validate(region: str, method: str, radius: float, offset: float,
     if region != "annulus" and eps is not None:
         raise ValueError(f"eps {eps} applies to the annulus region only, not {region}")
     if method == "grid":
+        if n > 3:
+            raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n}")
         if not (grid_step is not None and math.isfinite(grid_step) and grid_step > 0):
             raise ValueError(f"grid step must be positive and finite, got {grid_step}")
     elif budget < 2:
@@ -247,6 +330,8 @@ def _ball_points(g: np.ndarray, v: np.ndarray, radius, out: np.ndarray) -> None:
     """Points uniform in the ball of ``radius`` (a scalar, or one per point)
     into the columns of ``out``, from standard normals g (one row per
     coordinate) and one uniform per point v (overwritten); ``out`` may be g."""
+    import numpy as np
+
     norms = np.sqrt(np.einsum("ij,ij->j", g, g))
     norms[norms == 0] = 1.0
     np.power(v, 1.0 / g.shape[0], out=v)
@@ -264,6 +349,8 @@ class _TiltedBallSampler:
     """
 
     def __init__(self, n_dim: int, radius: float, rate: float, rows: int):
+        import numpy as np
+
         self.radius = radius
         self.rate = rate
         self.span = -math.expm1(-2.0 * rate * radius)   # 1 - e^{-2 rate R}
@@ -279,6 +366,8 @@ class _TiltedBallSampler:
         radii from ``rngs[1]`` and cross-section coordinate i from the normal
         stream ``rngs[2 + i]``.  They are views of the buffers, overwritten
         by the next call."""
+        import numpy as np
+
         r, rate = self.radius, self.rate
         x, log_q = self.x[:, :rows], self.log_q[:rows]
         t = x[0]
@@ -315,6 +404,8 @@ class _UniformBallSampler:
     hold ``rows`` points and are reused by every ``sample`` call."""
 
     def __init__(self, n_dim: int, radius: float, rows: int):
+        import numpy as np
+
         self.radius = radius
         self.x = np.empty((n_dim, rows))
         self.v = np.empty(rows)
@@ -334,6 +425,8 @@ class _UniformBallSampler:
 def _fold(carry: float, a: np.ndarray) -> float:
     """carry + a[0] + a[1] + ..., added strictly left to right, so a run of
     values sums the same however it is cut into blocks; overwrites a."""
+    import numpy as np
+
     a[0] += carry
     np.cumsum(a, out=a)
     return float(a[-1])
@@ -360,8 +453,10 @@ def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: in
     (sum w)^2 / sum w^2, the fraction of samples in the region (finite
     log-weight) and the largest weight's share of the sum.
     """
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(math.ceil(budget / _CHUNK))
-    n_dim = integrand.forms.shape[0]
+    n_dim = integrand.n_dim
 
     def one_chunk(idx: int) -> tuple[float, float, float, int]:
         rngs = [np.random.default_rng(s) for s in children[idx].spawn(2 + n_dim)]
@@ -419,6 +514,35 @@ def _rejection_estimate(integrand: _Integrand, n: int, budget: int, seed: int) -
         budget, seed, p_norm(n) * integrand.radius)
 
 
+def _pairwise_sum(a: list[float]) -> float:
+    """Sum of a with rounding error growing as log len(a): runs of up to 128
+    values on 8 interleaved accumulators, halved (at a multiple of 8) above
+    that.  This is the order of numpy's float sum, so a grid estimate equals
+    the array sum of the same values to the last bit, and the refinement
+    delta, a small difference of two estimates, keeps its digits."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for v in a:
+            res += v
+        return res
+    if n <= 128:
+        stop = n - n % 8
+        r = []
+        for j in range(8):
+            acc = a[j]
+            for i in range(j + 8, stop, 8):
+                acc += a[i]
+            r.append(acc)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[stop:]:
+            res += v
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
 def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
     """Grid rule on m points t in [-R, R]; supports n = 2 and n = 3.
 
@@ -426,25 +550,30 @@ def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
     section at each t integrated exactly, then the trapezoid over t; the
     non-empty sections are counted.
     """
-    radius = integrand.radius
+    radius, inner = integrand.radius, integrand.inner
     m = max(2, int(math.ceil(2 * radius / step)) + 1)
-    ts = np.linspace(-radius, radius, m)
-    n_dim = integrand.forms.shape[0]
-    if n_dim == 1:
-        with np.errstate(over="ignore", invalid="ignore"):   # inf: rejected by the caller
-            return float(np.trapezoid(np.exp(integrand.log_weight(ts[None, :])), ts)), m
-    if n_dim == 2:
+    h = 2 * radius / (m - 1)
+    # the nodes of numpy's linspace(-R, R, m), bit for bit: the last is R exactly
+    ts = [i * h - radius for i in range(m - 1)] + [radius]
+    if integrand.n_dim == 1:
+        vals = [integrand.line_weight(t) for t in ts]
+        samples = m
+    else:
         lo, hi = integrand.sections(ts)
         vals = integrand.section_integrals(ts, lo, hi)
-        if integrand.inner is not None:
+        samples = sum([a < b for a, b in zip(lo, hi)])
+        if inner is not None:
             # subtract the part of each section inside the inner disk
-            h_in = np.sqrt(np.maximum(integrand.inner ** 2 - ts * ts, 0.0))
-            in_lo, in_hi = np.maximum(lo, -h_in), np.minimum(hi, h_in)
-            in_hi = np.maximum(in_lo, in_hi)
-            vals -= integrand.section_integrals(ts, in_lo, in_hi)
-        with np.errstate(invalid="ignore"):
-            return float(np.trapezoid(vals, ts)), int(np.count_nonzero(lo < hi))
-    raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n_dim + 1}")
+            in_lo, in_hi = [], []
+            for t, a, b in zip(ts, lo, hi):
+                h_in = math.sqrt(max(inner ** 2 - t * t, 0.0))
+                in_lo.append(max(a, -h_in))
+                in_hi.append(max(in_lo[-1], min(b, h_in)))
+            vals = [v - w for v, w in
+                    zip(vals, integrand.section_integrals(ts, in_lo, in_hi))]
+    # inf or NaN past the double range: rejected by the caller
+    return _pairwise_sum([(t1 - t0) * (v1 + v0) / 2.0
+                          for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])]), samples
 
 
 def _grid_refine(integrand: _Integrand, step: float) -> dict:
@@ -466,14 +595,14 @@ def _grid_refine(integrand: _Integrand, step: float) -> dict:
             "converged": converged}
 
 
-def _quadrature(partition: Partition, c: np.ndarray, alphas: list[np.ndarray],
+def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[float]],
                 radius: float, region: str, method: str, budget: int, offset: float,
                 eps: float | None, seed: int, grid_step: float | None,
                 threads: int) -> QuadratureResult:
     """Integral of exp(<c, y>) * prod_k sinh(<alphas[k], y>) over a region:
     the one validation and method dispatch behind ``mu_A_ball``.  A result
     that is not finite (past the double range) raises ValueError."""
-    _validate(region, method, radius, offset, eps, budget, grid_step)
+    _validate(partition.n, region, method, radius, offset, eps, budget, grid_step)
     cone = Cone(partition, offset if region == "bc+" else 0.0)
     inner = eps * radius if region == "annulus" else None
     integrand = _Integrand.project(cone, c, alphas, radius, inner)
@@ -491,16 +620,19 @@ def _quadrature(partition: Partition, c: np.ndarray, alphas: list[np.ndarray],
     return QuadratureResult(region=region, method=method, seed=seed, **fields)
 
 
-def _density_forms(partition: Partition) -> tuple[np.ndarray, list[np.ndarray]]:
+def _density_forms(partition: Partition) -> tuple[list[float], list[list[float]]]:
     """The measure density as exp(<c, y>) * prod_k sinh(<alphas[k], y>): c
     sums e_i - e_j over the cross-block pairs, the alphas are e_i - e_j over
     the intra-block pairs."""
-    def pair(i: int, j: int) -> np.ndarray:
-        e = np.zeros(partition.n)
+    def pair(i: int, j: int) -> list[float]:
+        e = [0.0] * partition.n
         e[i], e[j] = 1.0, -1.0
         return e
 
-    c = sum((pair(i, j) for i, j in partition.cross_pairs()), np.zeros(partition.n))
+    c = [0.0] * partition.n
+    for i, j in partition.cross_pairs():
+        c[i] += 1.0
+        c[j] -= 1.0
     return c, [pair(i, j) for i, j in partition.intra_pairs()]
 
 

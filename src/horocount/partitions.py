@@ -6,10 +6,11 @@ coordinates: a "Cartan vector" is a length-N float vector with zero sum,
 normed by the trace form (which restricts to the Euclidean norm on the
 diagonal).  Indices are 0-based throughout.
 
-The partition itself and the exact norms are plain Python.  numpy is
-imported only inside the helpers that return or read arrays (``v0``,
-``Cone.half_spaces``, ``block_split``, ``cone_contains`` and
-``rho_density``), so that ``constant`` and the coset walk start without it.
+The partition itself, the exact norms and the cone's half-spaces
+(``Cone.half_spaces``, plain tuples) are plain Python.  numpy is imported
+only inside the helpers that return or read arrays (``v0``,
+``block_split``, ``cone_contains`` and ``rho_density``), so that
+``constant``, the coset walk and the grid rule start without it.
 """
 
 from __future__ import annotations
@@ -167,20 +168,18 @@ class Cone:
     partition: Partition
     offset: float = 0.0
 
-    def half_spaces(self) -> list[tuple[np.ndarray, float]]:
-        """The cone as half-spaces <normal, y> >= floor, as (normal, floor)."""
-        import numpy as np
-
+    def half_spaces(self) -> list[tuple[tuple[float, ...], float]]:
+        """The cone as half-spaces <normal, y> >= floor, as (normal, floor),
+        each normal a tuple of n floats."""
         part = self.partition
         out = []
         for i, j in part.intra_pairs():
-            normal = np.zeros(part.n)
+            normal = [0.0] * part.n
             normal[i], normal[j] = 1.0, -1.0
-            out.append((normal, max(0.0, self.offset)))
+            out.append((tuple(normal), max(0.0, self.offset)))
         for k in range(1, part.k0):
-            normal = np.zeros(part.n)
-            normal[list(part.prefix(k))] = 1.0
-            out.append((normal, self.offset))
+            size = len(part.prefix(k))
+            out.append(((1.0,) * size + (0.0,) * (part.n - size), self.offset))
         return out
 
 
@@ -191,7 +190,7 @@ def cone_contains(cone: Cone, y: Sequence[float], tol: float = 1e-12) -> bool:
     n = cone.partition.n
     if y.shape != (n,):
         raise ValueError(f"vector has shape {y.shape}, expected ({n},)")
-    return all(normal @ y >= floor - tol for normal, floor in cone.half_spaces())
+    return all(np.dot(normal, y) >= floor - tol for normal, floor in cone.half_spaces())
 
 
 def rho_density(partition: Partition, a: Sequence[float], b: Sequence[float],

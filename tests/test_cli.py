@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -179,6 +180,10 @@ def test_global_threads_before_subcommand(tmp_path, capsys):
     assert args.threads == 3
 
 
+# the directory above src/, a git checkout when the tests run from one
+_CHECKOUT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+
+
 # pytest itself has loaded numpy and cosets, so a fresh interpreter runs
 # each command and prints whether it loaded ``module``
 _REPORT_MODULE = ("import sys; from horocount import cli; code = cli.dispatch(sys.argv[2:]); "
@@ -193,10 +198,14 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _loads_module(module, argv) -> bool:
+def _loads_module(module, argv, code=0) -> bool:
     proc = _fresh_python("-c", _REPORT_MODULE, module, *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout.splitlines()[-1] == "loaded: True"
+
+
+_VOLUME_N2 = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2", "--grid", "0.1")
+_VOLUME_N3 = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--grid", "0.1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,11 +214,43 @@ def _loads_module(module, argv) -> bool:
     ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5"),
     ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5", "--method", "both"),
     ("count", "--n", "2", "--blocks", "1,1", "--radius", "2", "--method", "brute"),
-], ids=["constant", "count-n2", "count-n3", "count-n3-both", "count-n2-brute"])
+    _VOLUME_N2,
+    _VOLUME_N2 + ("--region", "bc+", "--offset", "-1"),
+    _VOLUME_N2 + ("--region", "annulus", "--eps", "0.5"),
+    _VOLUME_N3,
+    _VOLUME_N3 + ("--region", "bc+", "--offset", "-1"),
+    _VOLUME_N3[:4] + ("1,1,1",) + _VOLUME_N3[5:] + ("--region", "annulus", "--eps", "0.5"),
+], ids=["constant", "count-n2", "count-n3", "count-n3-both", "count-n2-brute",
+        "volume-grid-n2-b+", "volume-grid-n2-bc+", "volume-grid-n2-annulus",
+        "volume-grid-n3-b+", "volume-grid-n3-bc+", "volume-grid-n3-annulus"])
 def test_commands_run_without_numpy(argv):
-    # the walk, the scan and the constant are plain Python; importing numpy
-    # would double the start-up time of these commands
+    # the walk, the scan, the constant and the grid rule are plain Python;
+    # importing numpy would double the start-up time of these commands
     assert not _loads_module("numpy", argv)
+
+
+def test_grid_rejects_n4_without_numpy():
+    # the grid rule stops at N = 3: rejected before the integrand is built
+    argv = ("volume", "--n", "4", "--blocks", "2,2", "--radius", "2", "--grid", "0.1")
+    assert not _loads_module("numpy", argv, code=2)
+
+
+def test_main_writes_csv_and_manifest(tmp_path):
+    # through main, which freezes the collector's objects before exit: the
+    # output files are complete, and the grid rule never loads numpy
+    csv_path = tmp_path / "grid.csv"
+    proc = _fresh_python("-m", "horocount.cli", "volume", "--n", "3", "--blocks", "2,1",
+                         "--radius", "6", "--grid", "0.04", "--csv", str(csv_path))
+    assert proc.returncode == 0, proc.stderr
+    estimate = float(proc.stdout.split("estimate=")[1].split()[0])
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["method"] == "grid"
+    assert float(rows[0]["estimate"]) == estimate
+    assert rows[0]["converged"] == "True"
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(csv_path)]
+    assert manifest["environment"]["numpy"] is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -240,6 +281,9 @@ def test_manifest_environment(tmp_path, capsys):
     import numpy as np
 
     python = "{}.{}.{}".format(*sys.version_info[:3])
+    # the checkout's commit, a 40-hex sha (null outside a checkout)
+    commit = cli._git_commit(_CHECKOUT)
+    assert commit is None or re.fullmatch("[0-9a-f]{40}", commit)
     volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2.0", "--mc", "20000")
     for method, threads, used in ((("--threads", "3"), 3, 3), (("--grid", "0.1"), None, 1),
                                   (("--plain", "--threads", "2"), 2, 1)):
@@ -247,7 +291,7 @@ def test_manifest_environment(tmp_path, capsys):
         assert run(capsys, *volume, *method, "--csv", str(csv_path))[0] == 0
         manifest = json.loads((tmp_path / "vol.csv.manifest.json").read_text())
         assert manifest["environment"] == {"python": python, "numpy": np.__version__,
-                                           "threads": used}
+                                           "threads": used, "commit": commit}
         assert manifest["params"]["threads"] == threads
     # a count that never loads numpy records null; the rerun ignores the key
     csv_path = tmp_path / "c.csv"
@@ -256,7 +300,8 @@ def test_manifest_environment(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     manifest_path = tmp_path / "c.csv.manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["environment"] == {"python": python, "numpy": None, "threads": 1}
+    assert manifest["environment"] == {"python": python, "numpy": None, "threads": 1,
+                                       "commit": commit}
     first = csv_path.read_text().splitlines()
     assert cli.rerun_manifest(str(manifest_path)) == 0
     capsys.readouterr()
@@ -267,7 +312,37 @@ def test_manifest_environment(tmp_path, capsys):
                          "--radius", "1", "--method", "both", "--csv", str(csv_path))
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["environment"] == {"python": python, "numpy": None, "threads": 1}
+    assert manifest["environment"] == {"python": python, "numpy": None, "threads": 1,
+                                       "commit": commit}
+
+
+def test_git_commit(tmp_path):
+    sha, other = "0123456789abcdef" * 2 + "01234567", "f" * 40
+    git = tmp_path / ".git"
+    assert cli._git_commit(str(tmp_path)) is None   # not a checkout
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text(sha + "\n")   # detached
+    assert cli._git_commit(str(tmp_path)) == sha
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert cli._git_commit(str(tmp_path)) is None   # no such ref
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{other} refs/heads/old\n"
+                                     f"{sha} refs/heads/main\n^{other}\n")
+    assert cli._git_commit(str(tmp_path)) == sha
+    (git / "refs" / "heads" / "main").write_text(other + "\n")   # the loose ref wins
+    assert cli._git_commit(str(tmp_path)) == other
+    for bad in ("not a sha\n", other.upper(), other[:39], b"\xff" * 40):
+        path = git / "refs" / "heads" / "main"
+        path.write_bytes(bad) if isinstance(bad, bytes) else path.write_text(bad)
+        assert cli._git_commit(str(tmp_path)) is None, bad
+    # this checkout, where git itself can say
+    if os.path.isdir(os.path.join(_CHECKOUT, ".git")):
+        try:
+            head = subprocess.run(["git", "-C", _CHECKOUT, "rev-parse", "HEAD"],
+                                  capture_output=True, text=True, timeout=60)
+        except OSError:   # no git program
+            head = None
+        if head is not None and head.returncode == 0:
+            assert cli._git_commit(_CHECKOUT) == head.stdout.strip()
 
 
 def test_volume_grid(capsys):
@@ -317,6 +392,9 @@ def test_exit_codes(capsys):
     # the scan's bound past the double range: was an OverflowError traceback
     n3 = ("count", "--n", "3", "--blocks", "1,1,1", "--radius")
     assert run(capsys, *n3, "1e6", "--method", "brute")[0] == 2
+    # ... also with the walk first, which exited 3 on its state budget
+    code, _, err = run(capsys, *n3, "1e6", "--method", "both", "--max-states", "20000")
+    assert code == 2 and "past the double range" in err
     # a box past the state budget: numpy's "Maximum allowed size exceeded"
     # (exit 2) before, the scan's refusal now
     assert run(capsys, *count, "600", "--method", "brute")[0] == 3

@@ -21,7 +21,7 @@ def cone_integral(partition, offset, radius, method="mc", budget=1_000_000, *,
 
 def test_traceless_basis_orthonormal():
     for n in (2, 3, 4):
-        e = M.traceless_basis(n)
+        e = np.array(M.traceless_basis(n)).T
         assert np.allclose(e.T @ e, np.eye(n - 1), atol=1e-12)
         assert np.allclose(e.sum(axis=0), 0.0, atol=1e-12)
         # first coordinate is the growth direction
@@ -386,7 +386,7 @@ def _density(partition, y):
 def test_log_weight_matches_density(blocks, rng):
     part = make_partition(sum(blocks), blocks)
     radius, offset = 3.0, -0.5
-    basis = M.traceless_basis(part.n)
+    basis = np.array(M.traceless_basis(part.n)).T
     cone = Cone(part, offset)
     integrand = M._Integrand.project(cone, *M._density_forms(part), radius, 1.0)
     x = rng.uniform(-radius, radius, size=(400, part.n - 1))
@@ -407,16 +407,37 @@ def test_section_integrals_match_quad(p21):
     from scipy.integrate import quad
 
     radius = 6.0
-    basis = M.traceless_basis(3)
+    basis = np.array(M.traceless_basis(3)).T
     integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
     ts = np.array([0.3, 1.3, 2.0, 3.1, 4.0, 5.5])
-    lo, hi = integrand.sections(ts)
+    lo, hi = map(np.array, integrand.sections(ts))
     exact = integrand.section_integrals(ts, lo, hi)
     assert (lo < hi).all()
     for t, a, b, value in zip(ts, lo, hi, exact):
         ref, _ = quad(lambda s: _density(p21, basis @ (t, s)), a, b,
                       epsabs=0.0, epsrel=1e-13, limit=200)
         assert value == pytest.approx(ref, rel=1e-10)
+
+
+def test_line_weight_matches_log_weight(p2):
+    # the N = 2 grid's plain-Python integrand against the samplers' arrays
+    for offset, inner in ((0.0, None), (-1.0, 0.5)):
+        integrand = M._Integrand.project(Cone(p2, offset), *M._density_forms(p2), 3.0, inner)
+        ts = np.linspace(-3.2, 3.2, 321)
+        expected = np.exp(integrand.log_weight(ts[None, :]))
+        assert [integrand.line_weight(t) for t in ts] == pytest.approx(expected, rel=1e-15)
+        assert 0 < np.count_nonzero(expected) < len(ts)
+
+
+def test_pairwise_sum(rng):
+    # rounding error within (log2 n + 1) eps of the sum of magnitudes
+    for n in (0, 1, 7, 8, 9, 127, 128, 129, 1000, 5000):
+        a = [float(v) for v in rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))]
+        bound = (math.log2(max(n, 1)) + 1) * 2.0 ** -53 * math.fsum(map(abs, a))
+        assert abs(M._pairwise_sum(a) - math.fsum(a)) <= bound, n
+    # past the double range the sum is inf or NaN, for the caller to reject
+    assert M._pairwise_sum([1.0, math.inf] * 10) == math.inf
+    assert math.isnan(M._pairwise_sum([math.inf, -math.inf] * 10))
 
 
 @pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1]])
@@ -449,7 +470,7 @@ def test_grid_converged_flag_and_sections(p21):
     # samples counts the non-empty sections of the last grid: the t nodes
     # whose open disk chord holds a point of the cone
     step = 100.0 / 2 ** 8
-    basis = M.traceless_basis(3)
+    basis = np.array(M.traceless_basis(3)).T
     cone = Cone(p21)
     non_empty = 0
     for t in np.linspace(-6.0, 6.0, math.ceil(12.0 / step) + 1):
