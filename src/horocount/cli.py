@@ -40,8 +40,9 @@ def _now() -> str:
 
 
 def _threads(args) -> int:
-    """``--threads``, else ``HOROCOUNT_THREADS``, else the CPU count; the
-    variable obeys the option's rule (an integer of at least 1)."""
+    """``--threads``, else ``HOROCOUNT_THREADS``, else the CPUs this process
+    may run on; the variable obeys the option's rule (an integer of at
+    least 1)."""
     if args.threads is not None:
         return args.threads
     env = os.environ.get("HOROCOUNT_THREADS")
@@ -51,6 +52,8 @@ def _threads(args) -> int:
         except (ValueError, argparse.ArgumentTypeError):
             raise ValueError("HOROCOUNT_THREADS must be an integer of at least 1, "
                              f"got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -426,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="horocount",
         description="Asymptotic constants and exact counts for horocycle lifts",
     )
-    threads_help = "worker threads (default: HOROCOUNT_THREADS or CPU count)"
+    threads_help = ("worker threads (default: HOROCOUNT_THREADS, else the CPUs "
+                    "this process may run on)")
     parser.add_argument("--threads", type=_positive_int, default=None, help=threads_help)
     # the same option after the subcommand; it sets nothing unless given, so
     # a value given before the subcommand stands
@@ -466,9 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo sample budget")
     rule = p.add_mutually_exclusive_group()
     rule.add_argument("--grid", type=float, default=None,
-                      help="initial grid step (switches to the grid rule, N <= 3; "
-                           "samples then counts the points (N=2) or the exactly "
-                           "integrated sections (N=3) of the last refinement)")
+                      help="initial grid step (switches to the grid rule, N <= 3): "
+                           "each refinement halves the spacing and evaluates only "
+                           "the new midpoints; samples counts the points (N=2) or "
+                           "the non-empty, exactly integrated sections (N=3) of "
+                           "the last grid")
     rule.add_argument("--plain", action="store_true",
                       help="plain rejection sampling (slow oracle, small R)")
     p.add_argument("--offset", type=float, default=0.0, help="cone offset C for bc+")

@@ -25,12 +25,12 @@ numpy is imported only inside the two samplers and ``_Integrand.log_weight``,
 which weighs their points with an array of the projected forms.  The set-up
 and the whole grid rule are plain Python, so ``volume --grid`` runs without
 numpy: a grid run skips the numpy import (about 0.13 s) but pays a few
-microseconds per node where numpy paid a fraction of one, so only grid runs
-of up to some tens of thousands of nodes in all come out faster.
+microseconds per node evaluated where numpy paid a fraction of one.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 (taming the exp(||v0||R) dynamic range); plain rejection sampling over the
-ball, a slow oracle for small R; and a grid rule with refinement doubling.
+ball, a slow oracle for small R; and a nested grid rule that halves its
+spacing each round and evaluates each node once (``_grid_refine``).
 
 Both samplers stream.  The budget is cut into chunks of ``_CHUNK`` samples,
 one SeedSequence child each, and every chunk spawns its random streams in a
@@ -81,6 +81,7 @@ _CHUNK = 250_000   # samples per SeedSequence child
 _BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
 GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
 _GRID_MAX_ROUNDS = 8     # step halvings before the grid gives up
+_GRID_MAX_NODES = 2 ** 22   # nodes of the largest grid the rule builds
 
 
 @dataclass(frozen=True)
@@ -307,6 +308,10 @@ def _validate(n: int, region: str, method: str, radius: float, offset: float,
             raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n}")
         if not (grid_step is not None and math.isfinite(grid_step) and grid_step > 0):
             raise ValueError(f"grid step must be positive and finite, got {grid_step}")
+        # the first grid has ceil(2R/step) intervals; its first halving must fit
+        if 2 * radius / grid_step > (_GRID_MAX_NODES - 1) // 2:
+            raise ValueError(f"grid step {grid_step} at R={radius}: the first refined "
+                             f"grid would pass {_GRID_MAX_NODES} nodes")
     elif budget < 2:
         raise ValueError(f"a standard error needs a sample budget of at least 2, got {budget}")
 
@@ -487,79 +492,67 @@ def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: in
     }
 
 
-def _mc_estimate(integrand: _Integrand, n: int, budget: int, seed: int,
-                 threads: int = 1) -> dict:
-    """Importance sampling tilted along the first coordinate at rate ||v0||."""
-    rate = p_norm(n)
-    return _sampled_estimate(
-        integrand, lambda rows: _TiltedBallSampler(n - 1, integrand.radius, rate, rows),
-        budget, seed, rate * integrand.radius, threads)
-
-
-def _rejection_estimate(integrand: _Integrand, n: int, budget: int, seed: int) -> dict:
-    """Uniform sampling over the ball; slow oracle for small radii."""
-    return _sampled_estimate(
-        integrand, lambda rows: _UniformBallSampler(n - 1, integrand.radius, rows),
-        budget, seed, p_norm(n) * integrand.radius)
-
-
-def _grid_estimate(integrand: _Integrand, step: float) -> tuple[float, int]:
-    """Grid rule on m points t in [-R, R]; supports n = 2 and n = 3.
-
-    N = 2: trapezoid over the points, ``m`` of them counted.  N = 3: the
-    section at each t integrated exactly, then the trapezoid over t; the
-    non-empty sections are counted.
-    """
-    radius, inner = integrand.radius, integrand.inner
-    m = max(2, int(math.ceil(2 * radius / step)) + 1)
-    h = 2 * radius / (m - 1)
-    # the nodes of numpy's linspace(-R, R, m), bit for bit: the last is R exactly
-    ts = [i * h - radius for i in range(m - 1)] + [radius]
+def _grid_values(integrand: _Integrand, ts: list[float]) -> tuple[list[float], int]:
+    """The rule's value at each node t, and how many nodes count as samples.
+    N = 2: the integrand at x = t, every node counted.  N = 3: the section at
+    t integrated exactly, less its part in the inner disk for the annulus,
+    the non-empty sections counted."""
     if integrand.n_dim == 1:
         assert not integrand.n_sinh
-        vals = [integrand.line_weight(t) for t in ts]
-        samples = m
-    else:
-        lo, hi = integrand.sections(ts)
-        vals = integrand.section_integrals(ts, lo, hi)
-        samples = sum([a < b for a, b in zip(lo, hi)])
-        if inner is not None:
-            # subtract the part of each section inside the inner disk
-            inner2 = inner ** 2
-            in_lo, in_hi = [], []
-            for t, a, b in zip(ts, lo, hi):
-                cross = inner2 - t * t
-                h_in = math.sqrt(cross) if cross > 0 else 0.0
-                if a < -h_in:
-                    a = -h_in
-                if b > h_in:
-                    b = h_in
-                in_lo.append(a)
-                in_hi.append(b if b > a else a)
-            vals = [v - w for v, w in
-                    zip(vals, integrand.section_integrals(ts, in_lo, in_hi))]
+        return [integrand.line_weight(t) for t in ts], len(ts)
+    lo, hi = integrand.sections(ts)
+    vals = integrand.section_integrals(ts, lo, hi)
+    if integrand.inner is not None:
+        inner2 = integrand.inner ** 2
+        h_in = [math.sqrt(max(inner2 - t * t, 0.0)) for t in ts]
+        in_lo = [max(a, -r) for a, r in zip(lo, h_in)]
+        in_hi = [max(min(b, r), a) for a, b, r in zip(in_lo, hi, h_in)]
+        vals = [v - w for v, w in zip(vals, integrand.section_integrals(ts, in_lo, in_hi))]
+    return vals, sum([a < b for a, b in zip(lo, hi)])
+
+
+def _trapezoid(ts: list[float], vals: list[float]) -> float:
     try:
-        total = math.fsum([(t1 - t0) * (v1 + v0) / 2.0
-                           for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])])
+        return math.fsum([(t1 - t0) * (v1 + v0) / 2.0
+                          for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])])
     except (OverflowError, ValueError):   # past the double range: rejected by the caller
-        total = math.inf
-    return total, samples
+        return math.inf
+
+
+def _interleave(kept: list[float], mids: list[float]) -> list[float]:
+    out = kept + mids
+    out[0::2], out[1::2] = kept, mids
+    return out
 
 
 def _grid_refine(integrand: _Integrand, step: float) -> dict:
-    """Halve the step until successive estimates agree to ``GRID_REL_TARGET``,
-    at most ``_GRID_MAX_ROUNDS`` times; ``converged`` says whether they did."""
-    prev, _ = _grid_estimate(integrand, step)
-    converged = False
+    """Nested grid rule on [-R, R] for N = 2 and 3, from ceil(2R/step) equal
+    intervals.  Each round halves the spacing h and evaluates only the new
+    midpoints i*h - R (i odd), interleaved with the kept nodes and values,
+    so every node is evaluated once.  Halving h is exact: where 2R/step is
+    whole, each grid is the one a fresh grid of its spacing would be, bit
+    for bit.  Rounds stop once successive estimates agree to
+    ``GRID_REL_TARGET`` (``converged``), after ``_GRID_MAX_ROUNDS`` rounds or
+    before a grid would pass ``_GRID_MAX_NODES`` nodes.  The error is the
+    last round's change, ``samples`` counts the last grid's."""
+    radius = integrand.radius
+    k = max(1, math.ceil(2 * radius / step))
+    h = 2 * radius / k
+    ts = [i * h - radius for i in range(k)] + [radius]   # the last node is R exactly
+    vals, samples = _grid_values(integrand, ts)
+    prev = _trapezoid(ts, vals)
     for _ in range(_GRID_MAX_ROUNDS):
-        step /= 2.0
-        cur, samples = _grid_estimate(integrand, step)
+        h /= 2.0
+        mids = [i * h - radius for i in range(1, 2 * k, 2)]
+        mid_vals, mid_samples = _grid_values(integrand, mids)
+        k, samples = 2 * k, samples + mid_samples
+        ts, vals = _interleave(ts, mids), _interleave(vals, mid_vals)
+        cur = _trapezoid(ts, vals)
         delta = abs(cur - prev)
         prev = cur
-        if not math.isfinite(delta):   # past the double range: refining cannot help
-            break
-        if prev != 0 and delta / abs(prev) < GRID_REL_TARGET:
-            converged = True
+        converged = prev != 0 and delta / abs(prev) < GRID_REL_TARGET
+        # a change past the double range: refining cannot help
+        if converged or not math.isfinite(delta) or 2 * k + 1 > _GRID_MAX_NODES:
             break
     return {"estimate": prev, "standard_error": delta, "samples": samples,
             "converged": converged}
@@ -576,13 +569,15 @@ def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[
     cone = Cone(partition, offset if region == "bc+" else 0.0)
     inner = eps * radius if region == "annulus" else None
     integrand = _Integrand.project(cone, c, alphas, radius, inner)
-    if method == "mc":
-        fields = _mc_estimate(integrand, partition.n, budget, seed, threads)
-    elif method == "plain":
-        fields = _rejection_estimate(integrand, partition.n, budget, seed)
-    else:
-        fields = _grid_refine(integrand, grid_step)
-        seed = None
+    n_dim, rate = partition.n - 1, p_norm(partition.n)
+    if method == "grid":
+        fields, seed = _grid_refine(integrand, grid_step), None
+    elif method == "mc":   # tilted along the first coordinate at rate ||v0||
+        fields = _sampled_estimate(integrand, lambda rows: _TiltedBallSampler(
+            n_dim, radius, rate, rows), budget, seed, rate * radius, threads)
+    else:   # uniform over the ball: the slow oracle for small radii
+        fields = _sampled_estimate(integrand, lambda rows: _UniformBallSampler(
+            n_dim, radius, rows), budget, seed, rate * radius)
     estimate, error = fields["estimate"], fields["standard_error"]
     if not (math.isfinite(estimate) and math.isfinite(error)):
         raise ValueError(f"{method} quadrature at R={radius} is not finite "
@@ -617,7 +612,7 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     cap, needs a finite ``offset`` <= 0) and ``annulus`` (B+(R) minus
     B+(eps R)); a nonzero ``offset`` or any ``eps`` given for another region
     is rejected.  ``method``: ``mc`` (importance sampling), ``grid``
-    (refinement doubling from a positive ``grid_step``; N <= 3) or
+    (nested grid halving a positive initial ``grid_step``; N <= 3) or
     ``plain`` (rejection oracle, small R only); the sampling methods need a
     ``budget`` of at least 2.
 

@@ -465,3 +465,23 @@ def test_threads_env(monkeypatch):
     args = parser.parse_args(["--threads", "2", "volume", "--n", "2",
                               "--blocks", "1,1", "--radius", "1.0"])
     assert cli._threads(args) == 2
+
+
+def test_threads_follow_cpu_affinity(monkeypatch):
+    # the default was os.cpu_count(): 2 threads under `taskset -c 0` on a 2-CPU machine
+    monkeypatch.delenv("HOROCOUNT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    args = cli.build_parser().parse_args(["volume", "--n", "2", "--blocks", "1,1",
+                                          "--radius", "1.0"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cli._threads(args) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._threads(args) == 8
+
+
+def test_grid_node_cap_exits_2(capsys):
+    # a 2e12-node first grid was built before any check
+    code, _, err = run(capsys, "volume", "--n", "2", "--blocks", "1,1", "--radius", "1",
+                       "--grid", "1e-12")
+    assert code == 2
+    assert "4194304 nodes" in err

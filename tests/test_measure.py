@@ -432,7 +432,7 @@ def test_line_weight_matches_log_weight(p2):
 def test_grid_sum_past_double_range():
     # every trapezoid term is finite but their sum is not: inf, for the caller to reject
     integrand = M._Integrand(((0.5,),), 0, (), 1419.0, None)
-    assert M._grid_estimate(integrand, 1.0)[0] == math.inf
+    assert M._grid_refine(integrand, 1.0)["estimate"] == math.inf
 
 
 @pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1]])
@@ -462,17 +462,59 @@ def test_grid_converged_flag_and_sections(p21):
     res = M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=100.0)
     assert res.converged is False
     assert res.standard_error > 1e-3 * res.estimate
-    # samples counts the non-empty sections of the last grid: the t nodes
-    # whose open disk chord holds a point of the cone
-    step = 100.0 / 2 ** 8
+    # samples counts the non-empty sections of the last grid, 2^8 intervals
+    # from one: the t nodes whose open disk chord holds an interior point of
+    # the cone (the node t = 0 meets the cone in its apex alone)
     basis = np.array(M.traceless_basis(3)).T
     cone = Cone(p21)
     non_empty = 0
-    for t in np.linspace(-6.0, 6.0, math.ceil(12.0 / step) + 1):
+    for t in np.linspace(-6.0, 6.0, 2 ** 8 + 1):
         h = math.sqrt(max(36.0 - t * t, 0.0))
         ss = np.linspace(-h, h, 2001)[1:-1]
-        non_empty += h > 0 and any(cone_contains(cone, basis @ (t, s), tol=0.0) for s in ss)
+        non_empty += h > 0 and any(cone_contains(cone, basis @ (t, s), tol=-1e-9) for s in ss)
     assert res.samples == non_empty
+
+
+def test_grid_coarse_start_not_converged(p2):
+    # a step of 4R or more held the first two grids at the same two nodes:
+    # their change was 0, reported as converged with error 0
+    res = M.mu_A_ball(p2, 6.0, "b+", "grid", grid_step=100.0)
+    assert not (res.converged and res.standard_error == 0)
+    assert abs(res.estimate - M.mu_n2_closed_form(6.0)) <= res.standard_error
+
+
+@pytest.mark.parametrize("n3", [False, True])
+def test_grid_evaluates_each_node_once(p2, p21, monkeypatch, n3):
+    # each round rebuilt the whole grid: 4,504 evaluations for the 2,401
+    # nodes of the [2, 1] run
+    seen = []
+    name = "sections" if n3 else "line_weight"
+    method = getattr(M._Integrand, name)
+
+    def counted(self, arg):   # sections takes a list of nodes, line_weight one node
+        seen.extend(arg if n3 else [arg])
+        return method(self, arg)
+
+    monkeypatch.setattr(M._Integrand, name, counted)
+    res = M.mu_A_ball(p21 if n3 else p2, 6.0, "b+", "grid", grid_step=0.04)
+    assert res.converged is True
+    assert len(seen) == len(set(seen)) == (2401 if n3 else res.samples)
+
+
+def test_grid_node_cap(p21, monkeypatch):
+    with pytest.raises(ValueError, match="nodes"):
+        M.mu_A_ball(p21, 1.0, "b+", "grid", grid_step=1e-12)
+    monkeypatch.setattr(M, "_GRID_MAX_NODES", 64)
+    with pytest.raises(ValueError, match="nodes"):   # 41 nodes, then 81
+        M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.3)
+    seen = []
+    sections = M._Integrand.sections
+    monkeypatch.setattr(M._Integrand, "sections",
+                        lambda self, ts: seen.extend(ts) or sections(self, ts))
+    # 25 nodes, then 49; the next grid, 97 nodes, would pass the cap
+    res = M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.5)
+    assert res.converged is False
+    assert len(seen) == 49
 
 
 def test_plain_error_finite_at_large_radius():
