@@ -457,7 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "N=2; for N>=3 it rests on the descent lemma, which every "
                         "walk checks: a failed check prints a warning on stderr "
                         "that the count may be incomplete at this margin")
-    p.add_argument("--max-states", type=int, default=2_000_000)
+    p.add_argument("--max-states", type=int, default=2_000_000,
+                   help="budget of stored coset keys (default 2000000).  The walk "
+                        "stores every key of each signed-permutation orbit it meets "
+                        "within its height limit and each single coset above it; the "
+                        "scan bounds its box of first columns and its cosets by it.  "
+                        "Past it the count exits 3")
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 

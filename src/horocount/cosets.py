@@ -29,14 +29,21 @@ A singleton last block is left out, since its entry is det g = 1.
   It changes only the coordinates whose row set S holds i and not j, each
   by +-t times the coordinate on S - i + j, so a step is a fixed table of
   integer updates per generator.
+* **Symmetry.**  Left multiplication by a signed permutation w of
+  determinant one (the group W, inside SO_N) moves each coordinate to
+  another, up to sign: a fixed table per w.  Every squared norm and Gram
+  entry of w g's state is the integer of g's, so the height of w g is
+  that of g bit for bit.
 
 Two strategies are implemented and validated against each other:
 
 * ``enumerate_bfs`` walks the Schreier graph of SL_N(Z) acting on the
   cosets by left multiplication with the elementary matrices E_ij(+-1),
   as in Todd-Coxeter coset enumeration, stepping the state and pruning by
-  height only.  By default it expands only the cosets of height <= R (and
-  the identity's neighbours), which is complete by the descent lemma:
+  height only.  W permutes those generators, so the walk expands one
+  representative per W-orbit and stores the whole orbit from the
+  symmetry tables.  By default it expands only the cosets of height <= R
+  (and the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
 * ``enumerate_brute`` lists the cosets as flags (n <= 3): a primitive
   first column v, then, at n = 3, a primitive vector of the plane lattice
@@ -206,12 +213,44 @@ def _step_ops(n: int, degree: int, start: int,
     return ops
 
 
+def _quarter_turns(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Generators of W, the signed permutations of determinant one, as
+    (source row, sign) per row of w g: for each i < n - 1 the quarter turn
+    whose row i is row i + 1 of g and whose row i + 1 is minus row i.  Their
+    images are the adjacent transpositions, and their squares the sign
+    changes of rows i and i + 1, so together they generate all of W."""
+    gens = []
+    for i in range(n - 1):
+        rows = [(r, 1) for r in range(n)]
+        rows[i], rows[i + 1] = (i + 1, 1), (i, -1)
+        gens.append(tuple(rows))
+    return gens
+
+
+def _turn_ops(n: int, degree: int, start: int,
+              rows: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """(source, coefficient) for each coordinate of one column of the given
+    degree, in order, under left multiplication by the signed permutation
+    ``rows``: the minor of w g on a row set S is the minor of g on the rows
+    that S draws from, times their signs and the sign of sorting them."""
+    index = {s: idx for idx, s in enumerate(itertools.combinations(range(n), degree))}
+    ops = []
+    for s in index:
+        src = [rows[r][0] for r in s]
+        inversions = sum(a > b for a, b in itertools.combinations(src, 2))
+        coef = (-1) ** inversions * math.prod(rows[r][1] for r in s)
+        ops.append((start + index[tuple(sorted(src))], coef))
+    return ops
+
+
 class _Layout:
     """Where the wedge coordinates of a partition sit in the flat state.
 
     ``blocks`` holds, per block, its size and the (start, stop) slice of
     each column's coordinates (no slice for a singleton last block).
     ``steps[g]`` holds the updates of generator g of ``_generators(n)``.
+    ``turns[w]`` holds, for generator w of ``_quarter_turns(n)``, its row
+    map and the (source, coefficient) of every coordinate of w g's state.
     """
 
     def __init__(self, partition: Partition):
@@ -237,6 +276,11 @@ class _Layout:
             tuple(op for start, degree in columns
                   for op in _step_ops(n, degree, start, gen))
             for gen in _generators(n)
+        )
+        self.turns = tuple(
+            (rows, tuple(op for start, degree in columns
+                         for op in _turn_ops(n, degree, start, rows)))
+            for rows in _quarter_turns(n)
         )
 
 
@@ -265,6 +309,16 @@ def _step(state: tuple[int, ...], ops) -> tuple[int, ...]:
     for target, source, coef in ops:
         child[target] += coef * state[source]
     return tuple(child)
+
+
+def _turn(state: tuple[int, ...], coords) -> tuple[int, ...]:
+    """The state of w g from that of g, by w's table of signed sources."""
+    return tuple([c * state[s] for s, c in coords])
+
+
+def _turn_rows(g: Matrix, rows) -> Matrix:
+    """w g for the signed permutation w given by its row map."""
+    return tuple([g[s] if c > 0 else tuple([-x for x in g[s]]) for s, c in rows])
 
 
 def _positive(seg: tuple[int, ...]) -> tuple[int, ...]:
@@ -412,7 +466,8 @@ def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
 
 def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
                   max_states: int = 2_000_000) -> EnumerationReport:
-    """All distinct lift cosets of height <= R by breadth-first search.
+    """All distinct lift cosets of height <= R by breadth-first search over
+    the orbits of W, the signed permutations of determinant one.
 
     The walk starts at the identity coset and moves by left multiplication
     with E_ij(+-1), which is well defined on cosets g Gamma_hor.  A move
@@ -420,21 +475,36 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     whose row set holds i and not j change, each by +-1 times another
     coordinate), and the key and the height are read off the new state:
     the height from the integer squared norms |omega_k|^2 and the blocks'
-    integer Gram matrices.  Every child key goes into the
-    ``seen`` map with its height, and height is the only prune: a coset is
-    kept and expanded when its height is at most the limit
+    integer Gram matrices.  Height is the only prune: a coset is kept and
+    expanded when its height is at most the limit
     max(R + margin, h1) + HEIGHT_TOL, where h1 is the largest height among
-    the identity's neighbours.  The matrix is carried only for cosets that
-    are expanded, as their representative.  A positive ``margin`` expands
-    further, for cross-checks; it never changes a count of a complete walk.
+    the identity's neighbours.  A positive ``margin`` expands further, for
+    cross-checks; it never changes a count of a complete walk.
 
-    The floor h1 keeps small R + margin complete.  Signed permutations of
-    determinant one lie in SO_N, so left multiplication by one keeps the
-    height, and it maps the neighbours of a coset onto the neighbours of
-    its translate.  The height-0 coset of a transposition (i j), i < j in
-    different blocks, is E_ij(1) E_ji(-1) Gamma_hor, two steps from the
-    identity through a neighbour of height <= h1.  So every permutation
-    coset is reached, whatever R and margin are.
+    W lies in SO_N, so left multiplication by w in W keeps the height, and
+    w E_ij(t) w^-1 is another generator E_kl(+-t), so w maps the neighbours
+    of a coset onto those of its translate.  The walk therefore expands one
+    representative per W-orbit.  When it meets a new coset within the
+    limit, it stores the coset's whole orbit, built by closure under the
+    N - 1 quarter turns of ``_quarter_turns`` (each a fixed signed
+    permutation of the state's coordinates): every image key goes into
+    ``seen`` with the coset's height, and every image of height <= R
+    becomes a record with the representative w g.  The heights are equal
+    bit for bit: w g's state is a signed permutation of g's within each
+    column, so every squared norm and Gram entry is the same integer, in
+    the same column order.  (Two representatives of one coset can still
+    differ by a permutation of a block's columns, so in a block of size
+    >= 3 ``eigvalsh`` may round the height of one coset reached two ways
+    differently, by up to about 1e-14.)  A child above the limit is stored
+    alone.
+
+    The identity's orbit is the set of permutation cosets w Gamma_hor, all
+    of height 0, so every one of them is at layer 0, whatever R and margin
+    are.  (A walk from the identity alone needed the floor h1 to reach
+    them: the coset of a transposition is two steps away, through a
+    neighbour of height <= h1.)  The floor still makes every walk expand
+    the identity's neighbours, so the descent check below sees them even
+    at small R + margin.
 
     Completeness at margin 0 rests on the descent lemma: every coset of
     positive height has a neighbour of strictly lower height.  Then a
@@ -443,23 +513,30 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     lemma is proved: a coset is fixed by its first column v up to sign,
     and its height is sqrt(2) log|v|.  Euclid descent on v (add or
     subtract the smaller entry from the larger) strictly lowers the height
-    down to e_1 or e_2, and e_2 joins e_1 through (1, 1) at height
-    h1 = log(2)/sqrt(2).  For N >= 3 the lemma is unproved, and the walk
-    checks it on every run: after a coset of height h > HEIGHT_TOL is
-    expanded, all its neighbours are in ``seen``, and the coset counts as
-    a failure unless the lowest of them is below h - HEIGHT_TOL.  The
-    check sees only the cosets the walk expands; a failure says that the
-    count may be incomplete at this margin.  It is a diagnostic and never
-    changes a count.  Counts are also checked against ``enumerate_brute``.
+    down to e_1 or e_2.  For N >= 3 the lemma is unproved, and the walk
+    checks it on every run: after a representative of height
+    h > HEIGHT_TOL is expanded, all its neighbours are in ``seen``, and its
+    orbit counts as failures unless the lowest of them is below
+    h - HEIGHT_TOL.  The check sees only the orbits the walk expands; a
+    failure says that the count may be incomplete at this margin.  It is a
+    diagnostic and never changes a count.  Counts are also checked against
+    ``enumerate_brute``.
 
-    ``params`` reports ``expand_limit``, ``states`` (keys seen),
-    ``depth_reached`` (layers expanded), ``last_new_depth`` (the deepest
-    layer that found a coset of height <= R), ``descent_checked`` (expanded
-    cosets of positive height) and ``descent_failures`` (those of them with
-    no strictly lower neighbour).  Exceeding the state budget raises
-    ``ResourceLimitError`` carrying the partial report, the only case
-    marked ``partial``.  A negative or non-finite radius or margin, or a
-    state budget below one, raises ``ValueError``.
+    ``params`` reports ``expand_limit``; ``states`` (keys stored, whole
+    orbits within the limit and single cosets above it); ``orbits`` (the
+    orbits stored whole); ``depth_reached`` (orbit layers expanded, the
+    identity's orbit being layer 0, so at [1, 1, 1], R = 1.5, margin 0.6
+    it is 6, one less than a walk from the identity alone would expand);
+    ``new_per_depth`` (per layer, the
+    cosets of height <= R first found there); ``last_new_depth`` (the
+    deepest layer that found one); ``boundary`` (records within HEIGHT_TOL
+    of R); ``descent_checked`` (cosets of positive height in expanded
+    orbits) and ``descent_failures`` (those of them with no strictly lower
+    neighbour).  The state budget is checked after every stored key;
+    exceeding it raises ``ResourceLimitError`` carrying the partial report
+    (with exactly ``max_states + 1`` states), the only case marked
+    ``partial``.  A negative or non-finite radius or margin, or a state
+    budget below one, raises ``ValueError``.
     """
     require_horocycle_partition(partition)
     if not (math.isfinite(radius) and radius >= 0):
@@ -474,46 +551,71 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     moves = list(zip(_generators(n), layout.steps))
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     root = _matrix_state(identity, layout)
-    root_key = _state_key(root, layout)
-    root_height = _state_height(root, layout)
     expand_limit = max(radius + margin, max(
         _state_height(_step(root, ops), layout) for ops in layout.steps)) + HEIGHT_TOL
-    seen = {root_key: root_height}
+    seen: dict[tuple[int, ...], float] = {}
     records: list[CosetRecord] = []
-    count = 0
     depth = 0
-    last_new_depth = 0
+    new_per_depth = [0]
+    orbits = 0
+    boundary = 0
     checked = 0
     failures = 0
 
     def report(partial: bool) -> EnumerationReport:
+        last_new_depth = max((d for d, new in enumerate(new_per_depth) if new), default=0)
         return EnumerationReport(
-            partition=partition, radius=radius, count=count, method="bfs",
+            partition=partition, radius=radius, count=len(records), method="bfs",
             records=records, wall_time=time.monotonic() - start_time,
             params={"margin": margin, "max_states": max_states,
-                    "expand_limit": expand_limit, "states": len(seen), "depth_reached": depth,
-                    "last_new_depth": last_new_depth, "descent_checked": checked,
-                    "descent_failures": failures},
+                    "expand_limit": expand_limit, "states": len(seen), "orbits": orbits,
+                    "depth_reached": depth, "new_per_depth": list(new_per_depth),
+                    "last_new_depth": last_new_depth, "boundary": boundary,
+                    "descent_checked": checked, "descent_failures": failures},
             partial=partial,
         )
 
-    def consider(g: Matrix, key: tuple[int, ...], h: float) -> None:
-        nonlocal count, last_new_depth
-        if h > radius + HEIGHT_TOL:
-            return
-        count += 1
-        last_new_depth = depth
-        records.append(CosetRecord(
-            representative=g, key=key, height=h,
-            boundary=abs(h - radius) <= HEIGHT_TOL,
-        ))
+    def store(key: tuple[int, ...], h: float) -> None:
+        seen[key] = h
+        if len(seen) > max_states:
+            raise ResourceLimitError(f"state budget {max_states} exceeded at depth {depth}",
+                                     report(partial=True))
 
-    consider(identity, root_key, root_height)
-    frontier = [(identity, root, root_height)]
+    def store_orbit(g: Matrix, state: tuple[int, ...], key: tuple[int, ...],
+                    h: float) -> int:
+        """Store the W-orbit of a new coset within the limit; its size."""
+        nonlocal orbits, boundary
+        orbits += 1
+        inside = h <= radius + HEIGHT_TOL
+        on_boundary = abs(h - radius) <= HEIGHT_TOL
+        members = [(g, state, key)]
+        orbit = {key}
+        store(key, h)
+        for g, state, key in members:  # grows as the closure finds images
+            if inside:
+                records.append(CosetRecord(representative=g, key=key, height=h,
+                                           boundary=on_boundary))
+                new_per_depth[depth] += 1
+                boundary += on_boundary
+            for rows, coords in layout.turns:
+                image = _turn(state, coords)
+                image_key = _state_key(image, layout)
+                if image_key not in orbit:
+                    orbit.add(image_key)
+                    store(image_key, h)
+                    members.append((_turn_rows(g, rows) if inside else None,
+                                    image, image_key))
+        return len(members)
+
+    root_key = _state_key(root, layout)
+    root_height = _state_height(root, layout)
+    frontier = [(identity, root, root_height,
+                 store_orbit(identity, root, root_key, root_height))]
     while frontier:
         depth += 1
+        new_per_depth.append(0)
         next_frontier = []
-        for g, state, height in frontier:
+        for g, state, height, size in frontier:
             lowest = math.inf
             for gen, ops in moves:
                 child = _step(state, ops)
@@ -521,22 +623,18 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
                 h = seen.get(key)
                 if h is None:
                     h = _state_height(child, layout)
-                    seen[key] = h
-                    if len(seen) > max_states:
-                        raise ResourceLimitError(
-                            f"state budget {max_states} exceeded at depth {depth}",
-                            report(partial=True),
-                        )
                     if h <= expand_limit:
                         child_g = _left_apply(g, gen)
-                        consider(child_g, key, h)
-                        next_frontier.append((child_g, child, h))
+                        next_frontier.append(
+                            (child_g, child, h, store_orbit(child_g, child, key, h)))
+                    else:
+                        store(key, h)
                 if h < lowest:
                     lowest = h
             if height > HEIGHT_TOL:
-                checked += 1
+                checked += size
                 if lowest >= height - HEIGHT_TOL:
-                    failures += 1
+                    failures += size
         frontier = next_frontier
     return report(partial=False)
 

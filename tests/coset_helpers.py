@@ -3,15 +3,17 @@
 ``same_coset`` decides coset identity from the definition (g1^-1 g2 lies in
 the stabilizer) and is the oracle for ``cosets.coset_key``; the samplers draw
 random elements of SL_n(Z) and of the stabilizer's integer points.
-``pinned_height`` moves one coset's height, to make the walk's descent
-check fire.
+``pinned_height`` moves the heights of one coset's orbit under the signed
+permutations, to make the walk's descent check fire.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from horocount.cosets import Matrix, _generators, _state_height, _state_key, int_det
+from horocount.cosets import (Matrix, _generators, _state_height, _state_key, coset_key,
+                              int_det)
 from horocount.partitions import Partition
 
 
@@ -42,12 +44,31 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def pinned_height(key: tuple[int, ...], height: float):
-    """A stand-in for ``cosets._state_height`` that puts the coset with the
-    given key at ``height`` and leaves every other height as it was."""
+def signed_permutations(n: int) -> list[Matrix]:
+    """The group W: all n x n signed permutation matrices of determinant one."""
+    group = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            w = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                      for i in range(n))
+            if int_det(w) == 1:
+                group.append(w)
+    return group
+
+
+def orbit_keys(g: Matrix, partition: Partition) -> set[tuple[int, ...]]:
+    """Keys of the cosets w g Gamma_hor for every w in W."""
+    return {coset_key(mat_mul(w, g), partition) for w in signed_permutations(partition.n)}
+
+
+def pinned_height(g: Matrix, partition: Partition, height: float):
+    """A stand-in for ``cosets._state_height`` that puts the W-orbit of the
+    coset of g at ``height`` and leaves every other height as it was.  The
+    whole orbit moves, so that heights stay W-invariant."""
+    keys = orbit_keys(g, partition)
 
     def state_height(state, layout):
-        if _state_key(state, layout) == key:
+        if _state_key(state, layout) in keys:
             return height
         return _state_height(state, layout)
 

@@ -86,7 +86,7 @@ def test_count_default_margin_n3(capsys):
 
 
 def test_count_warns_on_failed_descent_check(tmp_path, capsys, monkeypatch):
-    # a coset below all its neighbours: a warning on stderr, with the exit
+    # cosets below all their neighbours: a warning on stderr, with the exit
     # code and the CSV's count unchanged
     def count_run(name):
         csv_path = tmp_path / name
@@ -97,11 +97,12 @@ def test_count_warns_on_failed_descent_check(tmp_path, capsys, monkeypatch):
 
     honest = count_run("honest.csv")
     assert honest[1] == ""
-    key = CS.coset_key(((2, 1), (1, 1)), make_partition(2, [1, 1]))
-    monkeypatch.setattr(CS, "_state_height", H.pinned_height(key, 0.01))
+    # the orbit of the column (2, 1): (2, 1) and (1, -2)
+    pinned = H.pinned_height(((2, 1), (1, 1)), make_partition(2, [1, 1]), 0.01)
+    monkeypatch.setattr(CS, "_state_height", pinned)
     code, err, header, row = count_run("pinned.csv")
     assert (code, header, row) == (honest[0], honest[2], honest[3])
-    assert err.startswith("warning: 1 of ") and "may be incomplete" in err
+    assert err.startswith("warning: 2 of ") and "may be incomplete" in err
 
 
 def test_volume_manifest_reproducibility(tmp_path, capsys):

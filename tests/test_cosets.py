@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -211,6 +212,7 @@ def test_boundary_flagging(p2):
     rep = CS.enumerate_bfs(p2, target)
     flagged = [r for r in rep.records if r.boundary]
     assert flagged
+    assert rep.params["boundary"] == len(flagged)
     assert all(abs(r.height - target) <= 1e-9 for r in flagged)
 
 
@@ -352,6 +354,122 @@ def test_state_update_matches_matrix(rng):
             assert state == CS._matrix_state(g, layout)
 
 
+def _compositions(n):
+    """Every ordered partition of n into at least two blocks."""
+    for cuts in itertools.product((0, 1), repeat=n - 1):
+        if any(cuts):
+            sizes, size = [], 1
+            for cut in cuts:
+                if cut:
+                    sizes.append(size)
+                    size = 0
+                size += 1
+            yield sizes + [size]
+
+
+_ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in _compositions(n)]
+
+
+def _turn_matrix(rows):
+    n = len(rows)
+    return tuple(tuple(c if j == s else 0 for j in range(n)) for s, c in rows)
+
+
+def test_quarter_turns_generate_w():
+    # the turns have determinant one and generate all 2^(n-1) n! elements of W
+    for n in range(2, 6):
+        turns = [_turn_matrix(rows) for rows in CS._quarter_turns(n)]
+        assert all(CS.int_det(w) == 1 for w in turns)
+        group = {tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+        layer = list(group)
+        while layer:
+            layer = {H.mat_mul(w, g) for g in layer for w in turns} - group
+            group |= layer
+        assert group == set(H.signed_permutations(n))
+        assert len(group) == 2 ** (n - 1) * math.factorial(n)
+
+
+def test_turn_tables_match_matrix(rng):
+    # each turn's table maps the state of g to that of w g, for integer g of
+    # any determinant, on every partition up to N=5: a wrong sign fails
+    assert len(_ALL_PARTITIONS) == 1 + 3 + 7 + 15
+    for n, sizes in _ALL_PARTITIONS:
+        layout = CS._layout(make_partition(n, sizes))
+        assert len(layout.turns) == n - 1
+        for _ in range(8):
+            g = tuple(tuple(int(x) for x in row) for row in rng.integers(-6, 7, size=(n, n)))
+            state = CS._matrix_state(g, layout)
+            for rows, coords in layout.turns:
+                wg = H.mat_mul(_turn_matrix(rows), g)
+                assert CS._turn_rows(g, rows) == wg
+                assert CS._turn(state, coords) == CS._matrix_state(wg, layout)
+
+
+def _pair_turns(n):
+    """Quarter turns in every coordinate plane (i, j): a generating set of W
+    built apart from the walk's."""
+    turns = []
+    for i, j in itertools.combinations(range(n), 2):
+        w = [[int(a == b) for b in range(n)] for a in range(n)]
+        w[i][i] = w[j][j] = 0
+        w[i][j], w[j][i] = 1, -1
+        turns.append(tuple(tuple(row) for row in w))
+    return turns
+
+
+@pytest.mark.parametrize("n, sizes, radius", [
+    (3, sizes, 2.0) for sizes in ([1, 1, 1], [2, 1], [1, 2])] + [
+    (4, sizes, 1.0) for sizes in _compositions(4)])
+def test_walk_records_are_closed_under_w(n, sizes, radius):
+    # W keeps the height, so the ball's cosets are a union of W-orbits, and
+    # the walk gives every coset of an orbit its representative's height
+    part = make_partition(n, sizes)
+    rep = CS.enumerate_bfs(part, radius)
+    heights = {rec.key: rec.height for rec in rep.records}
+    assert len(heights) == rep.count
+    for rec in rep.records:
+        for w in _pair_turns(n):
+            assert heights[CS.coset_key(H.mat_mul(w, rec.representative), part)] == rec.height
+
+
+@pytest.mark.parametrize("sizes, count", [([1, 1, 1, 1], 20736), ([2, 1, 1], 18336),
+                                          ([1, 1, 2], 18336)],
+                         ids=["1,1,1,1", "2,1,1", "1,1,2"])
+def test_walk_counts_n4(sizes, count):
+    # [2,1,1] and [1,1,2] are each other's reversal, so their counts agree
+    rep = CS.enumerate_bfs(make_partition(4, sizes), 1.5)
+    assert rep.count == count
+    assert rep.params["descent_failures"] == 0
+
+
+def test_walk_diagnostics(p21):
+    # new_per_depth is the histogram of the graph distance from the
+    # permutation cosets inside the ball, found here by a plain search over
+    # the records; orbits and boundary recount the records
+    rep = CS.enumerate_bfs(p21, 1.5)
+    params = rep.params
+    by_key = {rec.key: rec for rec in rep.records}
+    layer = [key for key, rec in by_key.items() if rec.height <= CS.HEIGHT_TOL]
+    histogram = []
+    seen = set()
+    while layer:
+        histogram.append(len(layer))
+        seen.update(layer)
+        layer = {CS.coset_key(CS._left_apply(by_key[key].representative, gen), p21)
+                 for key in layer for gen in CS._generators(3)}
+        layer = [key for key in layer if key in by_key and key not in seen]
+    assert len(seen) == rep.count == 309
+    assert histogram[0] == 3  # the permutation cosets, one orbit at layer 0
+    assert params["new_per_depth"] == histogram + [0]
+    assert params["last_new_depth"] == len(histogram) - 1
+    assert params["depth_reached"] == len(histogram)
+    orbits = {frozenset(H.orbit_keys(rec.representative, p21)) for rec in rep.records}
+    assert sum(map(len, orbits)) == rep.count
+    assert params["orbits"] == len(orbits) < rep.count
+    assert params["boundary"] == sum(rec.boundary for rec in rep.records)
+    assert params["states"] >= rep.count
+
+
 def test_walk_records_match_matrix_key_and_height(p2, p3, p21, p12):
     # the walk's incremental keys and heights equal those of its
     # representatives, bit for bit (the [3,1] heights take the Gram
@@ -437,15 +555,17 @@ def test_descent_check_holds_at_margin_zero(n, sizes, radius, count):
 
 
 def test_descent_check_flags_a_local_minimum(p2, monkeypatch):
-    # pin the coset of the column (2, 1), about 1.14 high, at 0.01: all its
-    # neighbours are higher, so the check counts it, and only it; the check
-    # never changes the count
+    # pin the orbit of the column (2, 1), about 1.14 high, at 0.01: the
+    # cosets (2, 1) and (1, -2) under the signed permutations.  All their
+    # neighbours are higher, so the check counts them, and only them; the
+    # check never changes the count
     honest = CS.enumerate_bfs(p2, 2.0)
     assert honest.params["descent_failures"] == 0
-    key = CS.coset_key(((2, 1), (1, 1)), p2)
-    monkeypatch.setattr(CS, "_state_height", H.pinned_height(key, 0.01))
+    g = ((2, 1), (1, 1))
+    assert H.orbit_keys(g, p2) == {(2, 1), (1, -2)}
+    monkeypatch.setattr(CS, "_state_height", H.pinned_height(g, p2, 0.01))
     rep = CS.enumerate_bfs(p2, 2.0)
-    assert rep.params["descent_failures"] == 1
+    assert rep.params["descent_failures"] == 2
     assert rep.params["descent_checked"] == honest.params["descent_checked"]
     assert rep.count == honest.count
     assert {rec.key for rec in rep.records} == {rec.key for rec in honest.records}
