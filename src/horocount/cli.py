@@ -142,7 +142,7 @@ def _cmd_constant(args) -> int:
     payload = {
         "n": part.n,
         "blocks": list(part.sizes),
-        "p": float(cc.poly_exponent),
+        "p": cc.poly_exponent,
         "q": cc.exp_rate,
         "c": cc.coefficient,
         "components": {
@@ -162,7 +162,7 @@ def _cmd_constant(args) -> int:
         print(text)
     else:
         print(f"count(R) ~ c * R^p * exp(q R) for blocks {list(part.sizes)}:")
-        print(f"  p = {float(cc.poly_exponent)!r}")
+        print(f"  p = {cc.poly_exponent!r}")
         print(f"  q = {cc.exp_rate!r}")
         print(f"  c = {cc.coefficient!r}")
     if args.out:

@@ -5,14 +5,17 @@ q = ||v0|| and a coefficient c assembled from Vol(SO_n), the covolume of
 SL_N(Z), the Haar-decomposition constant C7 and the component count of the
 horocycle stabilizer.  Every quantity here carries an independent
 cross-check (recursion vs closed product, xi-identity, dual-path constant).
+
+Both records are ``typing.NamedTuple``s.  ``CountingConstant.poly_exponent``
+is the float (N - 2) / 2: a half-integer, so exact.  The Bernoulli numbers
+of the zeta tail are quotients of integers, each correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import Partition, p_norm, require_horocycle_partition
 
@@ -34,11 +37,11 @@ __all__ = [
     "pi0_stabilizer",
 ]
 
-# Bernoulli numbers B_2, B_4, ..., B_20 for the Euler-Maclaurin tail.
+# Bernoulli numbers B_2, B_4, ..., B_20 for the Euler-Maclaurin tail.  Integer
+# true division rounds correctly, so each is the double nearest the rational.
 _BERNOULLI = (
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330),
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330,
 )
 _ZETA_TERMS = 24   # terms summed directly before the tail
 
@@ -56,7 +59,7 @@ def zeta(s: float) -> float:
     # Tail: sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * m^(-s-2k+1)
     rising = s
     for k, bernoulli in enumerate(_BERNOULLI, start=1):
-        total += float(bernoulli) / math.factorial(2 * k) * rising * m ** (-s - 2 * k + 1)
+        total += bernoulli / math.factorial(2 * k) * rising * m ** (-s - 2 * k + 1)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return total
 
@@ -109,8 +112,7 @@ def vol_sl_mod(n: int) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class HaarConstants:
+class HaarConstants(NamedTuple):
     """Jacobian constants of the Langlands / per-block-Cartan factorizations."""
 
     c4: float
@@ -157,11 +159,10 @@ def vol_hor_quotient_slz(partition: Partition) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class CountingConstant:
+class CountingConstant(NamedTuple):
     """Leading asymptotics of the lift count: count(R) ~ c * R^p * e^(q R)."""
 
-    poly_exponent: Fraction
+    poly_exponent: float
     exp_rate: float
     coefficient: float
 
@@ -200,7 +201,7 @@ def counting_constant(partition: Partition) -> CountingConstant:
     if not (sys.float_info.min <= coeff < math.inf):
         raise ValueError(f"the counting constant at N={n} is outside the double "
                          f"range (computed as {coeff!r})")
-    return CountingConstant(poly_exponent=Fraction(n - 2, 2), exp_rate=p, coefficient=coeff)
+    return CountingConstant(poly_exponent=(n - 2) / 2, exp_rate=p, coefficient=coeff)
 
 
 def hardcoded_example_constant(partition: Partition) -> float:
@@ -224,7 +225,7 @@ def asymptotic_count(cc: CountingConstant, radius: float) -> float:
     """Evaluate c * R^p * e^(q R)."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    return cc.coefficient * radius ** float(cc.poly_exponent) * math.exp(cc.exp_rate * radius)
+    return cc.coefficient * radius ** cc.poly_exponent * math.exp(cc.exp_rate * radius)
 
 
 def xi_identity_check(n: int) -> float:

@@ -23,8 +23,10 @@ A singleton last block is left out, since its entry is det g = 1.
   log-ratios give the block-scalar part b.  The chamber part of a block
   comes from its integer Gram matrix <omega_k ^ v_i, omega_k ^ v_j>: in
   closed form for a block of size two, from its eigenvalues for a larger
-  one.  ``decompose.height`` computes the same height from a float matrix
-  factorization and is the oracle the tests compare against.
+  one, with the columns made positive and sorted as in the key, so the
+  float height is a function of the key.  ``decompose.height`` computes
+  the same height from a float matrix factorization and is the oracle the
+  tests compare against.
 * **Update.**  Left multiplication by E_ij(t) adds t times row j to row i.
   It changes only the coordinates whose row set S holds i and not j, each
   by +-t times the coordinate on S - i + j, so a step is a fixed table of
@@ -57,6 +59,9 @@ same key and height functions as the walk.  All arithmetic on matrices and
 states is exact (Python ints); heights use floating point with a 1e-9
 boundary tolerance.
 
+``CosetRecord`` is a ``typing.NamedTuple``; ``EnumerationReport`` is a
+``__slots__`` class whose fields may be reassigned.
+
 numpy is imported only by ``_block_gram``, for the eigenvalues of a block
 of size >= 3 (N >= 4).  The walk and the scan at N <= 3, and the walk at
 N = 4 without such a block, run without it: importing numpy takes longer
@@ -69,9 +74,9 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .partitions import Partition, require_horocycle_partition
+from .partitions import Partition, _Record, require_horocycle_partition
 
 __all__ = [
     "CosetRecord",
@@ -368,9 +373,15 @@ def _block_gram(segs) -> tuple[int, float]:
     Scaled to determinant one the block has squared singular values
     lambda_i / d^(1/m), lambda the eigenvalues of G, so its chamber part has
     squared norm sum_i (log(lambda_i) / 2 - log(d) / (2m))^2.
+
+    G is built from the segments made positive and sorted, as in
+    ``_state_key``: ``eigvalsh`` rounds differently when the columns are
+    permuted or signed, and this way every representative of a coset gets
+    the same float height.
     """
     import numpy as np
 
+    segs = sorted([_positive(seg) for seg in segs])
     m = len(segs)
     gram = tuple(tuple(sum([u * w for u, w in zip(x, y)]) for y in segs) for x in segs)
     d = int_det(gram)
@@ -432,24 +443,27 @@ def coset_height(g: Matrix, partition: Partition) -> float:
     return _state_height(_matrix_state(g, layout), layout)
 
 
-@dataclass(frozen=True)
-class CosetRecord:
+class CosetRecord(NamedTuple):
     representative: Matrix
     key: tuple[int, ...]
     height: float
     boundary: bool = False
 
 
-@dataclass
-class EnumerationReport:
-    partition: Partition
-    radius: float
-    count: int
-    method: str
-    records: list[CosetRecord] = field(default_factory=list)
-    wall_time: float = 0.0
-    params: dict = field(default_factory=dict)
-    partial: bool = False
+class EnumerationReport(_Record):
+    """What a walk or a scan found; its fields may be reassigned."""
+
+    __slots__ = _fields = ("partition", "radius", "count", "method", "records",
+                           "wall_time", "params", "partial")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, partition: Partition, radius: float, count: int, method: str,
+                 records: list[CosetRecord] | None = None, wall_time: float = 0.0,
+                 params: dict | None = None, partial: bool = False):
+        self._init(partition, radius, count, method, [] if records is None else records,
+                   wall_time, {} if params is None else params, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +506,10 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     becomes a record with the representative w g.  The heights are equal
     bit for bit: w g's state is a signed permutation of g's within each
     column, so every squared norm and Gram entry is the same integer, in
-    the same column order.  (Two representatives of one coset can still
-    differ by a permutation of a block's columns, so in a block of size
-    >= 3 ``eigvalsh`` may round the height of one coset reached two ways
-    differently, by up to about 1e-14.)  A child above the limit is stored
-    alone.
+    the same column order.  Two representatives of one coset that differ
+    by the order or signs of a block's columns get one height too, since
+    ``_block_gram`` orders the columns as the key does.  A child above the
+    limit is stored alone.
 
     The identity's orbit is the set of permutation cosets w Gamma_hor, all
     of height 0, so every one of them is at layer 0, whatever R and margin

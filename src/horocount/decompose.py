@@ -20,7 +20,7 @@ those integer heights are tested against (the tests and ``selftest``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +139,7 @@ def block_cartan(m: np.ndarray, partition: Partition
     return c1, a, c2
 
 
-@dataclass(frozen=True)
-class HorocycleFrame:
+class HorocycleFrame(NamedTuple):
     """Five-factor frame g = k * exp(aM) * c * exp(b) * u."""
 
     k: np.ndarray

@@ -16,12 +16,11 @@ covolume criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .partitions import Partition, make_partition
+from .partitions import Partition, _Record, make_partition
 
 __all__ = [
     "A_UNBOUNDED",
@@ -49,21 +48,21 @@ ROLE_COMPACT = "K"
 ROLE_FULL = "M"
 
 
-@dataclass(frozen=True)
-class CleanSequenceSpec:
+class CleanSequenceSpec(_Record):
     """Symbolic description of a clean translating sequence.
 
     ``a_behavior`` has one entry per block (unbounded or identity; size-1
     blocks have no chamber direction and must be identity).  ``b_behavior``
     has one entry per prefix k = 1..k0; the full-product prefix is forced
-    to constant_one by the determinant constraint.
+    to constant_one by the determinant constraint.  An inconsistent spec
+    raises ``ValueError``.
     """
 
-    partition: Partition
-    a_behavior: tuple[str, ...]
-    b_behavior: tuple[str, ...]
+    __slots__ = _fields = ("partition", "a_behavior", "b_behavior")
 
-    def __post_init__(self):
+    def __init__(self, partition: Partition, a_behavior: tuple[str, ...],
+                 b_behavior: tuple[str, ...]):
+        self._init(partition, a_behavior, b_behavior)
         part = self.partition
         if len(self.a_behavior) != part.k0:
             raise ValueError(
@@ -91,8 +90,7 @@ class CleanSequenceSpec:
             )
 
 
-@dataclass(frozen=True)
-class LimitClassification:
+class LimitClassification(NamedTuple):
     """Outcome of the limit analysis for a clean sequence.
 
     When nondivergent, ``coarse_partition`` groups the original blocks

@@ -59,10 +59,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .partitions import Cone, Partition, p_norm
+from .partitions import Cone, Partition, _Record, p_norm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,8 +83,7 @@ _GRID_MAX_ROUNDS = 8     # step halvings before the grid gives up
 _GRID_MAX_NODES = 2 ** 22   # nodes of the largest grid the rule builds
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(_Record):
     """Estimate with an error size: Monte Carlo standard error, or the last
     refinement delta for the grid rule.
 
@@ -99,22 +97,20 @@ class QuadratureResult:
     (sum w)^2 / sum w^2 (0 when every weight is 0); ``in_region``, the
     fraction of samples inside the region; and ``max_weight_share``, the
     largest weight over the sum of the weights (NaN when that sum is 0).
+    A negative ``standard_error`` raises ``ValueError``.
     """
 
-    estimate: float
-    standard_error: float
-    samples: int
-    region: str
-    method: str
-    seed: int | None = None
-    converged: bool | None = None
-    ess: float | None = None
-    in_region: float | None = None
-    max_weight_share: float | None = None
+    __slots__ = _fields = ("estimate", "standard_error", "samples", "region", "method",
+                           "seed", "converged", "ess", "in_region", "max_weight_share")
 
-    def __post_init__(self):
-        if self.standard_error < 0:
+    def __init__(self, estimate: float, standard_error: float, samples: int, region: str,
+                 method: str, seed: int | None = None, converged: bool | None = None,
+                 ess: float | None = None, in_region: float | None = None,
+                 max_weight_share: float | None = None):
+        if standard_error < 0:
             raise ValueError("standard error must be nonnegative")
+        self._init(estimate, standard_error, samples, region, method, seed, converged,
+                   ess, in_region, max_weight_share)
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -153,8 +149,7 @@ def traceless_basis(n: int) -> list[tuple[float, ...]]:
     return vectors[: n - 1]
 
 
-@dataclass(frozen=True)
-class _Integrand:
+class _Integrand(NamedTuple):
     """exp(<c, x>) * prod_k sinh(<alpha_k, x>) on a region, in sample
     coordinates x.
 

@@ -11,13 +11,17 @@ The partition itself, the exact norms and the cone's half-spaces
 only inside the helpers that return or read arrays (``v0``,
 ``block_split``, ``cone_contains`` and ``rho_density``), so that
 ``constant``, the coset walk and the grid rule start without it.
+
+Records are ``typing.NamedTuple``s (``Cone``, ``BlockDiagonalSplit``) or,
+where construction checks or derives fields, ``__slots__`` classes built on
+``_Record`` (``Partition``).  Both are cheap to import and to define, which
+matters because every command is a fresh process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,8 +41,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """Base of the ``__slots__`` records: equality, hash and repr over
+    ``_fields`` (the constructor's arguments, in order), pickling and
+    copying through the constructor, and no assignment after ``__init__``,
+    which sets the slots with ``_init``.  A mutable record restores
+    ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Partition(_Record):
     """Ordered partition of {0,...,n-1} into contiguous blocks.
 
     ``sizes`` are the block lengths in order.  Horocycle partitions need at
@@ -47,31 +90,31 @@ class Partition:
     by :func:`make_partition` and the counting entry points, while the bare
     type also admits the single-block coarse partitions produced by the
     limit classifier.
+
+    ``blocks`` (the indices of each block) and ``block_of`` (the block of
+    each index) are derived once; equality and hash use (n, sizes) alone.
     """
 
-    n: int
-    sizes: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    block_of: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ("n", "sizes", "blocks", "block_of")
+    _fields = ("n", "sizes")
 
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ValueError(f"block sizes must be positive, got {self.sizes}")
-        if sum(self.sizes) != self.n:
-            raise ValueError(f"block sizes {self.sizes} do not sum to n={self.n}")
+    def __init__(self, n: int, sizes: tuple[int, ...]):
+        if n <= 0:
+            raise ValueError(f"n must be positive, got {n}")
+        if not sizes or any(s <= 0 for s in sizes):
+            raise ValueError(f"block sizes must be positive, got {sizes}")
+        if sum(sizes) != n:
+            raise ValueError(f"block sizes {sizes} do not sum to n={n}")
         blocks = []
         pos = 0
-        for s in self.sizes:
+        for s in sizes:
             blocks.append(tuple(range(pos, pos + s)))
             pos += s
-        object.__setattr__(self, "blocks", tuple(blocks))
-        owner = [0] * self.n
+        owner = [0] * n
         for k, blk in enumerate(blocks):
             for i in blk:
                 owner[i] = k
-        object.__setattr__(self, "block_of", tuple(owner))
+        self._init(n, sizes, tuple(blocks), tuple(owner))
 
     @property
     def k0(self) -> int:
@@ -127,8 +170,7 @@ def require_horocycle_partition(partition: Partition) -> Partition:
     return partition
 
 
-@dataclass(frozen=True)
-class BlockDiagonalSplit:
+class BlockDiagonalSplit(NamedTuple):
     """Orthogonal splitting y = aM + aZ of a Cartan vector.
 
     ``aM`` has zero sum within every block; ``aZ`` is constant within every
@@ -156,8 +198,7 @@ def block_split(partition: Partition, y: Sequence[float]) -> BlockDiagonalSplit:
     return BlockDiagonalSplit(aM=y - aZ, aZ=aZ)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Offset cone C_C attached to a partition.
 
     Membership: within every block, y_i - y_j >= max(0, C) for i < j, and

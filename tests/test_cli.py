@@ -186,9 +186,12 @@ _CHECKOUT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(cli.
 
 
 # pytest itself has loaded numpy and cosets, so a fresh interpreter runs
-# each command and prints whether it loaded ``module``
+# each command and prints which of the comma-separated modules it loaded
 _REPORT_MODULE = ("import sys; from horocount import cli; code = cli.dispatch(sys.argv[2:]); "
-                  "print('loaded:', sys.argv[1] in sys.modules); sys.exit(code)")
+                  "print('loaded:', *[m for m in sys.argv[1].split(',') if m in sys.modules]); "
+                  "sys.exit(code)")
+# modules whose import costs a command more time than most of its work
+_SLOW_IMPORTS = ("numpy", "dataclasses", "fractions")
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
@@ -199,10 +202,14 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _loads_module(module, argv, code=0) -> bool:
-    proc = _fresh_python("-c", _REPORT_MODULE, module, *argv)
+def _loaded_modules(modules, argv, code=0) -> set[str]:
+    proc = _fresh_python("-c", _REPORT_MODULE, ",".join(modules), *argv)
     assert proc.returncode == code, proc.stderr
-    return proc.stdout.splitlines()[-1] == "loaded: True"
+    return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+def _loads_module(module, argv, code=0) -> bool:
+    return module in _loaded_modules((module,), argv, code)
 
 
 _VOLUME_N2 = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2", "--grid", "0.1")
@@ -226,8 +233,14 @@ _VOLUME_N3 = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--grid"
         "volume-grid-n3-b+", "volume-grid-n3-bc+", "volume-grid-n3-annulus"])
 def test_commands_run_without_numpy(argv):
     # the walk, the scan, the constant and the grid rule are plain Python;
-    # importing numpy would double the start-up time of these commands
-    assert not _loads_module("numpy", argv)
+    # importing numpy would double the start-up time of these commands, and
+    # dataclasses (with inspect) and fractions (with decimal) add a fifth
+    assert _loaded_modules(_SLOW_IMPORTS, argv) == set()
+
+
+def test_monte_carlo_loads_numpy_alone():
+    argv = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--mc", "1000")
+    assert _loaded_modules(_SLOW_IMPORTS, argv) == {"numpy"}
 
 
 def test_grid_rejects_n4_without_numpy():

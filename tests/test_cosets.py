@@ -161,6 +161,30 @@ def test_coset_height_matches_frame(p21, p12, rng):
             assert lean == pytest.approx(full, abs=1e-9)
 
 
+@pytest.mark.parametrize("sizes, g", [
+    ([1, 3], ((1, -1, -1, 1), (0, 1, 1, 0), (1, 0, 1, 0), (0, 0, 0, 1))),
+    ([3, 1], ((1, 1, 0, 0), (1, 2, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1))),
+], ids=["1,3", "3,1"])
+def test_block_height_is_a_function_of_the_key(sizes, g):
+    # every order and sign of the size-3 block's columns that keeps the
+    # determinant is the same coset: one key and one height, bit for bit
+    # (eigvalsh rounds a permuted Gram matrix differently)
+    part = make_partition(4, sizes)
+    block = part.blocks[sizes.index(3)]
+    columns = list(zip(*g))
+    keys, heights = set(), set()
+    for order in itertools.permutations(block):
+        for signs in itertools.product((1, -1), repeat=3):
+            cols = list(columns)
+            for j, src, sign in zip(block, order, signs):
+                cols[j] = tuple(sign * x for x in columns[src])
+            h = tuple(zip(*cols))
+            if CS.int_det(h) == 1:
+                keys.add(CS.coset_key(h, part))
+                heights.add(CS.coset_height(h, part))
+    assert len(keys) == 1 and len(heights) == 1
+
+
 def test_enumerate_small_counts(p2, p3, p21):
     # two lifts touch the base point for N=2 (identity and the rotated
     # horocycle); six coordinate flags for N=3 singletons, three for [2,1]

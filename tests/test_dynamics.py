@@ -17,6 +17,14 @@ def test_spec_validation(p2, p21):
         D.CleanSequenceSpec(p2, (ID,), (ONE, ONE))  # wrong arity
     with pytest.raises(ValueError):
         D.CleanSequenceSpec(p21, (ID, ID), (ONE, "sideways"))
+    with pytest.raises(ValueError):
+        D.CleanSequenceSpec(p21, (ID, "sideways"), (ONE, ONE))
+    with pytest.raises(ValueError):
+        D.CleanSequenceSpec(p21, (UNB, ID), (ONE,))  # wrong prefix arity
+    spec = D.CleanSequenceSpec(p21, (UNB, ID), (INF, ONE))
+    assert spec == D.CleanSequenceSpec(make_partition(3, [2, 1]), (UNB, ID), (INF, ONE))
+    with pytest.raises(AttributeError):
+        spec.a_behavior = (ID, ID)
 
 
 def test_classify_identity_sequence(p3):

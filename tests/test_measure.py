@@ -19,6 +19,16 @@ def cone_integral(partition, offset, radius, method="mc", budget=1_000_000, *,
                          None, seed, grid_step, 1)
 
 
+def test_quadrature_result_checks_its_error():
+    with pytest.raises(ValueError, match="nonnegative"):
+        M.QuadratureResult(1.0, -1e-300, 10, "b+", "mc")
+    result = M.QuadratureResult(1.0, 0.0, 10, "b+", "grid", converged=True)
+    assert (result.seed, result.converged, result.ess) == (None, True, None)
+    assert result == M.QuadratureResult(1.0, 0.0, 10, "b+", "grid", None, True)
+    assert result != M.QuadratureResult(1.0, 0.0, 10, "b+", "grid")
+    assert repr(result).startswith("QuadratureResult(estimate=1.0, standard_error=0.0, ")
+
+
 def test_traceless_basis_orthonormal():
     for n in (2, 3, 4):
         e = np.array(M.traceless_basis(n)).T

@@ -1,12 +1,18 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocount.constants import counting_constant
+from horocount.cosets import CosetRecord
+from horocount.measure import QuadratureResult
 from horocount.partitions import (
     Cone,
+    Partition,
     block_split,
     cone_contains,
     make_partition,
@@ -28,6 +34,45 @@ def test_make_partition_examples():
         make_partition(3, [2, 2])
     with pytest.raises(ValueError):
         make_partition(3, [])
+
+
+@pytest.mark.parametrize("n, sizes", [(0, ()), (-1, (1,)), (3, (2, 0, 1)), (3, (4, -1)),
+                                      (3, ()), (3, (2, 2)), (3, (1, 1))])
+def test_partition_rejects_bad_fields(n, sizes):
+    # the bare type checks what make_partition does not (it admits one block)
+    with pytest.raises(ValueError):
+        Partition(n, sizes)
+
+
+def test_equal_partitions_hash_alike():
+    p = Partition(3, (2, 1))
+    q = make_partition(3, [2, 1])
+    assert p == q and hash(p) == hash(q) and {p: 1}[q] == 1
+    assert p != Partition(3, (1, 2)) and p != (3, (2, 1))
+    assert repr(p) == "Partition(n=3, sizes=(2, 1))"
+    assert (p.blocks, p.block_of) == (((0, 1), (2,)), (0, 0, 1))
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and clone.blocks == p.blocks
+    assert Partition(1, (1,)).k0 == 1
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: make_partition(3, [2, 1]), "sizes"),
+    (lambda: make_partition(3, [2, 1]), "blocks"),
+    (lambda: Cone(make_partition(2, [1, 1]), -1.0), "offset"),
+    (lambda: CosetRecord(((1, 0), (0, 1)), (1, 0), 0.0), "height"),
+    (lambda: QuadratureResult(1.0, 0.1, 10, "b+", "mc", seed=3), "estimate"),
+    (lambda: counting_constant(make_partition(3, [2, 1])), "poly_exponent"),
+], ids=["Partition.sizes", "Partition.blocks", "Cone", "CosetRecord",
+        "QuadratureResult", "CountingConstant"])
+def test_records_refuse_assignment(make, name):
+    record = make()
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert getattr(record, name) == before
 
 
 def test_rho_density_examples(p2, p21):
