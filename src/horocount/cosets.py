@@ -23,8 +23,8 @@ A singleton last block is left out, since its entry is det g = 1.
   log-ratios give the block-scalar part b.  The chamber part of a block
   comes from its integer Gram matrix <omega_k ^ v_i, omega_k ^ v_j>: in
   closed form for a block of size two, from its eigenvalues for a larger
-  one, with the columns made positive and sorted as in the key, so the
-  float height is a function of the key.  ``decompose.height`` computes
+  one, with the columns put in an order and given signs read off G itself,
+  so the float height is a function of the coset.  ``decompose.height`` computes
   the same height from a float matrix factorization and is the oracle the
   tests compare against.
 * **Update.**  Left multiplication by E_ij(t) adds t times row j to row i.
@@ -365,6 +365,38 @@ def _pair_block(x, y) -> tuple[int, float]:
     return d, 2.0 * t * t
 
 
+def _canonical_gram(gram: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """A Gram matrix with its columns put in an order and given signs read
+    off the matrix alone, so that every reordering and sign change of the
+    columns gives the same result.
+
+    The order is one whose |G|, read row by row, is least.  The signs make
+    positive every edge of the breadth-first forest of G's nonzero entries,
+    grown from the lowest index, which fixes G up to signs that change no
+    entry.  Among orders that tie on |G|, the least signed result is taken.
+    """
+    m = len(gram)
+
+    def signed(p) -> tuple[tuple[int, ...], ...]:
+        g = [[gram[i][j] for j in p] for i in p]
+        sign = [0] * m
+        for root in range(m):
+            if not sign[root]:
+                sign[root] = 1
+                tree = [root]
+                for i in tree:   # grows as the search reaches new columns
+                    for j in range(m):
+                        if g[i][j] and not sign[j]:
+                            sign[j] = sign[i] if g[i][j] > 0 else -sign[i]
+                            tree.append(j)
+        return tuple(tuple(sign[i] * sign[j] * g[i][j] for j in range(m)) for i in range(m))
+
+    absolute = [[abs(x) for x in row] for row in gram]
+    orders = [([absolute[i][j] for i in p for j in p], p) for p in itertools.permutations(range(m))]
+    least = min(orders)[0]
+    return min(signed(p) for key, p in orders if key == least)
+
+
 def _block_gram(segs) -> tuple[int, float]:
     """Gram determinant and squared chamber part of a block of size m >= 3.
 
@@ -374,16 +406,15 @@ def _block_gram(segs) -> tuple[int, float]:
     lambda_i / d^(1/m), lambda the eigenvalues of G, so its chamber part has
     squared norm sum_i (log(lambda_i) / 2 - log(d) / (2m))^2.
 
-    G is built from the segments made positive and sorted, as in
-    ``_state_key``: ``eigvalsh`` rounds differently when the columns are
-    permuted or signed, and this way every representative of a coset gets
-    the same float height.
+    ``eigvalsh`` rounds differently once the columns are reordered or their
+    signs changed.  Every representative of the coset and every W-translate
+    has the same G up to those, so ``_canonical_gram`` gives each the same
+    matrix, and so the same float height.
     """
     import numpy as np
 
-    segs = sorted([_positive(seg) for seg in segs])
     m = len(segs)
-    gram = tuple(tuple(sum([u * w for u, w in zip(x, y)]) for y in segs) for x in segs)
+    gram = _canonical_gram([[sum([u * w for u, w in zip(x, y)]) for y in segs] for x in segs])
     d = int_det(gram)
     shift = math.log(d) / (2 * m)
     lam = np.linalg.eigvalsh(np.array(gram, dtype=float))
@@ -508,8 +539,8 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     column, so every squared norm and Gram entry is the same integer, in
     the same column order.  Two representatives of one coset that differ
     by the order or signs of a block's columns get one height too, since
-    ``_block_gram`` orders the columns as the key does.  A child above the
-    limit is stored alone.
+    ``_block_gram`` orders and signs the columns by their Gram entries.  A
+    child above the limit is stored alone.
 
     The identity's orbit is the set of permutation cosets w Gamma_hor, all
     of height 0, so every one of them is at layer 0, whatever R and margin

@@ -164,17 +164,24 @@ def test_coset_height_matches_frame(p21, p12, rng):
 @pytest.mark.parametrize("sizes, g", [
     ([1, 3], ((1, -1, -1, 1), (0, 1, 1, 0), (1, 0, 1, 0), (0, 0, 0, 1))),
     ([3, 1], ((1, 1, 0, 0), (1, 2, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1))),
-], ids=["1,3", "3,1"])
-def test_block_height_is_a_function_of_the_key(sizes, g):
-    # every order and sign of the size-3 block's columns that keeps the
+    ([4, 1], ((0, -1, 0, -1, 0), (0, 0, -1, 0, 0), (0, 0, 0, 1, 0), (-1, -1, -1, 0, 0),
+              (0, 0, 0, 0, 1))),
+    ([1, 4], ((-1, 0, 0, 0, 0), (0, -1, -1, -1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+              (0, 0, 0, 0, 1))),
+], ids=["1,3", "3,1", "4,1", "1,4"])
+def test_block_height_is_a_function_of_the_coset(sizes, g):
+    # every order and sign of the large block's columns that keeps the
     # determinant is the same coset: one key and one height, bit for bit
-    # (eigvalsh rounds a permuted Gram matrix differently)
-    part = make_partition(4, sizes)
-    block = part.blocks[sizes.index(3)]
+    # (eigvalsh rounds a reordered or re-signed Gram matrix differently);
+    # and every W-translate has that height too, which the walk gives the
+    # whole orbit
+    n, m = len(g), max(sizes)
+    part = make_partition(n, sizes)
+    block = part.blocks[sizes.index(m)]
     columns = list(zip(*g))
     keys, heights = set(), set()
     for order in itertools.permutations(block):
-        for signs in itertools.product((1, -1), repeat=3):
+        for signs in itertools.product((1, -1), repeat=m):
             cols = list(columns)
             for j, src, sign in zip(block, order, signs):
                 cols[j] = tuple(sign * x for x in columns[src])
@@ -182,7 +189,9 @@ def test_block_height_is_a_function_of_the_key(sizes, g):
             if CS.int_det(h) == 1:
                 keys.add(CS.coset_key(h, part))
                 heights.add(CS.coset_height(h, part))
-    assert len(keys) == 1 and len(heights) == 1
+    assert len(keys) == 1
+    heights.update(CS.coset_height(H.mat_mul(w, g), part) for w in H.signed_permutations(n))
+    assert len(heights) == 1
 
 
 def test_enumerate_small_counts(p2, p3, p21):

@@ -17,6 +17,9 @@ def test_spec_validation(p2, p21):
         D.CleanSequenceSpec(p2, (ID,), (ONE, ONE))  # wrong arity
     with pytest.raises(ValueError):
         D.CleanSequenceSpec(p21, (ID, ID), (ONE, "sideways"))
+
+
+def test_spec_is_a_checked_immutable_record(p21):
     with pytest.raises(ValueError):
         D.CleanSequenceSpec(p21, (ID, "sideways"), (ONE, ONE))
     with pytest.raises(ValueError):
