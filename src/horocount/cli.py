@@ -15,12 +15,11 @@ Exit codes: 0 success, 2 validation error, 3 resource/consistency error,
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import gc
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .partitions import make_partition
@@ -35,8 +34,11 @@ _SUBCOMMANDS = ("constant", "count", "volume", "classify", "selftest")
 _GLOBAL_OPTIONS = ("--threads",)
 
 
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _utc(seconds: float) -> str:
+    """A ``time.time()`` reading in ISO 8601, UTC; only manifests load ``datetime``."""
+    import datetime
+
+    return datetime.datetime.fromtimestamp(seconds, datetime.timezone.utc).isoformat()
 
 
 def _threads(args) -> int:
@@ -100,7 +102,7 @@ def _git_commit(root: str) -> str | None:
     return None
 
 
-def _write_manifest(out_path: str, args, seed: int | None, started: str,
+def _write_manifest(out_path: str, args, seed: int | None, started: float,
                     threads: int = 1) -> None:
     """Write ``<out_path>.manifest.json``: the run's parameters, seed,
     version, start and finish times, output file and environment: the
@@ -114,8 +116,8 @@ def _write_manifest(out_path: str, args, seed: int | None, started: str,
         "params": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": seed,
         "version": __version__,
-        "started": started,
-        "finished": _now(),
+        "started": _utc(started),
+        "finished": _utc(time.time()),
         "outputs": [out_path],
         "environment": {
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
@@ -135,7 +137,7 @@ def _write_manifest(out_path: str, args, seed: int | None, started: str,
 def _cmd_constant(args) -> int:
     from . import constants as C
 
-    started = _now()
+    started = time.time()
     part = _partition_from(args)
     cc = C.counting_constant(part)
     haar = C.c7(part)
@@ -178,7 +180,7 @@ def _cmd_count(args) -> int:
 
     part = _partition_from(args)
     cc = counting_constant(part)
-    started = _now()
+    started = time.time()
     reports = []
     if args.method in ("brute", "both"):
         # before a walk that could take minutes
@@ -231,7 +233,7 @@ def _cmd_volume(args) -> int:
     part = _partition_from(args)
     method = "grid" if args.grid is not None else ("plain" if args.plain else "mc")
     threads = _threads(args)
-    started = _now()
+    started = time.time()
     res = M.mu_A_ball(part, args.radius, args.region, method, args.mc,
                       offset=args.offset, eps=args.eps, seed=args.seed,
                       grid_step=args.grid, threads=threads)
@@ -418,6 +420,8 @@ def run_selftest(verbose: bool = True) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: str, rows: list[dict], fieldnames: list[str]) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

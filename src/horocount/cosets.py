@@ -521,10 +521,9 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     coordinate), and the key and the height are read off the new state:
     the height from the integer squared norms |omega_k|^2 and the blocks'
     integer Gram matrices.  Height is the only prune: a coset is kept and
-    expanded when its height is at most the limit
-    max(R + margin, h1) + HEIGHT_TOL, where h1 is the largest height among
-    the identity's neighbours.  A positive ``margin`` expands further, for
-    cross-checks; it never changes a count of a complete walk.
+    expanded when its height is at most the limit R + margin + HEIGHT_TOL.
+    A positive ``margin`` expands further, for cross-checks; it never
+    changes a count of a complete walk.
 
     W lies in SO_N, so left multiplication by w in W keeps the height, and
     w E_ij(t) w^-1 is another generator E_kl(+-t), so w maps the neighbours
@@ -542,13 +541,9 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     ``_block_gram`` orders and signs the columns by their Gram entries.  A
     child above the limit is stored alone.
 
-    The identity's orbit is the set of permutation cosets w Gamma_hor, all
-    of height 0, so every one of them is at layer 0, whatever R and margin
-    are.  (A walk from the identity alone needed the floor h1 to reach
-    them: the coset of a transposition is two steps away, through a
-    neighbour of height <= h1.)  The floor still makes every walk expand
-    the identity's neighbours, so the descent check below sees them even
-    at small R + margin.
+    The identity's orbit is the set of permutation cosets w Gamma_hor, which
+    are the cosets of height 0, so all of them are at layer 0, whatever R
+    and margin are.
 
     Completeness at margin 0 rests on the descent lemma: every coset of
     positive height has a neighbour of strictly lower height.  Then a
@@ -595,8 +590,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     moves = list(zip(_generators(n), layout.steps))
     identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     root = _matrix_state(identity, layout)
-    expand_limit = max(radius + margin, max(
-        _state_height(_step(root, ops), layout) for ops in layout.steps)) + HEIGHT_TOL
+    expand_limit = radius + margin + HEIGHT_TOL
     seen: dict[tuple[int, ...], float] = {}
     records: list[CosetRecord] = []
     depth = 0

@@ -10,17 +10,19 @@ special-linear (M) factors.
 
 The classifier works on symbolic behaviors; ``instantiate`` turns a spec
 into concrete diagonal sequences for numerical cross-checks against the
-covolume criterion.
+covolume criterion.  numpy is imported only inside ``covolume_gram`` and
+``instantiate``, so ``classify`` starts without it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .partitions import Partition, _Record, make_partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "A_UNBOUNDED",
@@ -175,12 +177,13 @@ def covolume(a: Sequence[float], b: Sequence[float], prefix: Sequence[int]) -> f
     positive block-scalar diagonal; on a union of blocks the a-part has
     determinant one and drops out.
     """
-    b = np.asarray(b, dtype=float)
-    return float(np.prod(b[list(prefix)]))
+    return float(math.prod([b[i] for i in prefix]))
 
 
 def covolume_gram(a: Sequence[float], b: Sequence[float], prefix: Sequence[int]) -> float:
     """Independent covolume via the Gram determinant of the transformed basis."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mat = np.diag(a * b)[:, list(prefix)]
@@ -195,6 +198,8 @@ def instantiate(spec: CleanSequenceSpec, t: float) -> tuple[np.ndarray, np.ndarr
     e^t; prefix characters use e^{+t}, 1, e^{-t}.  Returned as entrywise
     positive diagonal vectors (not logs).
     """
+    import numpy as np
+
     part = spec.partition
     log_a = np.zeros(part.n)
     for k, blk in enumerate(part.blocks):

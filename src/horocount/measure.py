@@ -216,30 +216,21 @@ class _Integrand(NamedTuple):
         first coordinate t, cone and outer ball only; lo = hi = 0 when empty.
 
         The cone and ball are convex, so a section is the disk chord cut by
-        the half-planes a*t + b*s >= floor.
+        the cone's two walls a*t + b*s >= floor.  The t axis, along v0, lies
+        inside the cone at an acute angle to both its edges, so one wall has
+        b > 0 and bounds lo, and the other has b < 0 and bounds hi.
         """
         r2 = self.radius * self.radius
-        flat, lower, upper = [], [], []   # half-planes that bound no end, lo, hi
-        for (a, b), floor in zip(self.forms[1 + self.n_sinh:], self.floors):
-            if abs(b) < 1e-15:
-                flat.append((a, floor - 1e-12))
-            else:
-                (lower if b > 0 else upper).append((a, b, floor))
+        ((a_lo, b_lo), floor_lo), ((a_hi, b_hi), floor_hi) = sorted(
+            zip(self.forms[1 + self.n_sinh:], self.floors), key=lambda wall: -wall[0][1])
         los, his = [], []
         for t in ts:
             cross = r2 - t * t
             lo = hi = 0.0
-            if cross > 0 and not (flat and any(a * t < floor for a, floor in flat)):
+            if cross > 0:
                 hi = math.sqrt(cross)
-                lo = -hi
-                for a, b, floor in lower:
-                    end = (floor - a * t) / b
-                    if end > lo:
-                        lo = end
-                for a, b, floor in upper:
-                    end = (floor - a * t) / b
-                    if end < hi:
-                        hi = end
+                lo = max(-hi, (floor_lo - a_lo * t) / b_lo)
+                hi = min(hi, (floor_hi - a_hi * t) / b_hi)
                 if not lo < hi:
                     lo = hi = 0.0
             los.append(lo)

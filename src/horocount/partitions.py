@@ -210,14 +210,16 @@ class Cone(NamedTuple):
     offset: float = 0.0
 
     def half_spaces(self) -> list[tuple[tuple[float, ...], float]]:
-        """The cone as half-spaces <normal, y> >= floor, as (normal, floor),
-        each normal a tuple of n floats."""
+        """The cone's N - 1 walls <normal, y> >= floor, as (normal, floor),
+        each normal a tuple of n floats: y_i - y_(i+1) within a block (their
+        sums bound the block's other pairs), then the k0 - 1 prefix sums."""
         part = self.partition
         out = []
-        for i, j in part.intra_pairs():
-            normal = [0.0] * part.n
-            normal[i], normal[j] = 1.0, -1.0
-            out.append((tuple(normal), max(0.0, self.offset)))
+        for i in range(part.n - 1):
+            if part.same_block(i, i + 1):
+                normal = [0.0] * part.n
+                normal[i], normal[i + 1] = 1.0, -1.0
+                out.append((tuple(normal), max(0.0, self.offset)))
         for k in range(1, part.k0):
             size = len(part.prefix(k))
             out.append(((1.0,) * size + (0.0,) * (part.n - size), self.offset))

@@ -4,6 +4,7 @@ Budgets are wall-clock ceilings from the requirements; every numeric
 tolerance is pinned here and nowhere else.
 """
 
+import functools
 import math
 import time
 
@@ -153,12 +154,17 @@ def _disk_count_oracle(radius: float) -> int:
     return total // 2
 
 
+@functools.cache
+def _n2_walk_count(radius: float) -> int:
+    return CS.enumerate_bfs(make_partition(2, [1, 1]), radius).count
+
+
 def test_empirical_ratio_experiment():
     start = time.monotonic()
     p2 = make_partition(2, [1, 1])
     radii = [4.0, 6.0, 8.0]
     cc = C.counting_constant(p2)
-    counts = [CS.enumerate_bfs(p2, r).count for r in radii]
+    counts = [_n2_walk_count(r) for r in radii]
     for r, count in zip(radii, counts):
         assert count == _disk_count_oracle(r), (r, count)
     ratios = [count / C.asymptotic_count(cc, r) for r, count in zip(radii, counts)]
@@ -176,6 +182,24 @@ def test_empirical_ratio_experiment():
         + f"{abs(limit_estimate - 1.0) * 100:.1f}%, under the 20% flag "
         + f"threshold) ({elapsed:.1f}s)"
     )
+
+
+def test_n2_stated_constant_is_a_multiple_of_the_main_term():
+    # The primitive vectors up to sign in the disk |v|^2 <= T number about
+    # (3/pi) T, and T = e^(sqrt2 R), so the walk's count follows
+    # (3/pi) e^(sqrt2 R).  The stated constant is sqrt(8/9) times 3/pi, so
+    # count/stated tends to 1/sqrt(8/9) = 1.0607, which the 20% flag of
+    # test_empirical_ratio_experiment lets pass.
+    start = time.monotonic()
+    count = _n2_walk_count(8.0)
+    assert count == 78_248
+    main_term = 3 / math.pi * math.exp(math.sqrt(2.0) * 8.0)
+    assert abs(count / main_term - 1.0) <= 1e-3
+    stated = C.counting_constant(make_partition(2, [1, 1])).coefficient
+    assert abs(stated / (math.sqrt(8 / 9) * 3 / math.pi) - 1.0) <= 1e-14
+    elapsed = time.monotonic() - start
+    _report(f"N=2 main term: count/((3/pi) e^(sqrt2 R)) = {count / main_term:.5f} at R=8, "
+            f"stated c = sqrt(8/9) * 3/pi ({elapsed:.1f}s)")
 
 
 def test_volume_quadrature():

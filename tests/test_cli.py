@@ -1,4 +1,5 @@
 import csv
+import datetime
 import json
 import math
 import os
@@ -73,6 +74,9 @@ def test_count_both_methods(tmp_path, capsys):
     manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "count"
     assert manifest["outputs"] == [str(csv_path)]
+    started, finished = (datetime.datetime.fromisoformat(manifest[key])
+                         for key in ("started", "finished"))
+    assert started.utcoffset() == datetime.timedelta(0) and started <= finished
 
 
 def test_count_default_margin_n3(capsys):
@@ -228,19 +232,30 @@ _VOLUME_N3 = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--grid"
     _VOLUME_N3,
     _VOLUME_N3 + ("--region", "bc+", "--offset", "-1"),
     _VOLUME_N3[:4] + ("1,1,1",) + _VOLUME_N3[5:] + ("--region", "annulus", "--eps", "0.5"),
+    ("classify", "--n", "3", "--blocks", "2,1", "--a-behavior", "inf,id"),
 ], ids=["constant", "count-n2", "count-n3", "count-n3-both", "count-n2-brute",
         "volume-grid-n2-b+", "volume-grid-n2-bc+", "volume-grid-n2-annulus",
-        "volume-grid-n3-b+", "volume-grid-n3-bc+", "volume-grid-n3-annulus"])
+        "volume-grid-n3-b+", "volume-grid-n3-bc+", "volume-grid-n3-annulus", "classify"])
 def test_commands_run_without_numpy(argv):
-    # the walk, the scan, the constant and the grid rule are plain Python;
-    # importing numpy would double the start-up time of these commands, and
-    # dataclasses (with inspect) and fractions (with decimal) add a fifth
+    # the walk, the scan, the constant, the grid rule and the classifier are
+    # plain Python; importing numpy would double the start-up time of these
+    # commands, and dataclasses (with inspect) and fractions (with decimal)
+    # add a fifth
     assert _loaded_modules(_SLOW_IMPORTS, argv) == set()
 
 
 def test_monte_carlo_loads_numpy_alone():
     argv = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--mc", "1000")
     assert _loaded_modules(_SLOW_IMPORTS, argv) == {"numpy"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "--n", "3", "--blocks", "2,1"),
+    ("count", "--n", "2", "--blocks", "1,1", "--radius", "2"),
+], ids=["constant", "count"])
+def test_runs_without_an_output_file_skip_its_modules(argv):
+    # csv and datetime serve only the CSV and the manifest
+    assert _loaded_modules(("csv", "datetime"), argv) == set()
 
 
 def test_grid_rejects_n4_without_numpy():

@@ -202,6 +202,11 @@ def test_enumerate_small_counts(p2, p3, p21):
     assert CS.enumerate_brute(p2, 0.0).count == 2
     assert CS.enumerate_bfs(p3, 0.0).count == 6
     assert CS.enumerate_bfs(p21, 0.0).count == 3
+    # the identity's orbit holds all 720 height-0 cosets of [1]^6, so at
+    # R = 0 the walk expands nothing past it and checks no descent
+    rep = CS.enumerate_bfs(make_partition(6, [1] * 6), 0.0)
+    assert rep.count == 720
+    assert rep.params["descent_checked"] == 0
 
 
 def test_enumerate_methods_agree_n2(p2):
@@ -222,8 +227,9 @@ def test_bfs_matches_disk_count_n2(p2):
 
 
 def test_bfs_complete_at_margin_zero(p2, p3, p21, p12):
-    # height-0 cosets join only through the identity's neighbours (about
-    # 0.49 and 0.68 high), so the walk expands those whatever R + margin is
+    # every height-0 coset is in the identity's orbit, at layer 0, so the
+    # walk is complete below the identity's lowest neighbours (about 0.49
+    # and 0.68 high), where it expands no coset past that orbit
     for part in (p2, p3, p21, p12):
         for radius in (0.0, 0.3):
             bfs = CS.enumerate_bfs(part, radius, margin=0.0)
@@ -577,8 +583,8 @@ def test_descent_property_n3(sizes):
     (4, [3, 1], 1.0, 720),
 ])
 def test_descent_check_holds_at_margin_zero(n, sizes, radius, count):
-    # the default walk checks the descent lemma on every coset it expands;
-    # above h1 it expands exactly the cosets it counts
+    # the default walk checks the descent lemma on every coset it expands,
+    # and it expands exactly the cosets it counts
     rep = CS.enumerate_bfs(make_partition(n, sizes), radius)
     assert rep.params["margin"] == 0.0
     assert rep.count == count

@@ -429,6 +429,18 @@ def test_section_integrals_match_quad(p21):
         assert value == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("sizes", [[1, 1, 1], [2, 1], [1, 2]])
+def test_n3_cone_walls_bound_opposite_ends(sizes):
+    # sections takes lo from the wall a*t + b*s >= floor with b > 0 and hi
+    # from the one with b < 0; an offset moves the floors, not the normals
+    part = make_partition(3, sizes)
+    for offset in (0.0, -1.0):
+        integrand = M._Integrand.project(Cone(part, offset), *M._density_forms(part),
+                                         6.0, None)
+        (_, b1), (_, b2) = integrand.forms[1 + integrand.n_sinh:]
+        assert b1 * b2 < 0
+
+
 def test_line_weight_matches_log_weight(p2):
     # the N = 2 grid's plain-Python integrand against the samplers' arrays
     for offset, inner in ((0.0, None), (-1.0, 0.5)):

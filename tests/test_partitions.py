@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from horocount.constants import counting_constant
 from horocount.cosets import CosetRecord
+from horocount.dynamics import _compositions
 from horocount.measure import QuadratureResult
 from horocount.partitions import (
     Cone,
@@ -124,6 +125,32 @@ def test_cone_nesting(entries, c_low, c_gap):
     c_high = c_low + c_gap
     if cone_contains(Cone(part, c_high), y):
         assert cone_contains(Cone(part, c_low), y)
+
+
+def test_cone_has_n_minus_one_walls(rng):
+    # the cone is simplicial: the pairs j = i + 1 within a block and the
+    # proper prefix sums, N - 1 walls, which imply every other pair of a block
+    hits = 0
+    for n in range(2, 8):
+        for sizes in _compositions(n):
+            if len(sizes) < 2:
+                continue
+            part = make_partition(n, sizes)
+            for offset in (-1.0, 0.0, 0.5):
+                cone = Cone(part, offset)
+                assert len(cone.half_spaces()) == n - 1
+                for _ in range(20):
+                    y = rng.normal(scale=2.0, size=n)
+                    for blk in part.blocks:   # in the chamber more often than not
+                        y[list(blk)] = np.sort(y[list(blk)])[::-1]
+                    y -= y.mean()
+                    inside = (all(y[i] - y[j] >= max(0.0, offset) - 1e-12
+                                  for i, j in part.intra_pairs())
+                              and all(y[list(part.prefix(k))].sum() >= offset - 1e-12
+                                      for k in range(1, part.k0)))
+                    assert cone_contains(cone, y) == inside, (sizes, offset, y)
+                    hits += inside
+    assert 1000 < hits < 20 * 3 * 120 - 1000
 
 
 def test_v0_in_positive_cone():
