@@ -8,6 +8,11 @@ seed, version, timestamps and environment; rerunning a manifest reproduces
 every deterministic output byte for byte.  Floats in text, CSV and JSON
 output are written as their shortest round-trip ``repr``.
 
+The one setting outside the command line is ``HOROCOUNT_THREADS``, the
+Monte Carlo worker threads of ``volume``: an integer of at least 1, capped
+at the CPUs this process may run on, which are also the default.  The
+thread count never changes a result.
+
 Exit codes: 0 success, 2 validation error, 3 resource/consistency error,
 64 unknown subcommand.
 """
@@ -30,8 +35,6 @@ EXIT_RESOURCE = 3
 EXIT_UNKNOWN = 64
 
 _SUBCOMMANDS = ("constant", "count", "volume", "classify", "selftest")
-# Options taken before the subcommand (and after it), each with one value.
-_GLOBAL_OPTIONS = ("--threads",)
 
 
 def _utc(seconds: float) -> str:
@@ -41,41 +44,36 @@ def _utc(seconds: float) -> str:
     return datetime.datetime.fromtimestamp(seconds, datetime.timezone.utc).isoformat()
 
 
-def _threads(args) -> int:
-    """``--threads``, else ``HOROCOUNT_THREADS``, else the CPUs this process
-    may run on; the variable obeys the option's rule (an integer of at
-    least 1)."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HOROCOUNT_THREADS")
-    if env:
-        try:
-            return _positive_int(env)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValueError("HOROCOUNT_THREADS must be an integer of at least 1, "
-                             f"got {env!r}") from None
+def _threads() -> int:
+    """The CPUs this process may run on, or ``HOROCOUNT_THREADS`` (an
+    integer of at least 1) where that is fewer: a thread past the CPUs only
+    costs its start."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    env = os.environ.get("HOROCOUNT_THREADS")
+    if not env:
+        return cpus
+    try:
+        threads = int(env)
+        if threads < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError("HOROCOUNT_THREADS must be an integer of at least 1, "
+                         f"got {env!r}") from None
+    return min(threads, cpus)
 
 
 def _parse_blocks(text: str) -> list[int]:
     try:
-        sizes = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as exc:   # an empty entry too
         raise ValueError(f"cannot parse block sizes {text!r}") from exc
-    return sizes
 
 
 def _partition_from(args):
     return make_partition(args.n, _parse_blocks(args.blocks))
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _git_commit(root: str) -> str | None:
@@ -231,8 +229,8 @@ def _cmd_volume(args) -> int:
     from . import measure as M
 
     part = _partition_from(args)
-    method = "grid" if args.grid is not None else ("plain" if args.plain else "mc")
-    threads = _threads(args)
+    method = "grid" if args.grid is not None else "mc"
+    threads = _threads()
     started = time.time()
     res = M.mu_A_ball(part, args.radius, args.region, method, args.mc,
                       offset=args.offset, eps=args.eps, seed=args.seed,
@@ -255,7 +253,7 @@ def _cmd_volume(args) -> int:
         _write_csv(args.csv, rows,
                    ["R", "region", "method", "estimate", "error", "samples", "seed",
                     "ess", "in_region", "max_weight_share", "converged"])
-        # only the importance sampler runs on more than one thread
+        # only Monte Carlo runs on more than one thread
         _write_manifest(args.csv, args, args.seed, started,
                         threads if method == "mc" else 1)
     return EXIT_OK
@@ -433,24 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="horocount",
         description="Asymptotic constants and exact counts for horocycle lifts",
     )
-    threads_help = ("worker threads (default: HOROCOUNT_THREADS, else the CPUs "
-                    "this process may run on)")
-    parser.add_argument("--threads", type=_positive_int, default=None, help=threads_help)
-    # the same option after the subcommand; it sets nothing unless given, so
-    # a value given before the subcommand stands
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS,
-                        help=threads_help)
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("constant", parents=[common], help="asymptotic counting constant")
+    p = sub.add_parser("constant", help="asymptotic counting constant")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_constant)
 
-    p = sub.add_parser("count", parents=[common], help="enumerate lift cosets of height <= R")
+    p = sub.add_parser("count", help="enumerate lift cosets of height <= R")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--radius", type=float, required=True)
@@ -470,30 +460,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("volume", parents=[common], help="quadrature of the diagonal measure")
+    p = sub.add_parser("volume", help="quadrature of the diagonal measure")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--region", choices=["b+", "bc+", "annulus"], default="b+")
     p.add_argument("--mc", type=int, default=1_000_000,
-                   help="Monte Carlo sample budget")
-    rule = p.add_mutually_exclusive_group()
-    rule.add_argument("--grid", type=float, default=None,
-                      help="initial grid step (switches to the grid rule, N <= 3): "
-                           "each refinement halves the spacing and evaluates only "
-                           "the new midpoints; samples counts the points (N=2) or "
-                           "the non-empty, exactly integrated sections (N=3) of "
-                           "the last grid")
-    rule.add_argument("--plain", action="store_true",
-                      help="plain rejection sampling (slow oracle, small R)")
-    p.add_argument("--offset", type=float, default=0.0, help="cone offset C for bc+")
+                   help="Monte Carlo sample budget (HOROCOUNT_THREADS sets its "
+                        "worker threads)")
+    p.add_argument("--grid", type=float, default=None,
+                   help="initial grid step (switches to the grid rule, N <= 3): "
+                        "each refinement halves the spacing and evaluates only "
+                        "the new midpoints; samples counts the points (N=2) or "
+                        "the non-empty, exactly integrated sections (N=3) of "
+                        "the last grid")
+    p.add_argument("--offset", type=float, default=0.0,
+                   help="cone offset C <= 0 for bc+; write a negative value in "
+                        "exponent form as --offset=-1e-5")
     p.add_argument("--eps", type=float, default=None, help="annulus inner fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_volume)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="limit classification of a clean sequence")
+    p = sub.add_parser("classify", help="limit classification of a clean sequence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--blocks", type=str, required=True)
     p.add_argument("--a-behavior", type=str, default=None,
@@ -502,22 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list per proper prefix: inf|one|zero")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the acceptance checks at small scale")
+    p = sub.add_parser("selftest", help="run the acceptance checks at small scale")
     p.set_defaults(func=_cmd_selftest)
 
     return parser
-
-
-def _first_positional(argv: list[str]) -> str | None:
-    """The first token that is neither an option nor a global option's value."""
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok in _GLOBAL_OPTIONS:
-            next(tokens, None)
-        elif not tok.startswith("-"):
-            return tok
-    return None
 
 
 def _resource_errors() -> tuple:
@@ -530,7 +507,8 @@ def _resource_errors() -> tuple:
 
 def dispatch(argv: list[str]) -> int:
     """Parse and run; maps error classes to the documented exit codes."""
-    subcommand = _first_positional(argv)
+    # no option comes before the subcommand; argparse rejects one that does
+    subcommand = argv[0] if argv and not argv[0].startswith("-") else None
     if subcommand is not None and subcommand not in _SUBCOMMANDS:
         print(f"unknown subcommand: {subcommand}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -553,20 +531,18 @@ def dispatch(argv: list[str]) -> int:
 
 
 def rerun_manifest(path: str) -> int:
-    """Re-execute a run from its manifest; deterministic outputs reproduce."""
+    """Re-execute a run from its manifest; deterministic outputs reproduce.
+    Each value goes in one ``--flag=value`` token, so a negative one in
+    exponent form (``-1e-05``) is not read as an option."""
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    global_argv, sub_argv = [], [manifest["subcommand"]]
+    argv = [manifest["subcommand"]]
     for key, value in manifest["params"].items():
-        if key in ("subcommand",) or value is None or value is False:
+        if key == "subcommand" or value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
-        argv = global_argv if flag in _GLOBAL_OPTIONS else sub_argv
-        if value is True:
-            argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
-    return dispatch(global_argv + sub_argv)
+        argv.append(flag if value is True else f"{flag}={value}")
+    return dispatch(argv)
 
 
 def main() -> None:

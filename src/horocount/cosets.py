@@ -59,8 +59,8 @@ same key and height functions as the walk.  All arithmetic on matrices and
 states is exact (Python ints); heights use floating point with a 1e-9
 boundary tolerance.
 
-``CosetRecord`` is a ``typing.NamedTuple``; ``EnumerationReport`` is a
-``__slots__`` class whose fields may be reassigned.
+``CosetRecord`` is a ``typing.NamedTuple``; ``EnumerationReport`` is an
+immutable ``__slots__`` record, unhashable since it holds a list and a dict.
 
 numpy is imported only by ``_block_gram``, for the eigenvalues of a block
 of size >= 3 (N >= 4).  The walk and the scan at N <= 3, and the walk at
@@ -482,13 +482,11 @@ class CosetRecord(NamedTuple):
 
 
 class EnumerationReport(_Record):
-    """What a walk or a scan found; its fields may be reassigned."""
+    """What a walk or a scan found."""
 
     __slots__ = _fields = ("partition", "radius", "count", "method", "records",
                            "wall_time", "params", "partial")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __hash__ = None   # records and params are a list and a dict
 
     def __init__(self, partition: Partition, radius: float, count: int, method: str,
                  records: list[CosetRecord] | None = None, wall_time: float = 0.0,

@@ -21,28 +21,28 @@ orthonormal basis of ``traceless_basis``, so every estimator works in the
 One dispatch, ``_quadrature``, validates the region and method parameters,
 picks the estimator and rejects a non-finite result.
 
-numpy is imported only inside the two samplers and ``_Integrand.log_weight``,
-which weighs their points with an array of the projected forms.  The set-up
+numpy is imported only inside the sampler and ``_Integrand.log_weight``,
+which weighs its points with an array of the projected forms.  The set-up
 and the whole grid rule are plain Python, so ``volume --grid`` runs without
 numpy: a grid run skips the numpy import (about 0.13 s) but pays a few
 microseconds per node evaluated where numpy paid a fraction of one.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
-(taming the exp(||v0||R) dynamic range); plain rejection sampling over the
-ball, a slow oracle for small R; and a nested grid rule that halves its
-spacing each round and evaluates each node once (``_grid_refine``).
+(``mc``, taming the exp(||v0||R) dynamic range), and for N <= 3 a nested
+grid rule that halves its spacing each round and evaluates each node once
+(``grid``, ``_grid_refine``).
 
-Both samplers stream.  The budget is cut into chunks of ``_CHUNK`` samples,
+The sampler streams.  The budget is cut into chunks of ``_CHUNK`` samples,
 one SeedSequence child each, and every chunk spawns its random streams in a
 fixed order: the t-uniforms, then the radial uniforms, then one normal stream
 per coordinate.  A chunk draws, places and weighs ``_BLOCK`` points at a
 time in buffers it allocates once, so memory is one block per thread
 whatever the budget.  A block is stored coordinate-major, shape
 (n_dim, rows): coordinate i is one contiguous row, filled from normal stream
-i (the tilted sampler takes its first coordinate from the t-uniforms and
-leaves normal stream 0 unused), and the block is weighed with one matrix
-product ``forms.T @ x``.  ``_BLOCK`` never changes a result, and neither
-does the thread count: a result depends on the seed and the budget alone.
+i (the first coordinate comes from the t-uniforms, so normal stream 0 is
+unused), and the block is weighed with one matrix product ``forms.T @ x``.
+``_BLOCK`` never changes a result, and neither does the thread count: a
+result depends on the seed and the budget alone.
 The same pass yields the weight diagnostics (effective sample size,
 in-region fraction, largest weight share).
 
@@ -51,7 +51,7 @@ fixed first coordinate t is integrated exactly along s: written with two
 exponentials per sinh, the integrand is a signed sum of exponentials of
 linear forms.  Only the outer trapezoid in t remains, summed with
 ``math.fsum``.  An exponential past the double range is inf, as in the
-samplers, so such a grid estimate is rejected as not finite.
+sampler, so such a grid estimate is rejected as not finite.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 _REGIONS = ("b+", "bc+", "annulus")
-_METHODS = ("mc", "plain", "grid")
+_METHODS = ("mc", "grid")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CHUNK = 250_000   # samples per SeedSequence child
 _BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
@@ -87,13 +87,13 @@ class QuadratureResult(_Record):
     """Estimate with an error size: Monte Carlo standard error, or the last
     refinement delta for the grid rule.
 
-    ``samples`` counts sample points for ``mc`` and ``plain``; for ``grid``
-    it counts the points of the last N = 2 trapezoid, or the non-empty
-    sections of the last N = 3 grid.  ``converged`` says whether the grid's
-    refinement met its relative target (None for the sampling methods).
+    ``samples`` counts sample points for ``mc``; for ``grid`` it counts the
+    points of the last N = 2 trapezoid, or the non-empty sections of the
+    last N = 3 grid.  ``converged`` says whether the grid's refinement met
+    its relative target (None for ``mc``).
 
-    The sampling methods also report how far their weights can be trusted
-    (None for ``grid``): ``ess``, the effective sample size
+    ``mc`` also reports how far its weights can be trusted (None for
+    ``grid``): ``ess``, the effective sample size
     (sum w)^2 / sum w^2 (0 when every weight is 0); ``in_region``, the
     fraction of samples inside the region; and ``max_weight_share``, the
     largest weight over the sum of the weights (NaN when that sum is 0).
@@ -306,20 +306,6 @@ def _log_ball_volume(d: int) -> float:
     return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
 
 
-def _ball_points(g: np.ndarray, v: np.ndarray, radius, out: np.ndarray) -> None:
-    """Points uniform in the ball of ``radius`` (a scalar, or one per point)
-    into the columns of ``out``, from standard normals g (one row per
-    coordinate) and one uniform per point v (overwritten); ``out`` may be g."""
-    import numpy as np
-
-    norms = np.sqrt(np.einsum("ij,ij->j", g, g))
-    norms[norms == 0] = 1.0
-    np.power(v, 1.0 / g.shape[0], out=v)
-    v *= radius
-    v /= norms
-    np.multiply(g, v, out=out)
-
-
 class _TiltedBallSampler:
     """Proposal on the ball: exponential first coordinate, uniform cross-section.
 
@@ -370,36 +356,19 @@ class _TiltedBallSampler:
             np.subtract(r * r, cross, out=cross)
             np.maximum(cross, 0.0, out=cross)
             np.sqrt(cross, out=cross)
-            _ball_points(g, v, cross, g)
+            # uniform in the cross-section ball: direction g/|g|, radius cross * v^(1/d)
+            norms = np.sqrt(np.einsum("ij,ij->j", g, g))
+            norms[norms == 0] = 1.0
+            np.power(v, 1.0 / d, out=v)
+            v *= cross
+            v /= norms
+            g *= v
             np.maximum(cross, 1e-300, out=cross)
             np.log(cross, out=cross)
             cross *= d
             log_q -= cross
             log_q -= _log_ball_volume(d)
         return x, log_q
-
-
-class _UniformBallSampler:
-    """Proposal uniform on the ball, for the rejection oracle.  The buffers
-    hold ``rows`` points and are reused by every ``sample`` call."""
-
-    def __init__(self, n_dim: int, radius: float, rows: int):
-        import numpy as np
-
-        self.radius = radius
-        self.x = np.empty((n_dim, rows))
-        self.v = np.empty(rows)
-        self.log_q = np.full(rows, -(_log_ball_volume(n_dim) + n_dim * math.log(radius)))
-
-    def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Like ``_TiltedBallSampler.sample``, with coordinate i from the
-        normal stream ``rngs[2 + i]``; the t-uniform stream is unused."""
-        x, v = self.x[:, :rows], self.v[:rows]
-        for row, rng in zip(x, rngs[2:]):
-            rng.standard_normal(out=row)
-        rngs[1].random(out=v)
-        _ball_points(x, v, self.radius, x)
-        return x, self.log_q[:rows]
 
 
 def _fold(carry: float, a: np.ndarray) -> float:
@@ -412,8 +381,8 @@ def _fold(carry: float, a: np.ndarray) -> float:
     return float(a[-1])
 
 
-def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: int,
-                      log_scale: float, threads: int = 1) -> dict:
+def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
+                      threads: int = 1) -> dict:
     """Importance-sampling mean and standard error of the integrand, and the
     weight diagnostics, as ``QuadratureResult`` fields.
 
@@ -421,14 +390,15 @@ def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: in
     child each.  Each child spawns 2 + n_dim streams: the t-uniforms, the
     radial uniforms and then one normal stream per coordinate.  A chunk
     draws, places and weighs ``_BLOCK`` points at a time in the buffers of
-    one ``make_sampler(rows)``, coordinate-major (one row per coordinate),
-    so memory is one block per thread whatever the budget.  Every stream
-    fills its own row of the block in order, so the numbers a chunk draws
-    do not depend on ``_BLOCK``; its sums are left folds over its samples
-    in order, so neither ``_BLOCK`` nor ``threads`` changes a result.
+    one ``_TiltedBallSampler`` (tilted at rate ||v0||), coordinate-major
+    (one row per coordinate), so memory is one block per thread whatever
+    the budget.  Every stream fills its own row of the block in order, so
+    the numbers a chunk draws do not depend on ``_BLOCK``; its sums are left
+    folds over its samples in order, so neither ``_BLOCK`` nor ``threads``
+    changes a result.
 
     Weights reach about e^(||v0|| R), so they are summed scaled by
-    e^(-log_scale) and the mean and error multiplied back, which keeps their
+    e^(-||v0|| R) and the mean and error multiplied back, which keeps their
     squares finite.  The diagnostics are the effective sample size
     (sum w)^2 / sum w^2, the fraction of samples in the region (finite
     log-weight) and the largest weight's share of the sum.
@@ -436,12 +406,14 @@ def _sampled_estimate(integrand: _Integrand, make_sampler, budget: int, seed: in
     import numpy as np
 
     children = np.random.SeedSequence(seed).spawn(math.ceil(budget / _CHUNK))
-    n_dim = integrand.n_dim
+    n_dim, radius = integrand.n_dim, integrand.radius
+    rate = p_norm(n_dim + 1)
+    log_scale = rate * radius
 
     def one_chunk(idx: int) -> tuple[float, float, float, int]:
         rngs = [np.random.default_rng(s) for s in children[idx].spawn(2 + n_dim)]
         size = min(_CHUNK, budget - idx * _CHUNK)
-        sampler = make_sampler(min(_BLOCK, size))
+        sampler = _TiltedBallSampler(n_dim, radius, rate, min(_BLOCK, size))
         total = total_sq = w_max = 0.0
         hits = 0
         for start in range(0, size, _BLOCK):
@@ -555,15 +527,10 @@ def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[
     cone = Cone(partition, offset if region == "bc+" else 0.0)
     inner = eps * radius if region == "annulus" else None
     integrand = _Integrand.project(cone, c, alphas, radius, inner)
-    n_dim, rate = partition.n - 1, p_norm(partition.n)
     if method == "grid":
         fields, seed = _grid_refine(integrand, grid_step), None
-    elif method == "mc":   # tilted along the first coordinate at rate ||v0||
-        fields = _sampled_estimate(integrand, lambda rows: _TiltedBallSampler(
-            n_dim, radius, rate, rows), budget, seed, rate * radius, threads)
-    else:   # uniform over the ball: the slow oracle for small radii
-        fields = _sampled_estimate(integrand, lambda rows: _UniformBallSampler(
-            n_dim, radius, rows), budget, seed, rate * radius)
+    else:
+        fields = _sampled_estimate(integrand, budget, seed, threads)
     estimate, error = fields["estimate"], fields["standard_error"]
     if not (math.isfinite(estimate) and math.isfinite(error)):
         raise ValueError(f"{method} quadrature at R={radius} is not finite "
@@ -597,16 +564,15 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     ``region`` is one of ``b+`` (positive cone cap), ``bc+`` (offset cone
     cap, needs a finite ``offset`` <= 0) and ``annulus`` (B+(R) minus
     B+(eps R)); a nonzero ``offset`` or any ``eps`` given for another region
-    is rejected.  ``method``: ``mc`` (importance sampling), ``grid``
-    (nested grid halving a positive initial ``grid_step``; N <= 3) or
-    ``plain`` (rejection oracle, small R only); the sampling methods need a
-    ``budget`` of at least 2.
+    is rejected.  ``method``: ``mc`` (importance sampling, with a
+    ``budget`` of at least 2 samples) or ``grid`` (nested grid halving a
+    positive initial ``grid_step``; N <= 3).
 
-    A sampling estimate depends on (``seed``, ``budget``) alone: each chunk
+    An ``mc`` estimate depends on (``seed``, ``budget``) alone: each chunk
     of the budget spawns its streams in the order t-uniforms, radial
     uniforms, then one normal stream per sample coordinate, and the block
-    size and ``threads`` (``mc`` only) never change a result.  Memory is one
-    block of points per thread, whatever the budget.
+    size and ``threads`` never change a result.  Memory is one block of
+    points per thread, whatever the budget.
     """
     c, alphas = _density_forms(partition)
     return _quadrature(partition, c, alphas, radius, region, method, budget, offset,

@@ -45,8 +45,8 @@ class _Record:
     """Base of the ``__slots__`` records: equality, hash and repr over
     ``_fields`` (the constructor's arguments, in order), pickling and
     copying through the constructor, and no assignment after ``__init__``,
-    which sets the slots with ``_init``.  A mutable record restores
-    ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None."""
+    which sets the slots with ``_init``.  A record holding a list or a dict
+    sets ``__hash__`` to None."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

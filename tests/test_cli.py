@@ -125,11 +125,11 @@ def test_volume_manifest_reproducibility(tmp_path, capsys):
 
 
 def test_volume_csv_diagnostics(tmp_path, capsys):
-    # trailing columns: the weight diagnostics for the sampling methods,
-    # convergence for the grid; the stdout line keeps its fields
+    # trailing columns: the weight diagnostics for Monte Carlo, convergence
+    # for the grid; the stdout line keeps its fields
     base = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "2.0")
     rows = {}
-    for method in (("--mc", "20000"), ("--plain", "--mc", "20000"), ("--grid", "0.05")):
+    for method in (("--mc", "20000"), ("--grid", "0.05")):
         csv_path = tmp_path / f"{method[0][2:]}.csv"
         code, out, _ = run(capsys, *base, *method, "--csv", str(csv_path))
         assert code == 0
@@ -139,11 +139,10 @@ def test_volume_csv_diagnostics(tmp_path, capsys):
             (row,) = csv.DictReader(fh)
         assert list(row)[-4:] == ["ess", "in_region", "max_weight_share", "converged"]
         rows[row["method"]] = row
-    for method in ("mc", "plain"):
-        assert 0 < float(rows[method]["ess"]) <= 20000
-        assert 0 < float(rows[method]["in_region"]) <= 1
-        assert 0 < float(rows[method]["max_weight_share"]) < 1
-        assert rows[method]["converged"] == ""
+    assert 0 < float(rows["mc"]["ess"]) <= 20000
+    assert 0 < float(rows["mc"]["in_region"]) <= 1
+    assert 0 < float(rows["mc"]["max_weight_share"]) < 1
+    assert rows["mc"]["converged"] == ""
     assert rows["grid"]["converged"] == "True"
     assert rows["grid"]["ess"] == rows["grid"]["in_region"] == ""
 
@@ -163,26 +162,37 @@ def test_count_manifest_reruns_zero_radius(tmp_path, capsys):
     assert first[1].split(",")[1] == "2"
 
 
-def test_global_threads_before_subcommand(tmp_path, capsys):
-    # and after it, where it exited 2: "unrecognized arguments: --threads 2"
-    volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2.0",
-              "--mc", "50000", "--seed", "42")
-    csv_path = tmp_path / "vol.csv"
-    manifest_path = tmp_path / "vol.csv.manifest.json"
-    outputs = []
-    for argv in (("--threads", "2") + volume, volume + ("--threads", "2")):
-        code, out, _ = run(capsys, *argv, "--csv", str(csv_path))
-        assert code == 0
-        first = csv_path.read_text()
-        assert json.loads(manifest_path.read_text())["params"]["threads"] == 2
-        code = cli.rerun_manifest(str(manifest_path))
-        capsys.readouterr()
-        assert code == 0
-        assert csv_path.read_text() == first
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-    args = cli.build_parser().parse_args(["--threads", "2", *volume, "--threads", "3"])
-    assert args.threads == 3
+def test_manifest_reruns_negative_exponent_offset(tmp_path, capsys):
+    # the manifest stores -1e-05, which argparse took for an option when it
+    # followed --offset as a token of its own: the rerun exited 2
+    csv_path = tmp_path / "v.csv"
+    code, _, _ = run(capsys, "volume", "--n", "2", "--blocks", "1,1", "--radius", "2",
+                     "--grid", "0.1", "--region", "bc+", "--offset", "-0.00001",
+                     "--csv", str(csv_path))
+    assert code == 0
+    first = csv_path.read_text()
+    manifest_path = tmp_path / "v.csv.manifest.json"
+    assert json.loads(manifest_path.read_text())["params"]["offset"] == -1e-05
+    code = cli.rerun_manifest(str(manifest_path))
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert csv_path.read_text() == first
+
+
+def test_removed_flags_exit_2(capsys):
+    # HOROCOUNT_THREADS is the one thread setting, and mc and grid the methods
+    volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "1", "--mc", "10")
+    assert run(capsys, *volume, "--plain")[0] == 2
+    assert run(capsys, *volume, "--threads", "2")[0] == 2
+    assert run(capsys, "--threads", "2", *volume)[0] == 2
+    assert run(capsys, "--threads=2", *volume)[0] == 2
+
+
+@pytest.mark.parametrize("blocks", ["1,,2", "2,1,", ",1,2", "1, ,2"])
+def test_blocks_reject_an_empty_entry(capsys, blocks):
+    # an empty entry was dropped: 1,,2 ran as [1, 2] with exit 0
+    code, out, err = run(capsys, "count", "--n", "3", "--blocks", blocks, "--radius", "1")
+    assert (code, out) == (2, "")
+    assert repr(blocks) in err
 
 
 # the directory above src/, a git checkout when the tests run from one
@@ -306,7 +316,7 @@ def test_resource_errors_exit_3(capsys, monkeypatch):
     assert code == 3 and "disagree" in err
 
 
-def test_manifest_environment(tmp_path, capsys):
+def test_manifest_environment(tmp_path, capsys, monkeypatch):
     import numpy as np
 
     python = "{}.{}.{}".format(*sys.version_info[:3])
@@ -314,14 +324,20 @@ def test_manifest_environment(tmp_path, capsys):
     commit = cli._git_commit(_CHECKOUT)
     assert commit is None or re.fullmatch("[0-9a-f]{40}", commit)
     volume = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2.0", "--mc", "20000")
-    for method, threads, used in ((("--threads", "3"), 3, 3), (("--grid", "0.1"), None, 1),
-                                  (("--plain", "--threads", "2"), 2, 1)):
+    # the threads Monte Carlo used: the variable, capped at the CPUs, else the CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for env, method, used in (("3", (), 3), ("8", (), 4), (None, (), 4),
+                              ("3", ("--grid", "0.1"), 1)):
+        if env is None:
+            monkeypatch.delenv("HOROCOUNT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HOROCOUNT_THREADS", env)
         csv_path = tmp_path / "vol.csv"
         assert run(capsys, *volume, *method, "--csv", str(csv_path))[0] == 0
         manifest = json.loads((tmp_path / "vol.csv.manifest.json").read_text())
         assert manifest["environment"] == {"python": python, "numpy": np.__version__,
                                            "threads": used, "commit": commit}
-        assert manifest["params"]["threads"] == threads
+        assert "threads" not in manifest["params"]
     # a count that never loads numpy records null; the rerun ignores the key
     csv_path = tmp_path / "c.csv"
     proc = _fresh_python("-m", "horocount.cli", "count", "--n", "2", "--blocks", "1,1",
@@ -394,7 +410,6 @@ def test_volume_grid_unconverged_warns(capsys):
 
 def test_exit_codes(capsys):
     assert run(capsys, "frobnicate")[0] == 64
-    assert run(capsys, "--threads", "2", "frobnicate")[0] == 64
     assert run(capsys, "constant", "--n", "3", "--blocks", "3")[0] == 2   # one block
     assert run(capsys, "constant", "--n", "3", "--blocks", "2,2")[0] == 2  # bad sizes
     assert run(capsys, "count", "--n", "2", "--blocks", "1,1")[0] == 2    # missing radius
@@ -410,13 +425,10 @@ def test_exit_codes(capsys):
                 ("3", "--grid", "-0.1"), ("3", "--grid", "0"), ("3", "--mc", "0")):
         assert run(capsys, *volume, *bad)[0] == 2, bad
     # options that were ignored, giving another estimate with exit 0
-    for bad in (("3", "--grid", "0.1", "--plain"), ("3", "--offset", "-1"), ("3", "--eps", "0.5"),
+    for bad in (("3", "--offset", "-1"), ("3", "--eps", "0.5"),
                 ("3", "--region", "annulus", "--eps", "0.5", "--offset", "-1"),
                 ("3", "--region", "bc+", "--offset", "-1", "--eps", "0.5")):
         assert run(capsys, *volume, *bad)[0] == 2, bad
-    for threads in ("0", "-4"):
-        assert run(capsys, "--threads", threads, *volume, "1", "--mc", "10")[0] == 2
-        assert run(capsys, *volume, "1", "--mc", "10", "--threads", threads)[0] == 2
     assert run(capsys, *count, "inf", "--method", "brute")[0] == 2
     # the scan's bound past the double range: was an OverflowError traceback
     n3 = ("count", "--n", "3", "--blocks", "1,1,1", "--radius")
@@ -480,32 +492,31 @@ def test_threads_env_validated(capsys, monkeypatch):
         code, _, err = run(capsys, *volume)
         assert code == 2, bad
         assert "HOROCOUNT_THREADS" in err and repr(bad) in err
-        # the option, where given, still stands
-        assert run(capsys, *volume, "--threads", "1")[0] == 0
+    monkeypatch.setenv("HOROCOUNT_THREADS", "1")
+    assert run(capsys, *volume)[0] == 0
 
 
 def test_threads_env(monkeypatch):
-    monkeypatch.setenv("HOROCOUNT_THREADS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["volume", "--n", "2", "--blocks", "1,1",
-                              "--radius", "1.0"])
-    assert cli._threads(args) == 3
-    monkeypatch.delenv("HOROCOUNT_THREADS")
-    args = parser.parse_args(["--threads", "2", "volume", "--n", "2",
-                              "--blocks", "1,1", "--radius", "1.0"])
-    assert cli._threads(args) == 2
+    # capped at the CPUs this process may run on: 4000 would have asked the
+    # pool of a 10^9-sample run for 4000 threads (none is started here)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    for env, expected in (("3", 3), ("6", 6), ("7", 6), ("4000", 6)):
+        monkeypatch.setenv("HOROCOUNT_THREADS", env)
+        assert cli._threads() == expected, env
 
 
 def test_threads_follow_cpu_affinity(monkeypatch):
     # the default was os.cpu_count(): 2 threads under `taskset -c 0` on a 2-CPU machine
     monkeypatch.delenv("HOROCOUNT_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    args = cli.build_parser().parse_args(["volume", "--n", "2", "--blocks", "1,1",
-                                          "--radius", "1.0"])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert cli._threads(args) == 1
+    assert cli._threads() == 1
+    monkeypatch.setenv("HOROCOUNT_THREADS", "2")
+    assert cli._threads() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._threads(args) == 8
+    assert cli._threads() == 2
+    monkeypatch.delenv("HOROCOUNT_THREADS")
+    assert cli._threads() == 8
 
 
 def test_grid_node_cap_exits_2(capsys):

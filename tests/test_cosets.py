@@ -317,9 +317,8 @@ def test_inconsistency_detection(capsys, monkeypatch):
 
     def crippled_scan(partition, radius, **kwargs):
         rep = honest_scan(partition, radius, **kwargs)
-        rep.records.pop()
-        rep.count -= 1
-        return rep
+        return CS.EnumerationReport(rep.partition, rep.radius, rep.count - 1, rep.method,
+                                    rep.records[:-1], rep.wall_time, rep.params, rep.partial)
 
     monkeypatch.setattr(CS, "enumerate_brute", crippled_scan)
     code = cli.dispatch(["count", "--n", "2", "--blocks", "1,1", "--radius", "2",

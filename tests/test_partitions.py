@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocount.constants import counting_constant
-from horocount.cosets import CosetRecord
+from horocount.cosets import CosetRecord, EnumerationReport
 from horocount.dynamics import _compositions
 from horocount.measure import QuadratureResult
 from horocount.partitions import (
@@ -62,10 +62,11 @@ def test_equal_partitions_hash_alike():
     (lambda: make_partition(3, [2, 1]), "blocks"),
     (lambda: Cone(make_partition(2, [1, 1]), -1.0), "offset"),
     (lambda: CosetRecord(((1, 0), (0, 1)), (1, 0), 0.0), "height"),
+    (lambda: EnumerationReport(make_partition(2, [1, 1]), 1.0, 2, "bfs"), "count"),
     (lambda: QuadratureResult(1.0, 0.1, 10, "b+", "mc", seed=3), "estimate"),
     (lambda: counting_constant(make_partition(3, [2, 1])), "poly_exponent"),
 ], ids=["Partition.sizes", "Partition.blocks", "Cone", "CosetRecord",
-        "QuadratureResult", "CountingConstant"])
+        "EnumerationReport", "QuadratureResult", "CountingConstant"])
 def test_records_refuse_assignment(make, name):
     record = make()
     before = getattr(record, name)
