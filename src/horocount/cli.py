@@ -10,8 +10,8 @@ output are written as their shortest round-trip ``repr``.
 
 The one setting outside the command line is ``HOROCOUNT_THREADS``, the
 Monte Carlo worker threads of ``volume``: an integer of at least 1, capped
-at the CPUs this process may run on, which are also the default.  The
-thread count never changes a result.
+at the CPUs this process may run on, which are also the default.  A grid
+run does not read it.  The thread count never changes a result.
 
 Exit codes: 0 success, 2 validation error, 3 resource/consistency error,
 64 unknown subcommand.
@@ -230,7 +230,8 @@ def _cmd_volume(args) -> int:
 
     part = _partition_from(args)
     method = "grid" if args.grid is not None else "mc"
-    threads = _threads()
+    # only Monte Carlo runs on more than one thread
+    threads = _threads() if method == "mc" else 1
     started = time.time()
     res = M.mu_A_ball(part, args.radius, args.region, method, args.mc,
                       offset=args.offset, eps=args.eps, seed=args.seed,
@@ -242,20 +243,19 @@ def _cmd_volume(args) -> int:
               f"to {M.GRID_REL_TARGET:g} relative; try a smaller --grid step",
               file=sys.stderr)
     if args.csv:
-        # the diagnostics are empty for the columns a method does not report
+        # the seed and the diagnostics are empty for the columns a method
+        # does not use or report
         rows = [{
             "R": args.radius, "region": res.region, "method": res.method,
             "estimate": res.estimate, "error": res.standard_error,
-            "samples": res.samples, "seed": args.seed, "ess": res.ess,
+            "samples": res.samples, "seed": res.seed, "ess": res.ess,
             "in_region": res.in_region, "max_weight_share": res.max_weight_share,
             "converged": res.converged,
         }]
         _write_csv(args.csv, rows,
                    ["R", "region", "method", "estimate", "error", "samples", "seed",
                     "ess", "in_region", "max_weight_share", "converged"])
-        # only Monte Carlo runs on more than one thread
-        _write_manifest(args.csv, args, args.seed, started,
-                        threads if method == "mc" else 1)
+        _write_manifest(args.csv, args, res.seed, started, threads)
     return EXIT_OK
 
 
@@ -263,34 +263,17 @@ def _cmd_classify(args) -> int:
     from . import dynamics as D
 
     part = _partition_from(args)
-    a_map = {"id": D.A_IDENTITY, "identity": D.A_IDENTITY,
-             "inf": D.A_UNBOUNDED, "unbounded": D.A_UNBOUNDED}
-    b_map = {"inf": D.B_TO_INFINITY, "infinity": D.B_TO_INFINITY,
-             "to_infinity": D.B_TO_INFINITY,
-             "one": D.B_CONSTANT_ONE, "constant_one": D.B_CONSTANT_ONE,
-             "zero": D.B_TO_ZERO, "to_zero": D.B_TO_ZERO}
-    if args.a_behavior:
-        tokens = [t.strip() for t in args.a_behavior.split(",")]
-    else:
-        tokens = ["id"] * part.k0
-    try:
-        a_beh = tuple(a_map[t] for t in tokens)
-    except KeyError as exc:
-        raise ValueError(f"unknown a-behavior token {exc.args[0]!r}") from exc
-    if args.b_behavior:
-        btokens = [t.strip() for t in args.b_behavior.split(",")]
-    else:
-        btokens = ["one"] * (part.k0 - 1)
-    if len(btokens) == part.k0 - 1:
-        btokens.append("one")
-    try:
-        b_beh = tuple(b_map[t] for t in btokens)
-    except KeyError as exc:
-        raise ValueError(f"unknown b-behavior token {exc.args[0]!r}") from exc
-    spec = D.CleanSequenceSpec(part, a_beh, b_beh)
-    result = D.classify_limit(spec)
+    # the spec rejects an unknown token or a wrong count
+    a_beh = _tokens(args.a_behavior) or (D.A_IDENTITY,) * part.k0
+    b_beh = _tokens(args.b_behavior) or (D.B_CONSTANT_ONE,) * (part.k0 - 1)
+    result = D.classify_limit(D.CleanSequenceSpec(part, a_beh, b_beh))
     print(json.dumps(result.to_dict(), indent=2))
     return EXIT_OK
+
+
+def _tokens(text: str | None) -> tuple[str, ...]:
+    """The entries of a comma list, stripped; none for an absent or empty list."""
+    return tuple(tok.strip() for tok in text.split(",")) if text else ()
 
 
 def _cmd_selftest(args) -> int:
@@ -388,9 +371,9 @@ def run_selftest(verbose: bool = True) -> int:
 
     def quick_classifier():
         full = D.classify_limit(D.CleanSequenceSpec(
-            p2, (D.A_IDENTITY, D.A_IDENTITY), (D.B_TO_INFINITY, D.B_CONSTANT_ONE)))
+            p2, (D.A_IDENTITY, D.A_IDENTITY), (D.B_TO_INFINITY,)))
         dead = D.classify_limit(D.CleanSequenceSpec(
-            p2, (D.A_IDENTITY, D.A_IDENTITY), (D.B_TO_ZERO, D.B_CONSTANT_ONE)))
+            p2, (D.A_IDENTITY, D.A_IDENTITY), (D.B_TO_ZERO,)))
         return (full.nondivergent and full.block_roles == ("M",)
                 and not dead.nondivergent)
 
@@ -478,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cone offset C <= 0 for bc+; write a negative value in "
                         "exponent form as --offset=-1e-5")
     p.add_argument("--eps", type=float, default=None, help="annulus inner fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="Monte Carlo seed; a grid run records none")
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_volume)
 

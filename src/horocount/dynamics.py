@@ -1,12 +1,13 @@
 """Limit classification of translated horocyclic measures.
 
 A translating sequence, once normalized ("clean"), is described purely
-symbolically: each block's chamber part is either unbounded or the
-identity, and each prefix character of the central part tends to infinity,
-stays at one, or tends to zero.  Nondivergence holds exactly when no
-prefix character dies, and in that case the limit is Haar on a group read
-off from a coarsened partition whose blocks are either compact (K) or full
-special-linear (M) factors.
+symbolically: each block's chamber part is either unbounded (``inf``) or
+the identity (``id``), and each proper prefix character of the central
+part tends to infinity (``inf``), stays at one (``one``) or tends to zero
+(``zero``).  The full product is the determinant, always one, so it has no
+entry.  Nondivergence holds exactly when no prefix character dies, and in
+that case the limit is Haar on a group read off from a coarsened partition
+whose blocks are either compact (K) or full special-linear (M) factors.
 
 The classifier works on symbolic behaviors; ``instantiate`` turns a spec
 into concrete diagonal sequences for numerical cross-checks against the
@@ -40,11 +41,12 @@ __all__ = [
     "all_clean_specs",
 ]
 
-A_UNBOUNDED = "unbounded"
-A_IDENTITY = "identity"
-B_TO_INFINITY = "to_infinity"
-B_CONSTANT_ONE = "constant_one"
-B_TO_ZERO = "to_zero"
+# the values are the CLI's tokens
+A_UNBOUNDED = "inf"
+A_IDENTITY = "id"
+B_TO_INFINITY = "inf"
+B_CONSTANT_ONE = "one"
+B_TO_ZERO = "zero"
 
 ROLE_COMPACT = "K"
 ROLE_FULL = "M"
@@ -55,9 +57,8 @@ class CleanSequenceSpec(_Record):
 
     ``a_behavior`` has one entry per block (unbounded or identity; size-1
     blocks have no chamber direction and must be identity).  ``b_behavior``
-    has one entry per prefix k = 1..k0; the full-product prefix is forced
-    to constant_one by the determinant constraint.  An inconsistent spec
-    raises ``ValueError``.
+    has one entry per proper prefix k = 1..k0-1; the full product is the
+    determinant and always one.  An inconsistent spec raises ``ValueError``.
     """
 
     __slots__ = _fields = ("partition", "a_behavior", "b_behavior")
@@ -70,10 +71,9 @@ class CleanSequenceSpec(_Record):
             raise ValueError(
                 f"need one a-behavior per block ({part.k0}), got {len(self.a_behavior)}"
             )
-        if len(self.b_behavior) != part.k0:
-            raise ValueError(
-                f"need one b-behavior per prefix ({part.k0}), got {len(self.b_behavior)}"
-            )
+        if len(self.b_behavior) != part.k0 - 1:
+            raise ValueError(f"need one b-behavior per proper prefix ({part.k0 - 1}), "
+                             f"got {len(self.b_behavior)}")
         for k, beh in enumerate(self.a_behavior):
             if beh not in (A_UNBOUNDED, A_IDENTITY):
                 raise ValueError(f"unknown a-behavior {beh!r} for block {k}")
@@ -84,12 +84,6 @@ class CleanSequenceSpec(_Record):
         for k, beh in enumerate(self.b_behavior):
             if beh not in (B_TO_INFINITY, B_CONSTANT_ONE, B_TO_ZERO):
                 raise ValueError(f"unknown b-behavior {beh!r} for prefix {k + 1}")
-        if self.b_behavior[-1] != B_CONSTANT_ONE:
-            raise ValueError(
-                "the full-product prefix is determinant one and must be "
-                "constant_one; normalize the sequence (pass to a subsequence "
-                "with definite block and prefix limits) before classifying"
-            )
 
 
 class LimitClassification(NamedTuple):
@@ -128,10 +122,12 @@ def classify_limit(spec: CleanSequenceSpec) -> LimitClassification:
     part is unbounded and compact when it is the identity.
     """
     part = spec.partition
-    if any(beh == B_TO_ZERO for beh in spec.b_behavior[:-1]):
+    if B_TO_ZERO in spec.b_behavior:
         return LimitClassification(nondivergent=False)
 
-    anchors = [k for k in range(part.k0) if spec.b_behavior[k] == B_CONSTANT_ONE]
+    # the full prefix is constant one: the last block always closes a run
+    anchors = [k for k, beh in enumerate(spec.b_behavior) if beh == B_CONSTANT_ONE]
+    anchors.append(part.k0 - 1)
     coarse_sizes = []
     merged_new, old_unbounded, old_identity = [], [], []
     roles = []
@@ -208,10 +204,9 @@ def instantiate(spec: CleanSequenceSpec, t: float) -> tuple[np.ndarray, np.ndarr
             profile = np.linspace(1.0, -1.0, m)
             profile -= profile.mean()
             log_a[list(blk)] = t * profile
-    log_prefix = []
-    for k in range(part.k0):
-        beh = spec.b_behavior[k]
-        log_prefix.append(t if beh == B_TO_INFINITY else (-t if beh == B_TO_ZERO else 0.0))
+    log_prefix = [t if beh == B_TO_INFINITY else (-t if beh == B_TO_ZERO else 0.0)
+                  for beh in spec.b_behavior]
+    log_prefix.append(0.0)   # the determinant
     log_b = np.zeros(part.n)
     prev = 0.0
     for k, blk in enumerate(part.blocks):
@@ -234,10 +229,9 @@ def all_clean_specs(n_max: int) -> list[CleanSequenceSpec]:
                 (A_IDENTITY,) if s == 1 else (A_IDENTITY, A_UNBOUNDED)
                 for s in sizes
             ]
-            b_options = [(B_TO_INFINITY, B_CONSTANT_ONE, B_TO_ZERO)] * (part.k0 - 1)
-            b_options.append((B_CONSTANT_ONE,))
+            b_options = (B_TO_INFINITY, B_CONSTANT_ONE, B_TO_ZERO)
             for a_beh in itertools.product(*a_options):
-                for b_beh in itertools.product(*b_options):
+                for b_beh in itertools.product(b_options, repeat=part.k0 - 1):
                     specs.append(CleanSequenceSpec(part, a_beh, b_beh))
     return specs
 

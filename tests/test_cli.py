@@ -109,6 +109,28 @@ def test_count_warns_on_failed_descent_check(tmp_path, capsys, monkeypatch):
     assert err.startswith("warning: 2 of ") and "may be incomplete" in err
 
 
+_UNDOCUMENTED_BEHAVIORS = [
+    ("--a-behavior", "identity,id", "'identity'"),
+    ("--a-behavior", "unbounded,id", "'unbounded'"),
+    ("--b-behavior", "infinity", "'infinity'"),
+    ("--b-behavior", "to_infinity", "'to_infinity'"),
+    ("--b-behavior", "constant_one", "'constant_one'"),
+    ("--b-behavior", "to_zero", "'to_zero'"),
+    ("--b-behavior", "inf,one", "proper prefix (1), got 2"),
+]
+
+
+@pytest.mark.parametrize("flag, value, named", _UNDOCUMENTED_BEHAVIORS,
+                         ids=[value for _, value, _ in _UNDOCUMENTED_BEHAVIORS])
+def test_classify_takes_the_documented_tokens_only(capsys, flag, value, named):
+    # one spelling per value, id|inf per block and inf|one|zero per proper
+    # prefix: the long spellings, and a last entry one for the full
+    # product (the determinant), ran with exit 0
+    code, out, err = run(capsys, "classify", "--n", "3", "--blocks", "2,1", flag, value)
+    assert (code, out) == (2, "")
+    assert named in err
+
+
 def test_volume_manifest_reproducibility(tmp_path, capsys):
     csv_path = tmp_path / "vol.csv"
     code, out, _ = run(capsys, "volume", "--n", "2", "--blocks", "1,1",
@@ -145,6 +167,23 @@ def test_volume_csv_diagnostics(tmp_path, capsys):
     assert rows["mc"]["converged"] == ""
     assert rows["grid"]["converged"] == "True"
     assert rows["grid"]["ess"] == rows["grid"]["in_region"] == ""
+
+
+def test_grid_ignores_monte_carlo_settings(tmp_path, capsys, monkeypatch):
+    # the grid starts no thread and draws no random number: HOROCOUNT_THREADS
+    # exited 2, and --seed went into the CSV row and the manifest
+    grid = ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2", "--grid", "0.1")
+    monkeypatch.setenv("HOROCOUNT_THREADS", "abc")
+    assert run(capsys, *grid)[0] == 0
+    assert run(capsys, *grid[:-2], "--mc", "10")[0] == 2
+    monkeypatch.delenv("HOROCOUNT_THREADS")
+    csv_path = tmp_path / "g.csv"
+    assert run(capsys, *grid, "--seed", "5", "--csv", str(csv_path))[0] == 0
+    with open(csv_path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["method"], row["seed"]) == ("grid", "")
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["seed"] is None and manifest["params"]["seed"] == 5
 
 
 def test_count_manifest_reruns_zero_radius(tmp_path, capsys):

@@ -10,28 +10,28 @@ INF, ONE, ZERO = D.B_TO_INFINITY, D.B_CONSTANT_ONE, D.B_TO_ZERO
 
 def test_spec_validation(p2, p21):
     with pytest.raises(ValueError):
-        D.CleanSequenceSpec(p2, (UNB, ID), (ONE, ONE))  # size-1 block can't be unbounded
+        D.CleanSequenceSpec(p2, (UNB, ID), (ONE,))  # size-1 block can't be unbounded
     with pytest.raises(ValueError):
-        D.CleanSequenceSpec(p2, (ID, ID), (ONE, INF))  # last prefix must be one
+        D.CleanSequenceSpec(p2, (ID, ID), (ONE, ONE))  # no entry for the full prefix
     with pytest.raises(ValueError):
-        D.CleanSequenceSpec(p2, (ID,), (ONE, ONE))  # wrong arity
+        D.CleanSequenceSpec(p2, (ID,), (ONE,))  # wrong arity
     with pytest.raises(ValueError):
-        D.CleanSequenceSpec(p21, (ID, ID), (ONE, "sideways"))
+        D.CleanSequenceSpec(p21, (ID, ID), ("sideways",))
 
 
 def test_spec_is_a_checked_immutable_record(p21):
     with pytest.raises(ValueError):
-        D.CleanSequenceSpec(p21, (ID, "sideways"), (ONE, ONE))
+        D.CleanSequenceSpec(p21, (ID, "sideways"), (ONE,))
     with pytest.raises(ValueError):
-        D.CleanSequenceSpec(p21, (UNB, ID), (ONE,))  # wrong prefix arity
-    spec = D.CleanSequenceSpec(p21, (UNB, ID), (INF, ONE))
-    assert spec == D.CleanSequenceSpec(make_partition(3, [2, 1]), (UNB, ID), (INF, ONE))
+        D.CleanSequenceSpec(p21, (UNB, ID), (ONE, ONE))  # wrong prefix arity
+    spec = D.CleanSequenceSpec(p21, (UNB, ID), (INF,))
+    assert spec == D.CleanSequenceSpec(make_partition(3, [2, 1]), (UNB, ID), (INF,))
     with pytest.raises(AttributeError):
         spec.a_behavior = (ID, ID)
 
 
 def test_classify_identity_sequence(p3):
-    spec = D.CleanSequenceSpec(p3, (ID, ID, ID), (ONE, ONE, ONE))
+    spec = D.CleanSequenceSpec(p3, (ID, ID, ID), (ONE, ONE))
     res = D.classify_limit(spec)
     assert res.nondivergent
     assert res.coarse_partition.sizes == p3.sizes
@@ -40,7 +40,7 @@ def test_classify_identity_sequence(p3):
 
 
 def test_classify_full_merge_n2(p2):
-    spec = D.CleanSequenceSpec(p2, (ID, ID), (INF, ONE))
+    spec = D.CleanSequenceSpec(p2, (ID, ID), (INF,))
     res = D.classify_limit(spec)
     assert res.nondivergent
     assert res.coarse_partition.sizes == (2,)
@@ -49,7 +49,7 @@ def test_classify_full_merge_n2(p2):
 
 
 def test_classify_divergent_n2(p2):
-    spec = D.CleanSequenceSpec(p2, (ID, ID), (ZERO, ONE))
+    spec = D.CleanSequenceSpec(p2, (ID, ID), (ZERO,))
     res = D.classify_limit(spec)
     assert not res.nondivergent
     assert res.coarse_partition is None
@@ -57,7 +57,7 @@ def test_classify_divergent_n2(p2):
 
 
 def test_classify_old_unbounded(p21):
-    spec = D.CleanSequenceSpec(p21, (UNB, ID), (ONE, ONE))
+    spec = D.CleanSequenceSpec(p21, (UNB, ID), (ONE,))
     res = D.classify_limit(spec)
     assert res.nondivergent
     assert res.coarse_partition.sizes == (2, 1)
@@ -68,7 +68,7 @@ def test_classify_old_unbounded(p21):
 
 def test_classify_mixed_merge():
     part = make_partition(4, [1, 1, 1, 1])
-    spec = D.CleanSequenceSpec(part, (ID,) * 4, (INF, ONE, INF, ONE))
+    spec = D.CleanSequenceSpec(part, (ID,) * 4, (INF, ONE, INF))
     res = D.classify_limit(spec)
     assert res.nondivergent
     assert res.coarse_partition.sizes == (2, 2)
@@ -104,7 +104,7 @@ def test_coarsening_idempotent():
         respec = D.CleanSequenceSpec(
             coarse,
             tuple(D.A_IDENTITY for _ in coarse.sizes),
-            tuple(ONE for _ in coarse.sizes),
+            (ONE,) * (coarse.k0 - 1),
         )
         again = D.classify_limit(respec)
         assert again.coarse_partition.sizes == coarse.sizes
@@ -155,7 +155,7 @@ def test_nondivergence_matches_covolume_decay():
 
 
 def test_instantiate_realizes_behaviors(p21):
-    spec = D.CleanSequenceSpec(p21, (UNB, ID), (INF, ONE))
+    spec = D.CleanSequenceSpec(p21, (UNB, ID), (INF,))
     a, b = D.instantiate(spec, 3.0)
     assert np.prod(a[:2]) == pytest.approx(1.0, rel=1e-12)  # block det one
     assert a[0] > 1.0 > a[1]  # chamber profile
@@ -169,7 +169,7 @@ def test_only_stable_subspaces_govern_nondivergence():
     # restricting the criterion to the stable prefixes is what makes the
     # classification correct
     part = make_partition(3, [1, 1, 1])
-    spec = D.CleanSequenceSpec(part, (ID, ID, ID), (INF, INF, ONE))
+    spec = D.CleanSequenceSpec(part, (ID, ID, ID), (INF, INF))
     assert D.classify_limit(spec).nondivergent
     a20, b20 = D.instantiate(spec, 20.0)
     for prefix in D.stable_subspaces(part):

@@ -499,6 +499,26 @@ def test_offset_cone_grid_vs_mc(p21):
     assert abs(grid.estimate - mc.estimate) <= 3 * (grid.standard_error + mc.standard_error)
 
 
+def test_offset_cone_grid_with_the_apex_outside_the_ball():
+    # [1,2], R = 3, offset -9: the cone's apex lies outside the ball and the
+    # region is the half-disk u >= 0 of radius 3, where the measure reduces to
+    # the integral over w in [-3, 3] of e^(sqrt6 w) (cosh(sqrt2 sqrt(9 - w^2)) - 1)
+    # / sqrt2; w = 3 cos(theta) makes the integrand smooth at both ends
+    import mpmath
+
+    with mpmath.workdps(30):
+        exact = float(mpmath.quad(
+            lambda th: 3 * mpmath.sin(th) * mpmath.exp(3 * mpmath.sqrt(6) * mpmath.cos(th))
+            * (mpmath.cosh(3 * mpmath.sqrt(2) * mpmath.sin(th)) - 1) / mpmath.sqrt(2),
+            [0, mpmath.pi]))
+    assert abs(exact - 1759.3174105841194) <= 1e-9
+    part = make_partition(3, [1, 2])
+    for step in ({}, {"grid_step": 0.001}):   # the default step, then a fine one
+        res = M.mu_A_ball(part, 3.0, "bc+", "grid", offset=-9.0, **step)
+        assert res.converged
+        assert abs(res.estimate - exact) <= res.standard_error, step
+
+
 def test_grid_converged_flag_and_sections(p21):
     assert M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.04).converged is True
     assert M.mu_A_ball(p21, 1.0, "b+", "mc", budget=1000).converged is None
