@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`horocount.partitions` -- block partitions, Cartan vectors, cones,
-  the Haar density factor and the growth vector v0.
+* :mod:`horocount.partitions` -- block partitions, the cone's half-spaces
+  and the exact norm of the growth vector v0.
 * :mod:`horocount.decompose` -- QR/Langlands/per-block-Cartan
   factorizations and the float height function: the oracle that the tests
   and ``selftest`` compare the exact coset heights against.  Import it as
@@ -25,13 +25,9 @@ __version__ = "0.1.0"
 from .partitions import (  # noqa: F401
     Cone,
     Partition,
-    block_split,
-    cone_contains,
     make_partition,
     p_norm,
     p_norm_squared,
-    rho_density,
-    v0,
 )
 from .constants import (  # noqa: F401
     CountingConstant,

@@ -21,8 +21,9 @@ orthonormal basis of ``traceless_basis``, so every estimator works in the
 One dispatch, ``_quadrature``, validates the region and method parameters,
 picks the estimator and rejects a non-finite result.
 
-numpy is imported only inside the sampler and ``_Integrand.log_weight``,
-which weighs its points with an array of the projected forms.  The set-up
+numpy is imported only inside the sampler and ``_BlockWeights`` (behind
+``_Integrand.log_weight``), which weighs its points with an array of the
+projected forms.  The set-up
 and the whole grid rule are plain Python, so ``volume --grid`` runs without
 numpy: a grid run skips the numpy import (about 0.13 s) but pays a few
 microseconds per node evaluated where numpy paid a fraction of one.
@@ -40,7 +41,10 @@ time in buffers it allocates once, so memory is one block per thread
 whatever the budget.  A block is stored coordinate-major, shape
 (n_dim, rows): coordinate i is one contiguous row, filled from normal stream
 i (the first coordinate comes from the t-uniforms, so normal stream 0 is
-unused), and the block is weighed with one matrix product ``forms.T @ x``.
+unused), and the block is weighed with one matrix product ``forms @ x``.
+At N = 3 the one cross-section coordinate is uniform on a segment and comes
+from the radial uniforms alone, so normal streams 0 and 1 both go unused;
+N = 2 draws only the t-uniforms.
 ``_BLOCK`` never changes a result, and neither does the thread count: a
 result depends on the seed and the budget alone.
 The same pass yields the weight diagnostics (effective sample size,
@@ -76,6 +80,7 @@ __all__ = [
 _REGIONS = ("b+", "bc+", "annulus")
 _METHODS = ("mc", "grid")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)   # a smaller weight squares to 0
 _CHUNK = 250_000   # samples per SeedSequence child
 _BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
 GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
@@ -181,22 +186,7 @@ class _Integrand(NamedTuple):
     def log_weight(self, x: np.ndarray) -> np.ndarray:
         """log of the integrand at the columns of x (one row per
         coordinate); -inf outside the region."""
-        import numpy as np
-
-        f = np.array(self.forms) @ x   # one row per linear form
-        k = self.n_sinh
-        r2 = np.einsum("ij,ij->j", x, x)
-        inside = r2 <= self.radius * self.radius
-        if self.inner is not None:
-            inside &= r2 > self.inner * self.inner
-        for form, floor in zip(f[1 + k:], self.floors):
-            inside &= form >= floor
-        log_f = f[0]
-        if k:
-            # outside the region an alpha form may be negative: NaN, masked below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_f = log_f + np.log(np.sinh(f[1:1 + k])).sum(axis=0)
-        return np.where(inside, log_f, -np.inf)
+        return _BlockWeights(self, x.shape[1])(x)
 
     def line_weight(self, t: float) -> float:
         """For N = 2: the integrand e^(<c, x>) at x = t, 0 outside the
@@ -310,8 +300,11 @@ class _TiltedBallSampler:
     """Proposal on the ball: exponential first coordinate, uniform cross-section.
 
     q(t, w) = [rate e^{rate t} / Z] * Uniform(cross-section ball of radius
-    sqrt(R^2 - t^2)) with Z = (e^{rate R} - e^{-rate R}) / rate.  The buffers
-    hold ``rows`` points and are reused by every ``sample`` call.
+    h = sqrt(R^2 - t^2)) with Z = (e^{rate R} - e^{-rate R}) / rate.  At
+    N = 3 the cross-section is the segment [-h, h] and w = h (2v - 1) comes
+    from the radial uniform v alone; past N = 3 it is a direction from the
+    normals, scaled to a radius h v^(1/d).  The buffers hold ``rows`` points
+    and are reused by every ``sample`` call.
     """
 
     def __init__(self, n_dim: int, radius: float, rate: float, rows: int):
@@ -329,9 +322,10 @@ class _TiltedBallSampler:
     def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """``rows`` points x (columns) and their log proposal density.  The
         first coordinate t comes from the t-uniform stream ``rngs[0]``, the
-        radii from ``rngs[1]`` and cross-section coordinate i from the normal
-        stream ``rngs[2 + i]``.  They are views of the buffers, overwritten
-        by the next call."""
+        radii from ``rngs[1]`` and, past N = 3, cross-section coordinate i
+        from the normal stream ``rngs[2 + i]``; at N = 3 no normal stream is
+        drawn.  They are views of the buffers, overwritten by the next
+        call."""
         import numpy as np
 
         r, rate = self.radius, self.rate
@@ -348,27 +342,80 @@ class _TiltedBallSampler:
         log_q -= self.log_z
         d = x.shape[0] - 1
         if d:
-            g, v, cross = x[1:], self.v[:rows], self.cross[:rows]
-            for row, rng in zip(g, rngs[3:]):
-                rng.standard_normal(out=row)
-            rngs[1].random(out=v)
+            cross = self.cross[:rows]
             np.multiply(t, t, out=cross)
             np.subtract(r * r, cross, out=cross)
             np.maximum(cross, 0.0, out=cross)
             np.sqrt(cross, out=cross)
-            # uniform in the cross-section ball: direction g/|g|, radius cross * v^(1/d)
-            norms = np.sqrt(np.einsum("ij,ij->j", g, g))
-            norms[norms == 0] = 1.0
-            np.power(v, 1.0 / d, out=v)
-            v *= cross
-            v /= norms
-            g *= v
+            if d == 1:
+                # the unit sphere of a segment is {-1, 1}: uniform on [-h, h]
+                w = x[1]
+                rngs[1].random(out=w)
+                w *= 2.0
+                w -= 1.0
+                w *= cross
+            else:
+                g, v = x[1:], self.v[:rows]
+                for row, rng in zip(g, rngs[3:]):
+                    rng.standard_normal(out=row)
+                rngs[1].random(out=v)
+                # uniform in the cross-section ball: direction g/|g|, radius cross * v^(1/d)
+                norms = np.sqrt(np.einsum("ij,ij->j", g, g))
+                norms[norms == 0] = 1.0
+                np.power(v, 1.0 / d, out=v)
+                v *= cross
+                v /= norms
+                g *= v
             np.maximum(cross, 1e-300, out=cross)
             np.log(cross, out=cross)
             cross *= d
             log_q -= cross
             log_q -= _log_ball_volume(d)
         return x, log_q
+
+
+class _BlockWeights:
+    """``_Integrand.log_weight`` over blocks of up to ``rows`` points, in
+    buffers allocated once: the forms array, their values at the block, the
+    squared radii, the outside mask and one more mask for each test."""
+
+    def __init__(self, integrand: _Integrand, rows: int):
+        import numpy as np
+
+        self.integrand = integrand
+        self.forms = np.array(integrand.forms)
+        self.values = np.empty(len(integrand.forms) * rows)
+        self.r2 = np.empty(rows)
+        self.outside = np.empty(rows, dtype=bool)
+        self.cut = np.empty(rows, dtype=bool)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """log of the integrand at the columns of x, -inf outside the
+        region: a view of the buffers, overwritten by the next call."""
+        import numpy as np
+
+        integrand, rows = self.integrand, x.shape[1]
+        f = self.values[:len(self.forms) * rows].reshape(-1, rows)
+        np.matmul(self.forms, x, out=f)   # one row per linear form
+        k = integrand.n_sinh
+        r2, outside, cut = self.r2[:rows], self.outside[:rows], self.cut[:rows]
+        np.einsum("ij,ij->j", x, x, out=r2)
+        np.greater(r2, integrand.radius * integrand.radius, out=outside)
+        if integrand.inner is not None:
+            outside |= np.less_equal(r2, integrand.inner * integrand.inner, out=cut)
+        for form, floor in zip(f[1 + k:], integrand.floors):
+            outside |= np.less(form, floor, out=cut)
+        log_f = f[0]
+        if k:
+            alphas = f[1:1 + k]
+            # outside the region an alpha form may be negative: NaN, masked below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log(np.sinh(alphas, out=alphas), out=alphas)
+            for row in alphas[1:]:
+                alphas[0] += row
+            log_f += alphas[0]
+        np.copyto(log_f, -np.inf, where=outside)
+        return log_f
 
 
 def _fold(carry: float, a: np.ndarray) -> float:
@@ -388,20 +435,27 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
 
     The budget is cut into chunks of ``_CHUNK`` samples, one SeedSequence
     child each.  Each child spawns 2 + n_dim streams: the t-uniforms, the
-    radial uniforms and then one normal stream per coordinate.  A chunk
+    radial uniforms and then one normal stream per coordinate.  Normal
+    stream 0 is never drawn (the first coordinate is t), and at N = 3
+    neither is normal stream 1 (the segment needs no direction), but every
+    N spawns all of them, so the streams keep their indices.  A chunk
     draws, places and weighs ``_BLOCK`` points at a time in the buffers of
-    one ``_TiltedBallSampler`` (tilted at rate ||v0||), coordinate-major
-    (one row per coordinate), so memory is one block per thread whatever
-    the budget.  Every stream fills its own row of the block in order, so
-    the numbers a chunk draws do not depend on ``_BLOCK``; its sums are left
-    folds over its samples in order, so neither ``_BLOCK`` nor ``threads``
-    changes a result.
+    one ``_TiltedBallSampler`` (tilted at rate ||v0||) and one
+    ``_BlockWeights``, coordinate-major (one row per coordinate), so memory
+    is one block per thread whatever the budget.  Every stream fills its
+    own row of the block in order, so the numbers a chunk draws do not
+    depend on ``_BLOCK``; its sums are left folds over its samples in
+    order, so neither ``_BLOCK`` nor ``threads`` changes a result.
 
     Weights reach about e^(||v0|| R), so they are summed scaled by
     e^(-||v0|| R) and the mean and error multiplied back, which keeps their
-    squares finite.  The diagnostics are the effective sample size
-    (sum w)^2 / sum w^2, the fraction of samples in the region (finite
-    log-weight) and the largest weight's share of the sum.
+    squares finite.  A scaled weight of order R or smaller squares to 0 at
+    a tiny R, so when some sample lands in the region but the largest
+    scaled weight is below sqrt(sys.float_info.min) the estimate raises
+    ValueError as past the double range.  The diagnostics are the
+    effective sample size (sum w)^2 / sum w^2, the fraction of samples in
+    the region (finite log-weight) and the largest weight's share of the
+    sum.
     """
     import numpy as np
 
@@ -413,18 +467,21 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
     def one_chunk(idx: int) -> tuple[float, float, float, int]:
         rngs = [np.random.default_rng(s) for s in children[idx].spawn(2 + n_dim)]
         size = min(_CHUNK, budget - idx * _CHUNK)
-        sampler = _TiltedBallSampler(n_dim, radius, rate, min(_BLOCK, size))
+        rows = min(_BLOCK, size)
+        sampler = _TiltedBallSampler(n_dim, radius, rate, rows)
+        weigh = _BlockWeights(integrand, rows)
+        sq, finite = np.empty(rows), np.empty(rows, dtype=bool)
         total = total_sq = w_max = 0.0
         hits = 0
         for start in range(0, size, _BLOCK):
             x, log_q = sampler.sample(rngs, min(_BLOCK, size - start))
-            w = integrand.log_weight(x)
-            hits += int(np.count_nonzero(np.isfinite(w)))
+            w = weigh(x)
+            hits += int(np.count_nonzero(np.isfinite(w, out=finite[:w.size])))
             w -= log_q
             w -= log_scale
             np.exp(w, out=w)
             w_max = max(w_max, float(w.max()))
-            total_sq = _fold(total_sq, w * w)
+            total_sq = _fold(total_sq, np.multiply(w, w, out=sq[:w.size]))
             total = _fold(total, w)
         return total, total_sq, w_max, hits
 
@@ -437,6 +494,11 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
         parts = [one_chunk(i) for i in range(len(children))]
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
+    w_max = max(p[2] for p in parts)
+    hits = sum(p[3] for p in parts)
+    if hits and w_max < _SQRT_FLOAT_MIN:
+        raise ValueError(f"mc quadrature at R={radius}: the scaled weights, at most {w_max}, "
+                         f"square to 0: past the double range")
     mean = total / budget
     var = max(total_sq / budget - mean * mean, 0.0)
     scale = math.exp(log_scale) if log_scale <= _LOG_FLOAT_MAX else math.inf
@@ -445,8 +507,8 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
         "standard_error": math.sqrt(var / budget) * scale,
         "samples": budget,
         "ess": total * (total / total_sq) if total_sq else 0.0,
-        "in_region": sum(p[3] for p in parts) / budget,
-        "max_weight_share": max(p[2] for p in parts) / total if total else math.nan,
+        "in_region": hits / budget,
+        "max_weight_share": w_max / total if total else math.nan,
     }
 
 
@@ -571,8 +633,12 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     An ``mc`` estimate depends on (``seed``, ``budget``) alone: each chunk
     of the budget spawns its streams in the order t-uniforms, radial
     uniforms, then one normal stream per sample coordinate, and the block
-    size and ``threads`` never change a result.  Memory is one block of
-    points per thread, whatever the budget.
+    size and ``threads`` never change a result.  N = 2 draws the
+    t-uniforms alone, N = 3 the t- and radial uniforms (its cross-section
+    is a segment), and N >= 4 every stream but normal stream 0.  Memory is
+    one block of points per thread, whatever the budget.  Weights too small
+    to square (a tiny R) raise ValueError, as a result past the double
+    range does.
     """
     c, alphas = _density_forms(partition)
     return _quadrature(partition, c, alphas, radius, region, method, budget, offset,

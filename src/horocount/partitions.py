@@ -7,12 +7,11 @@ normed by the trace form (which restricts to the Euclidean norm on the
 diagonal).  Indices are 0-based throughout.
 
 The partition itself, the exact norms and the cone's half-spaces
-(``Cone.half_spaces``, plain tuples) are plain Python.  numpy is imported
-only inside the helpers that return or read arrays (``v0``,
-``block_split``, ``cone_contains`` and ``rho_density``), so that
-``constant``, the coset walk and the grid rule start without it.
+(``Cone.half_spaces``, plain tuples) are plain Python, and the module
+imports no numpy, so that ``constant``, the coset walk and the grid rule
+start without it.
 
-Records are ``typing.NamedTuple``s (``Cone``, ``BlockDiagonalSplit``) or,
+Records are ``typing.NamedTuple``s (``Cone``) or,
 where construction checks or derives fields, ``__slots__`` classes built on
 ``_Record`` (``Partition``).  Both are cheap to import and to define, which
 matters because every command is a fresh process.
@@ -21,21 +20,13 @@ matters because every command is a fresh process.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Partition",
     "make_partition",
     "require_horocycle_partition",
     "Cone",
-    "cone_contains",
-    "BlockDiagonalSplit",
-    "block_split",
-    "rho_density",
-    "v0",
     "p_norm",
     "p_norm_squared",
 ]
@@ -170,34 +161,6 @@ def require_horocycle_partition(partition: Partition) -> Partition:
     return partition
 
 
-class BlockDiagonalSplit(NamedTuple):
-    """Orthogonal splitting y = aM + aZ of a Cartan vector.
-
-    ``aM`` has zero sum within every block; ``aZ`` is constant within every
-    block.  The two pieces are trace-form orthogonal and recover y uniquely.
-    """
-
-    aM: np.ndarray
-    aZ: np.ndarray
-
-    def join(self) -> np.ndarray:
-        return self.aM + self.aZ
-
-
-def block_split(partition: Partition, y: Sequence[float]) -> BlockDiagonalSplit:
-    """Split a Cartan vector into its block-traceless and block-scalar parts."""
-    import numpy as np
-
-    y = np.asarray(y, dtype=float)
-    if y.shape != (partition.n,):
-        raise ValueError(f"vector has shape {y.shape}, expected ({partition.n},)")
-    aZ = np.empty_like(y)
-    for blk in partition.blocks:
-        idx = list(blk)
-        aZ[idx] = y[idx].mean()
-    return BlockDiagonalSplit(aM=y - aZ, aZ=aZ)
-
-
 class Cone(NamedTuple):
     """Offset cone C_C attached to a partition.
 
@@ -224,53 +187,6 @@ class Cone(NamedTuple):
             size = len(part.prefix(k))
             out.append(((1.0,) * size + (0.0,) * (part.n - size), self.offset))
         return out
-
-
-def cone_contains(cone: Cone, y: Sequence[float], tol: float = 1e-12) -> bool:
-    import numpy as np
-
-    y = np.asarray(y, dtype=float)
-    n = cone.partition.n
-    if y.shape != (n,):
-        raise ValueError(f"vector has shape {y.shape}, expected ({n},)")
-    return all(np.dot(normal, y) >= floor - tol for normal, floor in cone.half_spaces())
-
-
-def rho_density(partition: Partition, a: Sequence[float], b: Sequence[float],
-                tol: float = 1e-12) -> float:
-    """Haar density factor rho(a, b) in logarithmic coordinates.
-
-    ``a`` is a block-traceless vector in the closed positive chamber
-    (weakly decreasing within every block); ``b`` is block-scalar.  The
-    value is the product of sinh(a_i - a_j) over intra-block pairs i < j
-    times exp of the sum of b_i - b_j over cross-block pairs.  Chamber
-    walls give 0; a strictly negative intra-block difference is rejected.
-    """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (partition.n,) or b.shape != (partition.n,):
-        raise ValueError("a and b must be length-n vectors")
-    value = 1.0
-    for i, j in partition.intra_pairs():
-        d = a[i] - a[j]
-        if d < -tol:
-            raise ValueError(
-                f"a is outside the closed positive chamber: a[{i}]-a[{j}] = {d}"
-            )
-        value *= math.sinh(max(d, 0.0))
-    cross = sum(b[i] - b[j] for i, j in partition.cross_pairs())
-    return value * math.exp(cross)
-
-
-def v0(n: int) -> np.ndarray:
-    """The sum-of-positive-roots vector diag(N-1, N-3, ..., -N+1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    import numpy as np
-
-    return np.array([n - 2 * i - 1 for i in range(n)], dtype=float)
 
 
 def p_norm_squared(n: int) -> int:

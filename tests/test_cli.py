@@ -489,6 +489,12 @@ def test_exit_codes(capsys):
     for bad in (n5 + ("120", "--mc", "1000"), n5 + ("112", "--mc", "1000"),
                 volume + ("600", "--grid", "1")):
         assert run(capsys, *bad)[0] == 2, bad
+    # Monte Carlo weights whose squares underflow: were an error of 0.0
+    # (and at N = 3 an estimate of 0.0) with exit 0
+    n3_volume = ("volume", "--n", "3", "--blocks", "2,1", "--radius")
+    for bad in (volume + ("1e-300", "--mc", "100"), n3_volume + ("1e-200", "--mc", "1000")):
+        code, _, err = run(capsys, *bad)
+        assert code == 2 and "past the double range" in err, bad
     # constants past the double range: were c = 0.0 with exit 0 (N = 50, 60)
     # and an OverflowError traceback (N = 80)
     for n in (50, 60, 80):

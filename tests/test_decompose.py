@@ -5,7 +5,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from horocount.decompose import block_cartan, height, langlands_decompose, qr_positive
-from horocount.partitions import block_split, make_partition
+from horocount.partitions import make_partition
+
+from .cartan_helpers import block_split
 from .conftest import random_sl
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from horocount import measure as M
-from horocount.partitions import (Cone, block_split, cone_contains, make_partition,
-                                  p_norm, rho_density, v0)
+from horocount.partitions import Cone, make_partition, p_norm
+
+from .cartan_helpers import block_split, cone_contains, rho_density, v0
 
 
 def cone_integral(partition, offset, radius, method="mc", budget=1_000_000, *,
@@ -206,6 +207,85 @@ def test_tilted_sampler_distribution():
     assert np.abs(w.mean(axis=1)).max() < 5 * math.sqrt(0.2 / m)
     # each coordinate has variance 1/5, and no two are correlated
     assert np.abs(np.cov(w) - 0.2 * np.eye(3)).max() < 0.004
+
+
+def test_tilted_sampler_segment():
+    # N = 3: the cross-section is the segment [-h, h], h = sqrt(R^2 - t^2),
+    # and x1 / h is Uniform(-1, 1), drawn from the radial uniforms alone
+    radius, rows, rate = 4.0, 100_000, p_norm(3)
+    sampler = M._TiltedBallSampler(2, radius, rate, rows)
+    streams = np.random.SeedSequence(31).spawn(2 + 2)
+    x, log_q = sampler.sample([np.random.default_rng(s) for s in streams], rows)
+    t, x1 = x
+    h = np.sqrt(radius * radius - t * t)
+    assert (np.abs(x1) <= h * (1 + 1e-12)).all()
+    keep = h > 1e-6
+    u = x1[keep] / h[keep]
+    m = keep.sum()
+    assert abs(u.mean()) < 5 * math.sqrt(1 / 3 / m)
+    assert abs(u.var() - 1 / 3) < 5 * math.sqrt(4 / 45 / m)   # var of U^2 is 4/45
+    # the exponential density of t times the segment's uniform 1 / (2h)
+    z = math.exp(rate * radius) - math.exp(-rate * radius)
+    expected = np.log(rate * np.exp(rate * t) / z) - np.log(2 * h)
+    assert np.abs(log_q[keep] - expected[keep]).max() < 1e-12
+
+
+# mc results from before the N = 3 segment sampler, which left every
+# other dimension's draws and sums as they were: (estimate, standard error,
+# ess, in_region, max_weight_share) at budget 200,000 and seed 2026
+_MC_PINNED = {
+    "2:1,1 b+ R8": (2, [1, 1], 8.0, "b+", {}, (
+        57937.48760901236, 0.5017573105836137, 199996.99999777126, 0.999985,
+        5.000075001141659e-06)),
+    "4:2,2 b+ R6": (4, [2, 2], 6.0, "b+", {}, (
+        161425253343.4936, 349554544.21667975, 103209.05286414346, 0.96554,
+        5.866058354804965e-05)),
+    "4:2,2 bc+ R2": (4, [2, 2], 2.0, "bc+", {"offset": -1.0}, (
+        391.60910825825755, 1.195378130197115, 69844.00528333969, 0.816995,
+        6.371088085683521e-05)),
+    "4:2,2 annulus R2": (4, [2, 2], 2.0, "annulus", {"eps": 0.4}, (
+        389.2989296125734, 1.1799529311453656, 70488.19743342324, 0.81629,
+        5.468114896084826e-05)),
+    "5:1^5 b+ R4": (5, [1] * 5, 4.0, "b+", {}, (
+        112339780935.913, 363900098.9131287, 64545.527228426865, 0.99998,
+        0.00010768077997672553)),
+    "5:1^5 b+ R64": (5, [1] * 5, 64.0, "b+", {}, (
+        4.907056995526535e+177, 1.6923410818979337e+175, 59192.07008074292, 1.0,
+        0.00015505566794734305)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MC_PINNED))
+def test_mc_pinned_outside_n3(case):
+    # a change that moves a draw or a sum outside N = 3 moves these values
+    n, blocks, radius, region, options, pinned = _MC_PINNED[case]
+    res = M.mu_A_ball(make_partition(n, blocks), radius, region, "mc", 200_000,
+                      seed=2026, **options)
+    estimate, error, ess, in_region, share = pinned
+    assert res.estimate == pytest.approx(estimate, rel=1e-12)
+    assert res.standard_error == pytest.approx(error, rel=1e-12)
+    assert res.ess == pytest.approx(ess, rel=1e-12)
+    assert res.max_weight_share == pytest.approx(share, rel=1e-12)
+    assert res.in_region == in_region
+
+
+# converged B+ measures at R = 6: the grid and the exact-radial Gauss rule
+# on the cone's arc agree on them to 1e-12
+_N3_R6_REFERENCE = {"2,1": 14_194_784.98217, "1,1,1": 29_589_325.02}
+
+
+@pytest.mark.parametrize("blocks", sorted(_N3_R6_REFERENCE))
+def test_n3_mc_vs_reference_at_r6(blocks):
+    sizes = [int(m) for m in blocks.split(",")]
+    mc = M.mu_A_ball(make_partition(3, sizes), 6.0, "b+", "mc", budget=400_000, seed=61)
+    assert abs(mc.estimate - _N3_R6_REFERENCE[blocks]) <= 4 * mc.standard_error
+
+
+def test_mc_with_no_sample_in_the_region_is_zero(p2):
+    # weights that square to 0 raise (test_cli's exit codes), but a tiny
+    # region that no sample lands in is still an estimate of 0 +- 0
+    res = M.mu_A_ball(p2, 1e-300, "annulus", "mc", budget=100, eps=1 - 1e-9)
+    assert (res.estimate, res.standard_error, res.in_region) == (0.0, 0.0, 0.0)
 
 
 def _peak_bytes(fn) -> int:

@@ -14,14 +14,12 @@ from horocount.measure import QuadratureResult
 from horocount.partitions import (
     Cone,
     Partition,
-    block_split,
-    cone_contains,
     make_partition,
     p_norm,
     p_norm_squared,
-    rho_density,
-    v0,
 )
+
+from .cartan_helpers import block_split, cone_contains, rho_density, v0
 
 
 def test_make_partition_examples():
