@@ -23,10 +23,10 @@ picks the estimator and rejects a non-finite result.
 
 numpy is imported only inside the sampler and ``_BlockWeights`` (behind
 ``_Integrand.log_weight``), which weighs its points with an array of the
-projected forms.  The set-up
-and the whole grid rule are plain Python, so ``volume --grid`` runs without
-numpy: a grid run skips the numpy import (about 0.13 s) but pays a few
-microseconds per node evaluated where numpy paid a fraction of one.
+projected forms.  The set-up and the whole grid rule are plain Python, so
+``volume --grid`` runs without numpy: a grid run skips the numpy import
+(about 0.13 s) but pays a few microseconds per node evaluated where numpy
+paid a fraction of one.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 (``mc``, taming the exp(||v0||R) dynamic range), and for N <= 3 a nested
