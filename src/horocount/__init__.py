@@ -15,8 +15,8 @@ Library layout:
   (graph search + flag scan oracle, N <= 3).
 * :mod:`horocount.measure` -- quadrature of the diagonal measure over
   height balls and cones.
-* :mod:`horocount.dynamics` -- clean-sequence limit classifier, stable
-  subspaces and covolumes.
+* :mod:`horocount.dynamics` -- the clean-sequence limit classifier:
+  divergence and the coarse partition of the limit's support.
 * :mod:`horocount.cli` -- the ``horocount`` command-line tool.
 """
 

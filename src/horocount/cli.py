@@ -13,8 +13,8 @@ Monte Carlo worker threads of ``volume``: an integer of at least 1, capped
 at the CPUs this process may run on, which are also the default.  A grid
 run does not read it.  The thread count never changes a result.
 
-Exit codes: 0 success, 2 validation error, 3 resource/consistency error,
-64 unknown subcommand.
+Exit codes: 0 success, 2 validation error or an output file that cannot
+be written, 3 resource/consistency error, 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -512,12 +512,17 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, KeyError, NotImplementedError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:   # writing an output file: the message names the path
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def rerun_manifest(path: str) -> int:
     """Re-execute a run from its manifest; deterministic outputs reproduce.
     Each value goes in one ``--flag=value`` token, so a negative one in
-    exponent form (``-1e-05``) is not read as an option."""
+    exponent form (``-1e-05``) is not read as an option.  No subcommand
+    calls it: it is the Python entry point of the manifest contract in the
+    module docstring, which the tests hold it to."""
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     argv = [manifest["subcommand"]]

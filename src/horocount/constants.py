@@ -93,7 +93,9 @@ def vol_so(n: int) -> float:
 
 
 def vol_so_recursive(n: int) -> float:
-    """Same volume via the recursion Vol(SO_n) = Vol(SO_{n-1}) Vol(S^{n-1}) 2^((n-1)/2)."""
+    """Same volume via the recursion Vol(SO_n) = Vol(SO_{n-1}) Vol(S^{n-1}) 2^((n-1)/2).
+
+    The second path that ``selftest`` checks ``vol_so`` against."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     v = 1.0
@@ -207,8 +209,9 @@ def counting_constant(partition: Partition) -> CountingConstant:
 def hardcoded_example_constant(partition: Partition) -> float:
     """Independently coded closed forms for the three worked partitions.
 
-    Serves as the second code path of the dual-path check; raises KeyError
-    for partitions without a hand-derived expression.
+    Serves as the second code path of the dual-path check that ``selftest``
+    and the tests run; raises KeyError for partitions without a
+    hand-derived expression.
     """
     key = (partition.n, partition.sizes)
     if key == (3, (1, 1, 1)):
@@ -232,7 +235,8 @@ def xi_identity_check(n: int) -> float:
     """Relative error of Vol(SO_N)/Vol(SL_N/SL_N(Z)) = 2^(N(N-1)/4) N!(N-1)! / prod xi(k).
 
     Both sides are evaluated through independent routes (Gamma-function
-    sphere areas vs completed-zeta values).
+    sphere areas vs completed-zeta values); ``selftest`` and the tests run
+    it.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

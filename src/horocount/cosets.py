@@ -462,7 +462,9 @@ def coset_key(g: Matrix, partition: Partition) -> tuple[int, ...]:
     Block by block, each omega_k ^ v_j is made positive in its first nonzero
     coordinate, the results are sorted within the block and concatenated
     (see the module docstring).  Two matrices share a key exactly when
-    they lie in the same coset.
+    they lie in the same coset.  No command calls it: it is the public
+    twin of ``coset_height`` (which ``selftest`` runs), and the tests key
+    single matrices with it.
     """
     layout = _layout(partition)
     return _state_key(_matrix_state(g, layout), layout)

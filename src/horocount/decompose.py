@@ -95,6 +95,8 @@ def langlands_decompose(g: np.ndarray, partition: Partition
     factor of g * exp(b1) is b + b1, since exp(b1) commutes with the
     M-part and normalizes the unipotent radical.  Left multiplication by
     exp(b1) is not additive on b, because it does not commute past km.
+    Only the tests call it; ``height`` takes the same parts without
+    multiplying km out.
     """
     q, m, b, u = _langlands_parts(g, partition)
     return q @ m, b, u

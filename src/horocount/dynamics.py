@@ -9,21 +9,17 @@ entry.  Nondivergence holds exactly when no prefix character dies, and in
 that case the limit is Haar on a group read off from a coarsened partition
 whose blocks are either compact (K) or full special-linear (M) factors.
 
-The classifier works on symbolic behaviors; ``instantiate`` turns a spec
-into concrete diagonal sequences for numerical cross-checks against the
-covolume criterion.  numpy is imported only inside ``covolume_gram`` and
-``instantiate``, so ``classify`` starts without it.
+The classifier works on symbolic behaviors alone, in plain Python, and
+imports nothing past ``partitions``, so ``classify`` starts without the
+array library.  The tests check it against the covolume criterion on
+concrete diagonal sequences (``tests/cartan_helpers.py``).
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .partitions import Partition, _Record, make_partition
-
-if TYPE_CHECKING:
-    import numpy as np
+from .partitions import Partition, _Record
 
 __all__ = [
     "A_UNBOUNDED",
@@ -34,11 +30,6 @@ __all__ = [
     "CleanSequenceSpec",
     "LimitClassification",
     "classify_limit",
-    "stable_subspaces",
-    "covolume",
-    "covolume_gram",
-    "instantiate",
-    "all_clean_specs",
 ]
 
 # the values are the CLI's tokens
@@ -155,91 +146,3 @@ def classify_limit(spec: CleanSequenceSpec) -> LimitClassification:
         old_unbounded=tuple(old_unbounded),
         old_identity=tuple(old_identity),
     )
-
-
-def stable_subspaces(partition: Partition) -> list[tuple[int, ...]]:
-    """The proper coordinate prefixes: the only subspaces stable under K*U.
-
-    These are the index sets whose covolume can decay along a translate;
-    returned as 0-based index tuples for j = 1..k0-1.
-    """
-    return [partition.prefix(j) for j in range(1, partition.k0)]
-
-
-def covolume(a: Sequence[float], b: Sequence[float], prefix: Sequence[int]) -> float:
-    """Covolume of (a*b) Z^prefix for block prefixes: the prefix product of b.
-
-    ``a`` is a positive diagonal with unit block determinants, ``b`` a
-    positive block-scalar diagonal; on a union of blocks the a-part has
-    determinant one and drops out.
-    """
-    return float(math.prod([b[i] for i in prefix]))
-
-
-def covolume_gram(a: Sequence[float], b: Sequence[float], prefix: Sequence[int]) -> float:
-    """Independent covolume via the Gram determinant of the transformed basis."""
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mat = np.diag(a * b)[:, list(prefix)]
-    gram = mat.T @ mat
-    return float(math.sqrt(np.linalg.det(gram)))
-
-
-def instantiate(spec: CleanSequenceSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Concrete positive diagonals (a(t), b(t)) realizing the behaviors at time t.
-
-    Unbounded chamber parts use a within-block decreasing profile of size
-    e^t; prefix characters use e^{+t}, 1, e^{-t}.  Returned as entrywise
-    positive diagonal vectors (not logs).
-    """
-    import numpy as np
-
-    part = spec.partition
-    log_a = np.zeros(part.n)
-    for k, blk in enumerate(part.blocks):
-        if spec.a_behavior[k] == A_UNBOUNDED:
-            m = len(blk)
-            profile = np.linspace(1.0, -1.0, m)
-            profile -= profile.mean()
-            log_a[list(blk)] = t * profile
-    log_prefix = [t if beh == B_TO_INFINITY else (-t if beh == B_TO_ZERO else 0.0)
-                  for beh in spec.b_behavior]
-    log_prefix.append(0.0)   # the determinant
-    log_b = np.zeros(part.n)
-    prev = 0.0
-    for k, blk in enumerate(part.blocks):
-        log_b[list(blk)] = (log_prefix[k] - prev) / part.sizes[k]
-        prev = log_prefix[k]
-    return np.exp(log_a), np.exp(log_b)
-
-
-def all_clean_specs(n_max: int) -> list[CleanSequenceSpec]:
-    """Every clean spec over every partition of every N <= n_max."""
-    import itertools
-
-    specs = []
-    for n in range(2, n_max + 1):
-        for sizes in _compositions(n):
-            if len(sizes) < 2:
-                continue
-            part = make_partition(n, sizes)
-            a_options = [
-                (A_IDENTITY,) if s == 1 else (A_IDENTITY, A_UNBOUNDED)
-                for s in sizes
-            ]
-            b_options = (B_TO_INFINITY, B_CONSTANT_ONE, B_TO_ZERO)
-            for a_beh in itertools.product(*a_options):
-                for b_beh in itertools.product(b_options, repeat=part.k0 - 1):
-                    specs.append(CleanSequenceSpec(part, a_beh, b_beh))
-    return specs
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest

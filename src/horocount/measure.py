@@ -21,12 +21,11 @@ orthonormal basis of ``traceless_basis``, so every estimator works in the
 One dispatch, ``_quadrature``, validates the region and method parameters,
 picks the estimator and rejects a non-finite result.
 
-numpy is imported only inside the sampler and ``_BlockWeights`` (behind
-``_Integrand.log_weight``), which weighs its points with an array of the
-projected forms.  The set-up and the whole grid rule are plain Python, so
-``volume --grid`` runs without numpy: a grid run skips the numpy import
-(about 0.13 s) but pays a few microseconds per node evaluated where numpy
-paid a fraction of one.
+numpy is imported only inside the sampler and ``_BlockWeights``, which
+weighs its points with an array of the projected forms.  The set-up and the
+whole grid rule are plain Python, so ``volume --grid`` runs without numpy: a
+grid run skips the numpy import (about 0.13 s) but pays a few microseconds
+per node evaluated where numpy paid a fraction of one.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 (``mc``, taming the exp(||v0||R) dynamic range), and for N <= 3 a nested
@@ -182,11 +181,6 @@ class _Integrand(NamedTuple):
     @property
     def n_dim(self) -> int:
         return len(self.forms[0])
-
-    def log_weight(self, x: np.ndarray) -> np.ndarray:
-        """log of the integrand at the columns of x (one row per
-        coordinate); -inf outside the region."""
-        return _BlockWeights(self, x.shape[1])(x)
 
     def line_weight(self, t: float) -> float:
         """For N = 2: the integrand e^(<c, x>) at x = t, 0 outside the
@@ -375,7 +369,7 @@ class _TiltedBallSampler:
 
 
 class _BlockWeights:
-    """``_Integrand.log_weight`` over blocks of up to ``rows`` points, in
+    """log of an ``_Integrand`` over blocks of up to ``rows`` points, in
     buffers allocated once: the forms array, their values at the block, the
     squared radii, the outside mask and one more mask for each test."""
 
@@ -647,7 +641,10 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
 
 def closed_form_asymptotic(partition: Partition, radius: float) -> float:
     """Stated leading term for the B+ measure:
-    (1/2)^(sum n_k(n_k-1)/2) * (2 pi R / ||v0||)^((N-2)/2) * exp(||v0|| R)."""
+    (1/2)^(sum n_k(n_k-1)/2) * (2 pi R / ||v0||)^((N-2)/2) * exp(||v0|| R).
+
+    No command reports it; the tests measure the grid's B+ estimate against
+    it."""
     n = partition.n
     p = p_norm(n)
     halves = sum(m * (m - 1) // 2 for m in partition.sizes)

@@ -84,6 +84,7 @@ class Partition(_Record):
 
     ``blocks`` (the indices of each block) and ``block_of`` (the block of
     each index) are derived once; equality and hash use (n, sizes) alone.
+    The first k blocks hold the indices below ``sum(sizes[:k])``.
     """
 
     __slots__ = ("n", "sizes", "blocks", "block_of")
@@ -113,12 +114,6 @@ class Partition(_Record):
 
     def same_block(self, i: int, j: int) -> bool:
         return self.block_of[i] == self.block_of[j]
-
-    def prefix(self, k: int) -> tuple[int, ...]:
-        """Indices of the first k blocks (k = 1,...,k0)."""
-        if not 1 <= k <= self.k0:
-            raise ValueError(f"prefix index {k} out of range 1..{self.k0}")
-        return tuple(range(sum(self.sizes[:k])))
 
     def intra_pairs(self) -> list[tuple[int, int]]:
         """All (i, j), i < j, with i and j in the same block."""
@@ -175,7 +170,8 @@ class Cone(NamedTuple):
     def half_spaces(self) -> list[tuple[tuple[float, ...], float]]:
         """The cone's N - 1 walls <normal, y> >= floor, as (normal, floor),
         each normal a tuple of n floats: y_i - y_(i+1) within a block (their
-        sums bound the block's other pairs), then the k0 - 1 prefix sums."""
+        sums bound the block's other pairs), then the sums of y over the
+        first k blocks, k = 1..k0-1."""
         part = self.partition
         out = []
         for i in range(part.n - 1):
@@ -184,7 +180,7 @@ class Cone(NamedTuple):
                 normal[i], normal[i + 1] = 1.0, -1.0
                 out.append((tuple(normal), max(0.0, self.offset)))
         for k in range(1, part.k0):
-            size = len(part.prefix(k))
+            size = sum(part.sizes[:k])
             out.append(((1.0,) * size + (0.0,) * (part.n - size), self.offset))
         return out
 

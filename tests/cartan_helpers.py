@@ -5,16 +5,24 @@ density and the cone membership straight from their definitions, for
 comparison with ``measure``'s projected plain-Python forms
 (``measure._density_forms``, ``partitions.Cone.half_spaces``); ``v0`` is the
 growth vector as an array.
+
+``stable_subspaces``, ``covolume``, ``covolume_gram`` and ``instantiate``
+are the numeric side of the limit classifier: a translate diverges exactly
+when the covolume of some stable prefix subspace decays along concrete
+diagonals realizing a spec.  ``all_clean_specs`` lists every spec over the
+``compositions`` of each N, for census tests of ``dynamics.classify_limit``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from horocount.partitions import Cone, Partition
+from horocount import dynamics as D
+from horocount.partitions import Cone, Partition, make_partition
 
 
 class BlockDiagonalSplit(NamedTuple):
@@ -82,3 +90,83 @@ def v0(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return np.array([n - 2 * i - 1 for i in range(n)], dtype=float)
+
+
+def compositions(n: int):
+    """Every ordered partition of n into at least two blocks, as a tuple of
+    block sizes."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        if any(cuts):
+            ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+            yield tuple(b - a for a, b in zip([0] + ends, ends))
+
+
+def stable_subspaces(partition: Partition) -> list[tuple[int, ...]]:
+    """The proper coordinate prefixes: the only subspaces stable under K*U.
+
+    These are the index sets whose covolume can decay along a translate;
+    returned as 0-based index tuples for j = 1..k0-1.
+    """
+    return [tuple(range(sum(partition.sizes[:j]))) for j in range(1, partition.k0)]
+
+
+def covolume(b: Sequence[float], prefix: Sequence[int]) -> float:
+    """Covolume of (a*b) Z^prefix for block prefixes: the prefix product of b.
+
+    ``b`` is a positive block-scalar diagonal; on a union of blocks the
+    a-part, a positive diagonal with unit block determinants, has
+    determinant one and drops out.
+    """
+    return float(math.prod([b[i] for i in prefix]))
+
+
+def covolume_gram(a: Sequence[float], b: Sequence[float], prefix: Sequence[int]) -> float:
+    """Independent covolume via the Gram determinant of the transformed basis."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mat = np.diag(a * b)[:, list(prefix)]
+    gram = mat.T @ mat
+    return float(math.sqrt(np.linalg.det(gram)))
+
+
+def instantiate(spec: D.CleanSequenceSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Concrete positive diagonals (a(t), b(t)) realizing the behaviors at time t.
+
+    Unbounded chamber parts use a within-block decreasing profile of size
+    e^t; prefix characters use e^{+t}, 1, e^{-t}.  Returned as entrywise
+    positive diagonal vectors (not logs).
+    """
+    part = spec.partition
+    log_a = np.zeros(part.n)
+    for k, blk in enumerate(part.blocks):
+        if spec.a_behavior[k] == D.A_UNBOUNDED:
+            m = len(blk)
+            profile = np.linspace(1.0, -1.0, m)
+            profile -= profile.mean()
+            log_a[list(blk)] = t * profile
+    log_prefix = [t if beh == D.B_TO_INFINITY else (-t if beh == D.B_TO_ZERO else 0.0)
+                  for beh in spec.b_behavior]
+    log_prefix.append(0.0)   # the determinant
+    log_b = np.zeros(part.n)
+    prev = 0.0
+    for k, blk in enumerate(part.blocks):
+        log_b[list(blk)] = (log_prefix[k] - prev) / part.sizes[k]
+        prev = log_prefix[k]
+    return np.exp(log_a), np.exp(log_b)
+
+
+def all_clean_specs(n_max: int) -> list[D.CleanSequenceSpec]:
+    """Every clean spec over every partition of every N <= n_max."""
+    specs = []
+    for n in range(2, n_max + 1):
+        for sizes in compositions(n):
+            part = make_partition(n, sizes)
+            a_options = [
+                (D.A_IDENTITY,) if s == 1 else (D.A_IDENTITY, D.A_UNBOUNDED)
+                for s in sizes
+            ]
+            b_options = (D.B_TO_INFINITY, D.B_CONSTANT_ONE, D.B_TO_ZERO)
+            for a_beh in itertools.product(*a_options):
+                for b_beh in itertools.product(b_options, repeat=part.k0 - 1):
+                    specs.append(D.CleanSequenceSpec(part, a_beh, b_beh))
+    return specs

@@ -17,6 +17,7 @@ from horocount import dynamics as D
 from horocount import measure as M
 from horocount.decompose import height
 from horocount.partitions import make_partition, p_norm_squared
+from .cartan_helpers import all_clean_specs, covolume, covolume_gram
 from .conftest import random_sl
 from .test_decompose import min_distance_over_horocycle_n2
 
@@ -246,7 +247,7 @@ def test_classifier():
     res = D.classify_limit(D.CleanSequenceSpec(p2, (ID, ID), (ZERO,)))
     assert not res.nondivergent
 
-    for spec in D.all_clean_specs(4):
+    for spec in all_clean_specs(4):
         out = D.classify_limit(spec)
         if not out.nondivergent:
             continue
@@ -260,8 +261,8 @@ def test_classifier():
         a = np.exp([x, -x, 0.0, 0.0])
         beta = rng.normal() * 0.7
         b = np.exp([beta, beta, -beta, -beta])
-        closed = D.covolume(a, b, (0, 1))
-        gram = D.covolume_gram(a, b, (0, 1))
+        closed = covolume(b, (0, 1))
+        gram = covolume_gram(a, b, (0, 1))
         assert abs(closed / gram - 1.0) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -331,6 +331,24 @@ def test_main_writes_csv_and_manifest(tmp_path):
     assert manifest["environment"]["numpy"] is None
 
 
+def test_constant_out_holds_the_json_and_reruns(tmp_path, capsys):
+    # the file is the --json payload; a constant has no seed and never loads
+    # numpy; the rerun writes the same bytes again
+    out_path = tmp_path / "c.json"
+    proc = _fresh_python("-m", "horocount.cli", "constant", "--n", "3", "--blocks", "2,1",
+                         "--json", "--out", str(out_path))
+    assert proc.returncode == 0, proc.stderr
+    first = out_path.read_bytes()
+    assert first.decode("utf-8") == proc.stdout
+    manifest_path = tmp_path / "c.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["seed"] is None and manifest["environment"]["numpy"] is None
+    out_path.write_bytes(b"")
+    assert cli.rerun_manifest(str(manifest_path)) == 0
+    capsys.readouterr()
+    assert out_path.read_bytes() == first
+
+
 @pytest.mark.parametrize("argv", [
     ("constant", "--n", "3", "--blocks", "2,1"),
     ("volume", "--n", "2", "--blocks", "1,1", "--radius", "2", "--grid", "0.1"),
@@ -508,6 +526,21 @@ def test_exit_code_resource(capsys):
                        "--radius", "4.0", "--max-states", "50")
     assert code == 3
     assert "resource" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "2", "--blocks", "1,1", "--radius", "1", "--csv"),
+    ("volume", "--n", "2", "--blocks", "1,1", "--radius", "1", "--grid", "0.1", "--csv"),
+    ("constant", "--n", "2", "--blocks", "1,1", "--out"),
+], ids=["count", "volume", "constant"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # a file in a missing directory, and a directory in place of the file:
+    # each was a traceback with exit 1
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2, path
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 def test_selftest_passes(capsys):

@@ -12,6 +12,7 @@ from horocount import cosets as CS
 from horocount.decompose import height as frame_height
 from horocount.partitions import make_partition
 from . import coset_helpers as H
+from .cartan_helpers import compositions
 from .test_acceptance import _disk_count_oracle
 
 
@@ -392,20 +393,7 @@ def test_state_update_matches_matrix(rng):
             assert state == CS._matrix_state(g, layout)
 
 
-def _compositions(n):
-    """Every ordered partition of n into at least two blocks."""
-    for cuts in itertools.product((0, 1), repeat=n - 1):
-        if any(cuts):
-            sizes, size = [], 1
-            for cut in cuts:
-                if cut:
-                    sizes.append(size)
-                    size = 0
-                size += 1
-            yield sizes + [size]
-
-
-_ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in _compositions(n)]
+_ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in compositions(n)]
 
 
 def _turn_matrix(rows):
@@ -457,7 +445,7 @@ def _pair_turns(n):
 
 @pytest.mark.parametrize("n, sizes, radius", [
     (3, sizes, 2.0) for sizes in ([1, 1, 1], [2, 1], [1, 2])] + [
-    (4, sizes, 1.0) for sizes in _compositions(4)])
+    (4, sizes, 1.0) for sizes in compositions(4)])
 def test_walk_records_are_closed_under_w(n, sizes, radius):
     # W keeps the height, so the ball's cosets are a union of W-orbits, and
     # the walk gives every coset of an orbit its representative's height

@@ -3,6 +3,8 @@ import pytest
 
 from horocount import dynamics as D
 from horocount.partitions import make_partition
+from .cartan_helpers import (all_clean_specs, covolume, covolume_gram, instantiate,
+                             stable_subspaces)
 
 ID, UNB = D.A_IDENTITY, D.A_UNBOUNDED
 INF, ONE, ZERO = D.B_TO_INFINITY, D.B_CONSTANT_ONE, D.B_TO_ZERO
@@ -77,7 +79,7 @@ def test_classify_mixed_merge():
 
 
 def test_set_identity_on_all_clean_specs_n_le_4():
-    specs = D.all_clean_specs(4)
+    specs = all_clean_specs(4)
     assert len(specs) == 129  # full behavior census over all partitions
     for spec in specs:
         res = D.classify_limit(spec)
@@ -96,7 +98,7 @@ def test_set_identity_on_all_clean_specs_n_le_4():
 
 
 def test_coarsening_idempotent():
-    for spec in D.all_clean_specs(4):
+    for spec in all_clean_specs(4):
         res = D.classify_limit(spec)
         if not res.nondivergent or res.coarse_partition.k0 < 2:
             continue
@@ -111,17 +113,17 @@ def test_coarsening_idempotent():
 
 
 def test_stable_subspaces(p3, p21, p2):
-    assert D.stable_subspaces(p3) == [(0,), (0, 1)]
-    assert D.stable_subspaces(p21) == [(0, 1)]
-    assert D.stable_subspaces(p2) == [(0,)]
+    assert stable_subspaces(p3) == [(0,), (0, 1)]
+    assert stable_subspaces(p21) == [(0, 1)]
+    assert stable_subspaces(p2) == [(0,)]
 
 
 def test_covolume_examples():
     t = 0.9
     b = np.array([np.exp(-t), np.exp(t)])
     a = np.ones(2)
-    assert D.covolume(a, b, (0,)) == pytest.approx(np.exp(-t), rel=1e-14)
-    assert D.covolume_gram(a, b, (0,)) == pytest.approx(np.exp(-t), rel=1e-12)
+    assert covolume(b, (0,)) == pytest.approx(np.exp(-t), rel=1e-14)
+    assert covolume_gram(a, b, (0,)) == pytest.approx(np.exp(-t), rel=1e-12)
 
 
 def test_covolume_gram_agreement(rng):
@@ -133,22 +135,22 @@ def test_covolume_gram_agreement(rng):
         beta = rng.normal() * 0.7
         b = np.exp([beta, beta, -beta, -beta])
         prefix = (0, 1)
-        closed = D.covolume(a, b, prefix)
-        gram = D.covolume_gram(a, b, prefix)
+        closed = covolume(b, prefix)
+        gram = covolume_gram(a, b, prefix)
         assert abs(closed / gram - 1.0) <= 1e-12
 
 
 def test_nondivergence_matches_covolume_decay():
     # a prefix character dying <=> covolume of the matching prefix tends to 0
-    for spec in D.all_clean_specs(3):
+    for spec in all_clean_specs(3):
         res = D.classify_limit(spec)
         part = spec.partition
         decays = False
-        for prefix in D.stable_subspaces(part):
+        for prefix in stable_subspaces(part):
             vals = []
             for t in range(1, 21):
-                a, b = D.instantiate(spec, float(t))
-                vals.append(D.covolume(a, b, prefix))
+                a, b = instantiate(spec, float(t))
+                vals.append(covolume(b, prefix))
             if vals[-1] < 1e-6 and vals[-1] < vals[0]:
                 decays = True
         assert res.nondivergent == (not decays)
@@ -156,7 +158,7 @@ def test_nondivergence_matches_covolume_decay():
 
 def test_instantiate_realizes_behaviors(p21):
     spec = D.CleanSequenceSpec(p21, (UNB, ID), (INF,))
-    a, b = D.instantiate(spec, 3.0)
+    a, b = instantiate(spec, 3.0)
     assert np.prod(a[:2]) == pytest.approx(1.0, rel=1e-12)  # block det one
     assert a[0] > 1.0 > a[1]  # chamber profile
     assert np.prod(b[:2]) == pytest.approx(np.exp(3.0), rel=1e-12)
@@ -171,8 +173,8 @@ def test_only_stable_subspaces_govern_nondivergence():
     part = make_partition(3, [1, 1, 1])
     spec = D.CleanSequenceSpec(part, (ID, ID, ID), (INF, INF))
     assert D.classify_limit(spec).nondivergent
-    a20, b20 = D.instantiate(spec, 20.0)
-    for prefix in D.stable_subspaces(part):
-        assert D.covolume(a20, b20, prefix) >= 1.0
+    a20, b20 = instantiate(spec, 20.0)
+    for prefix in stable_subspaces(part):
+        assert covolume(b20, prefix) >= 1.0
     # the non-stable line spanned by the last coordinate collapses
-    assert D.covolume_gram(a20, b20, (2,)) < 1e-6
+    assert covolume_gram(a20, b20, (2,)) < 1e-6

@@ -327,7 +327,7 @@ def test_streamed_sums_match_whole_chunk(p21, monkeypatch):
     sampler = M._TiltedBallSampler(2, radius, rate, budget)
     x, log_q = sampler.sample([np.random.default_rng(s) for s in streams], budget)
     integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
-    log_w = integrand.log_weight(x)
+    log_w = M._BlockWeights(integrand, x.shape[1])(x)
     w = np.exp(log_w - log_q - rate * radius)
     assert res.estimate == pytest.approx(w.mean() * math.exp(rate * radius), rel=1e-12)
     assert res.standard_error == pytest.approx(
@@ -503,7 +503,7 @@ def test_log_weight_matches_density(blocks, rng):
     cone = Cone(part, offset)
     integrand = M._Integrand.project(cone, *M._density_forms(part), radius, 1.0)
     x = rng.uniform(-radius, radius, size=(400, part.n - 1))
-    log_w = integrand.log_weight(x.T)
+    log_w = M._BlockWeights(integrand, len(x))(x.T)
     hits = 0
     for row, value in zip(x, log_w):
         y = basis @ row
@@ -549,15 +549,26 @@ def test_line_weight_matches_log_weight(p2):
     for offset, inner in ((0.0, None), (-1.0, 0.5)):
         integrand = M._Integrand.project(Cone(p2, offset), *M._density_forms(p2), 3.0, inner)
         ts = np.linspace(-3.2, 3.2, 321)
-        expected = np.exp(integrand.log_weight(ts[None, :]))
+        expected = np.exp(M._BlockWeights(integrand, len(ts))(ts[None, :]))
         assert [integrand.line_weight(t) for t in ts] == pytest.approx(expected, rel=1e-15)
         assert 0 < np.count_nonzero(expected) < len(ts)
 
 
 def test_grid_sum_past_double_range():
-    # every trapezoid term is finite but their sum is not: inf, for the caller to reject
-    integrand = M._Integrand(((0.5,),), 0, (), 1419.0, None)
+    # every trapezoid term is finite but their sum is not (fsum raises on the
+    # intermediate overflow): inf, for the caller to reject.  From R = 1419
+    # the last term alone is inf.
+    integrand = M._Integrand(((0.5,),), 0, (), 1418.4, None)
     assert M._grid_refine(integrand, 1.0)["estimate"] == math.inf
+
+
+def test_section_integrals_flat_in_s():
+    # an exponential with no s part: e^(p t) times the section's length
+    p = 0.7
+    integrand = M._Integrand(((p, 0.0),), 0, (), 4.0, None)
+    ts, los, his = [-1.0, 0.5, 2.0], [-1.5, 0.0, -0.25], [2.0, 0.0, 1.0]
+    assert integrand.section_integrals(ts, los, his) == [
+        math.exp(p * t) * (hi - lo) for t, lo, hi in zip(ts, los, his)]
 
 
 @pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1]])

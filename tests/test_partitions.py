@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from horocount.constants import counting_constant
 from horocount.cosets import CosetRecord, EnumerationReport
-from horocount.dynamics import _compositions
 from horocount.measure import QuadratureResult
 from horocount.partitions import (
     Cone,
@@ -19,7 +18,7 @@ from horocount.partitions import (
     p_norm_squared,
 )
 
-from .cartan_helpers import block_split, cone_contains, rho_density, v0
+from .cartan_helpers import block_split, compositions, cone_contains, rho_density, v0
 
 
 def test_make_partition_examples():
@@ -131,9 +130,7 @@ def test_cone_has_n_minus_one_walls(rng):
     # proper prefix sums, N - 1 walls, which imply every other pair of a block
     hits = 0
     for n in range(2, 8):
-        for sizes in _compositions(n):
-            if len(sizes) < 2:
-                continue
+        for sizes in compositions(n):
             part = make_partition(n, sizes)
             for offset in (-1.0, 0.0, 0.5):
                 cone = Cone(part, offset)
@@ -145,7 +142,7 @@ def test_cone_has_n_minus_one_walls(rng):
                     y -= y.mean()
                     inside = (all(y[i] - y[j] >= max(0.0, offset) - 1e-12
                                   for i, j in part.intra_pairs())
-                              and all(y[list(part.prefix(k))].sum() >= offset - 1e-12
+                              and all(y[:sum(sizes[:k])].sum() >= offset - 1e-12
                                       for k in range(1, part.k0)))
                     assert cone_contains(cone, y) == inside, (sizes, offset, y)
                     hits += inside
