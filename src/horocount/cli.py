@@ -218,9 +218,7 @@ def _cmd_count(args) -> int:
                   f"count may be incomplete at margin {args.margin!r}; try a larger "
                   "--margin", file=sys.stderr)
     if args.csv:
-        _write_csv(args.csv, rows,
-                   ["R", "count", "asymptotic", "ratio", "method", "margin",
-                    "depth", "seconds"])
+        _write_csv(args.csv, rows)
         _write_manifest(args.csv, args, None, started)
     return EXIT_OK
 
@@ -252,9 +250,7 @@ def _cmd_volume(args) -> int:
             "in_region": res.in_region, "max_weight_share": res.max_weight_share,
             "converged": res.converged,
         }]
-        _write_csv(args.csv, rows,
-                   ["R", "region", "method", "estimate", "error", "samples", "seed",
-                    "ess", "in_region", "max_weight_share", "converged"])
+        _write_csv(args.csv, rows)
         _write_manifest(args.csv, args, res.seed, started, threads)
     return EXIT_OK
 
@@ -277,12 +273,12 @@ def _tokens(text: str | None) -> tuple[str, ...]:
 
 
 def _cmd_selftest(args) -> int:
-    failures = run_selftest(verbose=True)
-    return EXIT_OK if failures == 0 else 1
+    return run_selftest()
 
 
-def run_selftest(verbose: bool = True) -> int:
-    """Smallest-scale pass over the acceptance checks; returns failure count."""
+def run_selftest() -> int:
+    """Smallest-scale pass over the acceptance checks: prints one line per
+    check and a tally, and returns 0 when every check passed, else 1."""
     import math
 
     import numpy as np
@@ -388,23 +384,22 @@ def run_selftest(verbose: bool = True) -> int:
 
     failures = 0
     for name, ok in checks:
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}: {name}")
+        print(f"{'PASS' if ok else 'FAIL'}: {name}")
         failures += 0 if ok else 1
-    if verbose:
-        print(f"{len(checks) - failures}/{len(checks)} selftest checks passed")
-    return failures
+    print(f"{len(checks) - failures}/{len(checks)} selftest checks passed")
+    return EXIT_OK if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, rows: list[dict], fieldnames: list[str]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """The rows under a header of the first row's keys, in their order."""
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -490,7 +485,10 @@ def _resource_errors() -> tuple:
 
 
 def dispatch(argv: list[str]) -> int:
-    """Parse and run; maps error classes to the documented exit codes."""
+    """Parse and run; maps error classes to the documented exit codes.  The
+    output file is opened for append before the run, so a path that cannot
+    be written exits 2 before any work; a run that fails removes the file
+    if the check created it."""
     # no option comes before the subcommand; argparse rejects one that does
     subcommand = argv[0] if argv and not argv[0].startswith("-") else None
     if subcommand is not None and subcommand not in _SUBCOMMANDS:
@@ -504,12 +502,21 @@ def dispatch(argv: list[str]) -> int:
     if not getattr(args, "subcommand", None):
         parser.print_help()
         return EXIT_VALIDATION
+    out = getattr(args, "csv", None) or getattr(args, "out", None)
+    created = bool(out) and not os.path.exists(out)
     try:
-        return args.func(args)
+        if out:
+            open(out, "a", encoding="utf-8").close()
+        try:
+            return args.func(args)
+        except BaseException:
+            if created:   # a failed run leaves no file behind
+                os.remove(out)
+            raise
     except _resource_errors() as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:   # writing an output file: the message names the path

@@ -28,33 +28,18 @@ grid run skips the numpy import (about 0.13 s) but pays a few microseconds
 per node evaluated where numpy paid a fraction of one.
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
-(``mc``, taming the exp(||v0||R) dynamic range), and for N <= 3 a nested
-grid rule that halves its spacing each round and evaluates each node once
-(``grid``, ``_grid_refine``).
-
-The sampler streams.  The budget is cut into chunks of ``_CHUNK`` samples,
-one SeedSequence child each, and every chunk spawns its random streams in a
-fixed order: the t-uniforms, then the radial uniforms, then one normal stream
-per coordinate.  A chunk draws, places and weighs ``_BLOCK`` points at a
-time in buffers it allocates once, so memory is one block per thread
-whatever the budget.  A block is stored coordinate-major, shape
-(n_dim, rows): coordinate i is one contiguous row, filled from normal stream
-i (the first coordinate comes from the t-uniforms, so normal stream 0 is
-unused), and the block is weighed with one matrix product ``forms @ x``.
-At N = 3 the one cross-section coordinate is uniform on a segment and comes
-from the radial uniforms alone, so normal streams 0 and 1 both go unused;
-N = 2 draws only the t-uniforms.
-``_BLOCK`` never changes a result, and neither does the thread count: a
-result depends on the seed and the budget alone.
-The same pass yields the weight diagnostics (effective sample size,
-in-region fraction, largest weight share).
+(``mc``, ``_sampled_estimate``, taming the exp(||v0||R) dynamic range),
+and for N <= 3 a nested grid rule that halves its spacing each round and
+evaluates each node once (``grid``, ``_grid_refine``).
 
 For N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at
 fixed first coordinate t is integrated exactly along s: written with two
 exponentials per sinh, the integrand is a signed sum of exponentials of
-linear forms.  Only the outer trapezoid in t remains, summed with
-``math.fsum``.  An exponential past the double range is inf, as in the
-sampler, so such a grid estimate is rejected as not finite.
+linear forms.  Only the outer trapezoid in t remains, nested: halving the
+spacing h turns the estimate T into T/2 + h * (the sum over the new
+midpoints), so a round holds only its own nodes.  An exponential or a sum
+past the double range is inf, as in the sampler, so such a grid estimate is
+rejected as not finite.
 """
 
 from __future__ import annotations
@@ -84,7 +69,7 @@ _CHUNK = 250_000   # samples per SeedSequence child
 _BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
 GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
 _GRID_MAX_ROUNDS = 8     # step halvings before the grid gives up
-_GRID_MAX_NODES = 2 ** 22   # nodes of the largest grid the rule builds
+_GRID_MAX_NODES = 2 ** 22   # nodes of the finest grid the rule evaluates
 
 
 class QuadratureResult(_Record):
@@ -525,43 +510,30 @@ def _grid_values(integrand: _Integrand, ts: list[float]) -> tuple[list[float], i
     return vals, sum([a < b for a, b in zip(lo, hi)])
 
 
-def _trapezoid(ts: list[float], vals: list[float]) -> float:
-    try:
-        return math.fsum([(t1 - t0) * (v1 + v0) / 2.0
-                          for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])])
-    except (OverflowError, ValueError):   # past the double range: rejected by the caller
-        return math.inf
-
-
-def _interleave(kept: list[float], mids: list[float]) -> list[float]:
-    out = kept + mids
-    out[0::2], out[1::2] = kept, mids
-    return out
-
-
 def _grid_refine(integrand: _Integrand, step: float) -> dict:
-    """Nested grid rule on [-R, R] for N = 2 and 3, from ceil(2R/step) equal
-    intervals.  Each round halves the spacing h and evaluates only the new
-    midpoints i*h - R (i odd), interleaved with the kept nodes and values,
-    so every node is evaluated once.  Halving h is exact: where 2R/step is
-    whole, each grid is the one a fresh grid of its spacing would be, bit
-    for bit.  Rounds stop once successive estimates agree to
+    """Nested trapezoid rule on [-R, R] for N = 2 and 3, from ceil(2R/step)
+    equal intervals.  Each round halves the spacing h and evaluates only the
+    new midpoints i*h - R (i odd): the estimate becomes half the last one
+    plus h times their sum, so every node is evaluated once and no node or
+    value of an earlier round is kept.  Halving h is exact: where 2R/step is
+    whole, each round's nodes are the ones a fresh grid of its spacing would
+    have, bit for bit.  Rounds stop once successive estimates agree to
     ``GRID_REL_TARGET`` (``converged``), after ``_GRID_MAX_ROUNDS`` rounds or
     before a grid would pass ``_GRID_MAX_NODES`` nodes.  The error is the
-    last round's change, ``samples`` counts the last grid's."""
+    last round's change, ``samples`` counts the last grid's.  A sum past the
+    double range is inf (or NaN), which the caller rejects."""
     radius = integrand.radius
     k = max(1, math.ceil(2 * radius / step))
     h = 2 * radius / k
-    ts = [i * h - radius for i in range(k)] + [radius]   # the last node is R exactly
-    vals, samples = _grid_values(integrand, ts)
-    prev = _trapezoid(ts, vals)
+    # the last node is R exactly
+    vals, samples = _grid_values(integrand, [i * h - radius for i in range(k)] + [radius])
+    prev = h * (sum(vals) - (vals[0] + vals[-1]) / 2.0)
     for _ in range(_GRID_MAX_ROUNDS):
         h /= 2.0
-        mids = [i * h - radius for i in range(1, 2 * k, 2)]
-        mid_vals, mid_samples = _grid_values(integrand, mids)
+        vals, mid_samples = _grid_values(integrand,
+                                         [i * h - radius for i in range(1, 2 * k, 2)])
         k, samples = 2 * k, samples + mid_samples
-        ts, vals = _interleave(ts, mids), _interleave(vals, mid_vals)
-        cur = _trapezoid(ts, vals)
+        cur = prev / 2.0 + h * sum(vals)
         delta = abs(cur - prev)
         prev = cur
         converged = prev != 0 and delta / abs(prev) < GRID_REL_TARGET

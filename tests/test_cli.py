@@ -248,10 +248,12 @@ _SLOW_IMPORTS = ("numpy", "dataclasses", "fractions")
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's horocount."""
+    """Run a fresh interpreter that imports this checkout's horocount, with
+    warnings as errors as in the suite."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -537,10 +539,44 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     # a file in a missing directory, and a directory in place of the file:
     # each was a traceback with exit 1
     for path in (tmp_path / "missing" / "x.csv", tmp_path):
-        code, _, err = run(capsys, *argv, str(path))
+        code, out, err = run(capsys, *argv, str(path))
         assert code == 2, path
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert str(path) in err
+        # checked before the run: each command printed its result first
+        assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("count", "--n", "2", "--blocks", "1,1", "--radius", "4", "--max-states", "50",
+      "--csv"), 3),
+    (("volume", "--n", "2", "--blocks", "1,2", "--radius", "1", "--grid", "0.1", "--csv"), 2),
+    (("constant", "--n", "2", "--blocks", "1,2", "--out"), 2),
+], ids=["count", "volume", "constant"])
+def test_failed_run_leaves_no_output(tmp_path, capsys, argv, code):
+    # the output path is opened before the run: a run that fails after that
+    # removes the file the check created, writes no manifest and leaves a
+    # file that was there as it was
+    path = tmp_path / "out"
+    assert run(capsys, *argv, str(path))[0] == code
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    assert run(capsys, *argv, str(path))[0] == code
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "kept\n"
+
+
+def test_key_error_propagates(tmp_path, monkeypatch):
+    # no command raises KeyError on bad input, so one is a fault in the
+    # program, not a validation error with exit 2
+    def broken(args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setattr(cli, "_cmd_constant", broken)
+    path = tmp_path / "c.json"
+    with pytest.raises(KeyError, match="no such entry"):
+        cli.dispatch(["constant", "--n", "2", "--blocks", "1,1", "--out", str(path)])
+    assert not path.exists()
 
 
 def test_selftest_passes(capsys):
@@ -559,6 +595,20 @@ def test_selftest_detects_fault(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_selftest_reports_a_check_that_raises(capsys, monkeypatch):
+    import horocount.constants as C
+
+    def broken(part):
+        raise RuntimeError("no table")
+
+    monkeypatch.setattr(C, "hardcoded_example_constant", broken)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert ("FAIL: example constants (dual path, 1e-12) [RuntimeError: no table]"
+            in out.splitlines())
+    assert out.count("FAIL") == 1
 
 
 def test_threads_env_validated(capsys, monkeypatch):

@@ -50,6 +50,17 @@ def test_vol_so_recursion_matches_product():
         assert C.vol_so(n) == pytest.approx(C.vol_so_recursive(n), rel=1e-12)
 
 
+def test_arguments_out_of_range_raise(p21):
+    with pytest.raises(ValueError, match="sphere dimension"):
+        C.vol_sphere(-2)
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        C.vol_so_recursive(0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        C.asymptotic_count(C.counting_constant(p21), -1.0)
+    with pytest.raises(ValueError, match="n >= 2, got 1"):
+        C.xi_identity_check(1)
+
+
 def test_vol_sl_mod():
     assert C.vol_sl_mod(2) == pytest.approx(math.pi ** 2 / 6, rel=1e-14)
     assert C.vol_sl_mod(3) == pytest.approx(C.zeta(2) * C.zeta(3), rel=1e-14)

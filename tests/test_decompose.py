@@ -63,6 +63,11 @@ def test_qr_singular_rejected():
         qr_positive(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_qr_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        qr_positive(np.ones((2, 3)))
+
+
 def test_langlands_pure_cases(p21):
     b0 = np.array([0.2, 0.2, -0.4])
     g = np.diag(np.exp(b0))
@@ -141,6 +146,22 @@ def test_block_cartan_rejects_bad_block(p21):
     m = np.diag([2.0, 1.0, 0.5])  # first block has det 2
     with pytest.raises(ValueError):
         block_cartan(m, p21)
+
+
+def test_block_cartan_rejects_bad_shape_and_off_block_entries(p21):
+    with pytest.raises(ValueError, match="shape"):
+        block_cartan(np.eye(2), p21)
+    m = np.eye(3)
+    m[0, 2] = 1.0   # unit block determinants, but an entry off the blocks
+    with pytest.raises(ValueError, match="not block diagonal"):
+        block_cartan(m, p21)
+
+
+def test_height_rejects_bad_input(p21):
+    with pytest.raises(ValueError, match="shape"):
+        height(np.eye(2), p21)
+    with pytest.raises(ValueError, match="determinant 1"):
+        height(np.diag([2.0, 1.0, 1.0]), p21)
 
 
 def test_height_examples(p2):

@@ -40,6 +40,11 @@ def test_traceless_basis_orthonormal():
         assert np.allclose(e[:, 0], vv / np.linalg.norm(vv), atol=1e-12)
 
 
+def test_traceless_basis_rejects_n1():
+    with pytest.raises(ValueError, match="n >= 2, got 1"):
+        M.traceless_basis(1)
+
+
 def test_n2_closed_form_mc(p2):
     res = M.mu_A_ball(p2, 5.0, "b+", "mc", budget=400_000, seed=11)
     exact = M.mu_n2_closed_form(5.0)
@@ -555,9 +560,9 @@ def test_line_weight_matches_log_weight(p2):
 
 
 def test_grid_sum_past_double_range():
-    # every trapezoid term is finite but their sum is not (fsum raises on the
-    # intermediate overflow): inf, for the caller to reject.  From R = 1419
-    # the last term alone is inf.
+    # every node's value is finite but their sum is not (math.fsum raised on
+    # the intermediate overflow): inf, for the caller to reject.  From
+    # R = 1419.6 the last value alone is inf.
     integrand = M._Integrand(((0.5,),), 0, (), 1418.4, None)
     assert M._grid_refine(integrand, 1.0)["estimate"] == math.inf
 

@@ -42,6 +42,13 @@ def test_partition_rejects_bad_fields(n, sizes):
         Partition(n, sizes)
 
 
+def test_norms_reject_small_n():
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        p_norm_squared(0)
+    with pytest.raises(ValueError, match="n >= 2, got 1"):
+        p_norm(1)
+
+
 def test_equal_partitions_hash_alike():
     p = Partition(3, (2, 1))
     q = make_partition(3, [2, 1])
