@@ -486,9 +486,9 @@ def _resource_errors() -> tuple:
 
 def dispatch(argv: list[str]) -> int:
     """Parse and run; maps error classes to the documented exit codes.  The
-    output file is opened for append before the run, so a path that cannot
-    be written exits 2 before any work; a run that fails removes the file
-    if the check created it."""
+    output file and its manifest are opened for append before the run, so a
+    path that cannot be written exits 2 before any work; a check or run that
+    fails removes each file the check created."""
     # no option comes before the subcommand; argparse rejects one that does
     subcommand = argv[0] if argv and not argv[0].startswith("-") else None
     if subcommand is not None and subcommand not in _SUBCOMMANDS:
@@ -503,15 +503,17 @@ def dispatch(argv: list[str]) -> int:
         parser.print_help()
         return EXIT_VALIDATION
     out = getattr(args, "csv", None) or getattr(args, "out", None)
-    created = bool(out) and not os.path.exists(out)
+    outputs = [out, out + ".manifest.json"] if out else []
+    created = [path for path in outputs if not os.path.exists(path)]
     try:
-        if out:
-            open(out, "a", encoding="utf-8").close()
         try:
+            for path in outputs:
+                open(path, "a", encoding="utf-8").close()
             return args.func(args)
         except BaseException:
-            if created:   # a failed run leaves no file behind
-                os.remove(out)
+            for path in created:   # a failed check or run leaves no file behind
+                if os.path.exists(path):
+                    os.remove(path)
             raise
     except _resource_errors() as exc:
         print(f"resource error: {exc}", file=sys.stderr)

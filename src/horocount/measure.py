@@ -520,20 +520,22 @@ def _grid_refine(integrand: _Integrand, step: float) -> dict:
     have, bit for bit.  Rounds stop once successive estimates agree to
     ``GRID_REL_TARGET`` (``converged``), after ``_GRID_MAX_ROUNDS`` rounds or
     before a grid would pass ``_GRID_MAX_NODES`` nodes.  The error is the
-    last round's change, ``samples`` counts the last grid's.  A sum past the
-    double range is inf (or NaN), which the caller rejects."""
+    last round's change, ``samples`` counts the last grid's.  Each value is
+    scaled by h before it is summed, so a sum of the nonnegative values
+    passes the double range (inf, which the caller rejects) only where the
+    integral does."""
     radius = integrand.radius
     k = max(1, math.ceil(2 * radius / step))
     h = 2 * radius / k
     # the last node is R exactly
     vals, samples = _grid_values(integrand, [i * h - radius for i in range(k)] + [radius])
-    prev = h * (sum(vals) - (vals[0] + vals[-1]) / 2.0)
+    prev = sum(h * v for v in vals) - (h * vals[0] + h * vals[-1]) / 2.0
     for _ in range(_GRID_MAX_ROUNDS):
         h /= 2.0
         vals, mid_samples = _grid_values(integrand,
                                          [i * h - radius for i in range(1, 2 * k, 2)])
         k, samples = 2 * k, samples + mid_samples
-        cur = prev / 2.0 + h * sum(vals)
+        cur = prev / 2.0 + sum(h * v for v in vals)
         delta = abs(cur - prev)
         prev = cur
         converged = prev != 0 and delta / abs(prev) < GRID_REL_TARGET

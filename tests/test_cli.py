@@ -548,6 +548,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "2", "--blocks", "1,1", "--radius", "1", "--csv"),
+    ("volume", "--n", "2", "--blocks", "1,1", "--radius", "1", "--grid", "0.1", "--csv"),
+    ("constant", "--n", "2", "--blocks", "1,1", "--out"),
+], ids=["count", "volume", "constant"])
+def test_unwritable_manifest_exits_2(tmp_path, capsys, argv):
+    # a directory in place of <out>.manifest.json fails the check before the
+    # run, and the output file the check created is removed
+    path = tmp_path / "out"
+    manifest = tmp_path / "out.manifest.json"
+    manifest.mkdir()
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("output error: ") and str(manifest) in err
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
 @pytest.mark.parametrize("argv, code", [
     (("count", "--n", "2", "--blocks", "1,1", "--radius", "4", "--max-states", "50",
       "--csv"), 3),

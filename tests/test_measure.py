@@ -559,10 +559,17 @@ def test_line_weight_matches_log_weight(p2):
         assert 0 < np.count_nonzero(expected) < len(ts)
 
 
+def test_grid_near_the_top_of_the_double_range(p2):
+    # the integral is finite (8.7e306) though the unscaled sum of the node
+    # values is not: each value is scaled by h before it is summed
+    res = M.mu_A_ball(p2, 500.0, "b+", "grid", grid_step=0.01)
+    assert res.estimate == pytest.approx(M.mu_n2_closed_form(500.0), rel=1e-3)
+
+
 def test_grid_sum_past_double_range():
-    # every node's value is finite but their sum is not (math.fsum raised on
-    # the intermediate overflow): inf, for the caller to reject.  From
-    # R = 1419.6 the last value alone is inf.
+    # every node's value is finite but the integral, and so the sum of the
+    # scaled values, is not: the estimate is inf, for the caller to reject.  From R = 1419.6 the last value alone
+    # is inf.
     integrand = M._Integrand(((0.5,),), 0, (), 1418.4, None)
     assert M._grid_refine(integrand, 1.0)["estimate"] == math.inf
 
