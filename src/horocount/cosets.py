@@ -27,15 +27,16 @@ A singleton last block is left out, since its entry is det g = 1.
   so the float height is a function of the coset.  ``decompose.height`` computes
   the same height from a float matrix factorization and is the oracle the
   tests compare against.
-* **Update.**  Left multiplication by E_ij(t) adds t times row j to row i.
-  It changes only the coordinates whose row set S holds i and not j, each
-  by +-t times the coordinate on S - i + j, so a step is a fixed table of
-  integer updates per generator.
-* **Symmetry.**  Left multiplication by a signed permutation w of
-  determinant one (the group W, inside SO_N) moves each coordinate to
-  another, up to sign: a fixed table per w.  Every squared norm and Gram
-  entry of w g's state is the integer of g's, so the height of w g is
-  that of g bit for bit.
+* **Moves.**  By Cauchy-Binet, det (a g)[S, C] is the sum over the row
+  sets T of det a[S, T] det g[T, C], so left multiplication by a acts on
+  each column's coordinates by a's compound matrix (``_compound``): a
+  fixed table per matrix.  E_ij(t) changes only the coordinates whose row
+  set S holds i and not j, each by +-t times the coordinate on S - i + j.
+  A signed permutation w of determinant one (the group W, inside SO_N)
+  has one nonzero entry, +-1, per row of its compound, so it moves each
+  coordinate to another, up to sign.  Every squared norm and Gram entry of
+  w g's state is then the integer of g's, so the height of w g is that of
+  g bit for bit.
 
 Two strategies are implemented and validated against each other:
 
@@ -43,8 +44,8 @@ Two strategies are implemented and validated against each other:
   cosets by left multiplication with the elementary matrices E_ij(+-1),
   as in Todd-Coxeter coset enumeration, stepping the state and pruning by
   height only.  W permutes those generators, so the walk expands one
-  representative per W-orbit and stores the whole orbit from the
-  symmetry tables.  By default it expands only the cosets of height <= R
+  representative per W-orbit and stores the whole orbit from W's
+  tables.  By default it expands only the cosets of height <= R
   (and the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
 * ``enumerate_brute`` lists the cosets as flags (n <= 3): a primitive
@@ -70,6 +71,7 @@ than most walks.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -174,48 +176,48 @@ def _generators(n: int) -> list[tuple[int, int, int]]:
     return gens
 
 
-@functools.cache
-def _wedge_table(n: int, p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Terms of omega ^ v for omega of degree p: coordinate S (a (p+1)-subset
-    of rows, lexicographic) is the sum over the rows r of S of
-    sign * v_r * omega_(S - r), listed as (sign, r, index of S - r)."""
-    lower = {s: idx for idx, s in enumerate(itertools.combinations(range(n), p))}
-    return tuple(
-        tuple(((-1) ** (p + pos), r, lower[s[:pos] + s[pos + 1:]])
-              for pos, r in enumerate(s))
-        for s in itertools.combinations(range(n), p + 1)
-    )
-
-
-def _wedge(omega: tuple[int, ...], v: tuple[int, ...], table) -> tuple[int, ...]:
-    return tuple(sum(sign * v[r] * omega[idx] for sign, r, idx in terms)
-                 for terms in table)
-
-
-def _columns_wedge(cols, n: int) -> tuple[int, ...]:
-    """Coordinates of the wedge of the given columns (the empty wedge is 1)."""
-    omega: tuple[int, ...] = (1,)
-    for p, v in enumerate(cols):
-        omega = _wedge(omega, v, _wedge_table(n, p))
-    return omega
-
-
-def _step_ops(n: int, degree: int, start: int,
-              gen: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """(target, source, coefficient) updates of one column's coordinates of
-    the given degree under left multiplication by E_ij(t).  Row i of every
-    minor on a row set S holding i and not j gains t times row j; moving
-    row j to its place in S - i + j passes the rows of S between i and j."""
+def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
+    """Left multiplication by E_ij(t): row i += t * row j."""
     i, j, t = gen
-    lo, hi = min(i, j), max(i, j)
-    index = {s: idx for idx, s in enumerate(itertools.combinations(range(n), degree))}
-    ops = []
-    for s, idx in index.items():
-        if i in s and j not in s:
-            source = index[tuple(sorted(set(s) - {i} | {j}))]
-            between = sum(lo < r < hi for r in s)
-            ops.append((start + idx, start + source, t * (-1) ** between))
-    return ops
+    rows = list(g)
+    rows[i] = tuple(a + t * b for a, b in zip(g[i], g[j]))
+    return tuple(rows)
+
+
+@functools.cache
+def _subsets(n: int, degree: int) -> dict[tuple[int, ...], int]:
+    """The row sets of the given size, in lexicographic order, with their indices."""
+    return {s: idx for idx, s in enumerate(itertools.combinations(range(n), degree))}
+
+
+def _minor(g: Matrix, rows, cols) -> int:
+    """det g[rows, cols]."""
+    return int_det([[g[r][c] for c in cols] for r in rows])
+
+
+@functools.cache
+def _compound(a: Matrix, degree: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The nonzero entries det a[S, T] of a's compound matrix of the given
+    degree, keyed by the row set S and the column set T (sorted tuples).
+
+    Laplace expansion along the last row r of S makes det a[S, T] the sum,
+    over the columns c of T that row r reaches, of
+    (-1)^(degree - 1 + place of c in T) a[r, c] det a[S - r, T - c].  So
+    each entry comes from the nonzero entries of one degree less, and only
+    column sets inside the columns the rows of S reach are tried.
+    """
+    if not degree:
+        return {((), ()): 1}
+    reach = [[(c, x) for c, x in enumerate(row) if x] for row in a]
+    sums = {}
+    for (s, t), minor in _compound(a, degree - 1).items():
+        for r in range(s[-1] + 1 if s else 0, len(a)):
+            for c, x in reach[r]:
+                if c not in t:
+                    place = bisect.bisect(t, c)
+                    key = (s + (r,), t[:place] + (c,) + t[place:])
+                    sums[key] = sums.get(key, 0) + (-1) ** (degree - 1 + place) * x * minor
+    return {key: det for key, det in sums.items() if det}
 
 
 def _quarter_turns(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -232,37 +234,27 @@ def _quarter_turns(n: int) -> list[tuple[tuple[int, int], ...]]:
     return gens
 
 
-def _turn_ops(n: int, degree: int, start: int,
-              rows: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    """(source, coefficient) for each coordinate of one column of the given
-    degree, in order, under left multiplication by the signed permutation
-    ``rows``: the minor of w g on a row set S is the minor of g on the rows
-    that S draws from, times their signs and the sign of sorting them."""
-    index = {s: idx for idx, s in enumerate(itertools.combinations(range(n), degree))}
-    ops = []
-    for s in index:
-        src = [rows[r][0] for r in s]
-        inversions = sum(a > b for a, b in itertools.combinations(src, 2))
-        coef = (-1) ** inversions * math.prod(rows[r][1] for r in s)
-        ops.append((start + index[tuple(sorted(src))], coef))
-    return ops
-
-
 class _Layout:
-    """Where the wedge coordinates of a partition sit in the flat state.
+    """Where the wedge coordinates of a partition sit in the flat state, and
+    how a move changes them.
 
     ``blocks`` holds, per block, its size and the (start, stop) slice of
-    each column's coordinates (no slice for a singleton last block).
-    ``steps[g]`` holds the updates of generator g of ``_generators(n)``.
-    ``turns[w]`` holds, for generator w of ``_quarter_turns(n)``, its row
-    map and the (source, coefficient) of every coordinate of w g's state.
+    each column's coordinates (no slice for a singleton last block).  The
+    move tables are entries det a[S, T] of the compound matrix of the
+    moving matrix a, offset to each column's slice (see ``_compound``).
+    ``steps[g]``, for generator g of ``_generators(n)``, holds its entries
+    off the diagonal as (target S, source T, coefficient) updates; the
+    compound of E_ij(t) has a unit diagonal.  ``turns[w]``, for generator w
+    of ``_quarter_turns(n)``, holds its row map and, for every coordinate
+    of w g's state in order, the (source T, coefficient) of the one nonzero
+    entry in its row of the compound.
     """
 
     def __init__(self, partition: Partition):
         n = partition.n
         self.partition = partition
         blocks = []
-        columns = []  # (start, degree) of every stored column
+        columns = []  # (start, row set indices, degree) of every stored column
         pos = 0
         for k, blk in enumerate(partition.blocks):
             if k == partition.k0 - 1 and len(blk) == 1:
@@ -273,18 +265,25 @@ class _Layout:
             slices = []
             for _ in blk:
                 slices.append((pos, pos + width))
-                columns.append((pos, degree))
+                columns.append((pos, _subsets(n, degree), degree))
                 pos += width
             blocks.append((len(blk), tuple(slices)))
         self.blocks = tuple(blocks)
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+        def entries(a: Matrix) -> list[tuple[int, int, int]]:
+            """(S, T, det a[S, T]) for the nonzero entries of a's compound,
+            as state indices column by column, S in lexicographic order."""
+            return [(start + index[s], start + index[t], det)
+                    for start, index, degree in columns
+                    for (s, t), det in sorted(_compound(a, degree).items())]
+
         self.steps = tuple(
-            tuple(op for start, degree in columns
-                  for op in _step_ops(n, degree, start, gen))
+            tuple(op for op in entries(_left_apply(identity, gen)) if op[0] != op[1])
             for gen in _generators(n)
         )
         self.turns = tuple(
-            (rows, tuple(op for start, degree in columns
-                         for op in _turn_ops(n, degree, start, rows)))
+            (rows, tuple((t, det) for _, t, det in entries(_turn_rows(identity, rows))))
             for rows in _quarter_turns(n)
         )
 
@@ -295,16 +294,16 @@ def _layout(partition: Partition) -> _Layout:
 
 
 def _matrix_state(g: Matrix, layout: _Layout) -> tuple[int, ...]:
-    """The wedge state of an integer matrix, computed from its columns."""
+    """The wedge state of an integer matrix: for each stored column j of a
+    block starting at column b, the minors det g[S, (0, ..., b - 1, j)]."""
     n = layout.partition.n
-    cols = list(zip(*g))
     state: list[int] = []
     for blk, (_, slices) in zip(layout.partition.blocks, layout.blocks):
         if slices:
-            omega = _columns_wedge(cols[:blk[0]], n)
-            table = _wedge_table(n, blk[0])
+            row_sets = _subsets(n, blk[0] + 1)
             for j in blk:
-                state.extend(_wedge(omega, cols[j], table))
+                cols = (*range(blk[0]), j)
+                state.extend([_minor(g, s, cols) for s in row_sets])
     return tuple(state)
 
 
@@ -501,12 +500,14 @@ class EnumerationReport(_Record):
 # breadth-first search over the Schreier graph
 # ---------------------------------------------------------------------------
 
-def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
-    """Left multiplication by E_ij(t): row i += t * row j."""
-    i, j, t = gen
-    rows = list(g)
-    rows[i] = tuple(a + t * b for a, b in zip(g[i], g[j]))
-    return tuple(rows)
+def _require_search(partition: Partition, radius: float, max_states: int) -> None:
+    """The checks the walk and the scan share: a horocycle partition, a
+    finite nonnegative radius and a state budget of at least one."""
+    require_horocycle_partition(partition)
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
 
 
 def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
@@ -577,13 +578,9 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     ``partial``.  A negative or non-finite radius or margin, or a state
     budget below one, raises ``ValueError``.
     """
-    require_horocycle_partition(partition)
-    if not (math.isfinite(radius) and radius >= 0):
-        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    _require_search(partition, radius, max_states)
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
-    if max_states < 1:
-        raise ValueError(f"max_states must be at least 1, got {max_states}")
     start_time = time.monotonic()
     n = partition.n
     layout = _layout(partition)
@@ -692,16 +689,12 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
     e^x_max past the double range; ``ResourceLimitError`` with an empty
     partial report when the box of first columns exceeds the budget.
     """
-    require_horocycle_partition(partition)
+    _require_search(partition, radius, max_states)
     n = partition.n
     if n > 3:
         raise NotImplementedError(
             "brute-force enumeration targets n <= 3 (cost grows like e^(P_N R))"
         )
-    if not (math.isfinite(radius) and radius >= 0):
-        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
-    if max_states < 1:
-        raise ValueError(f"max_states must be at least 1, got {max_states}")
     x_max = (radius + 1e-6) * math.sqrt((n - 1) / n)
     try:
         box = math.floor(math.exp(x_max))

@@ -21,11 +21,11 @@ orthonormal basis of ``traceless_basis``, so every estimator works in the
 One dispatch, ``_quadrature``, validates the region and method parameters,
 picks the estimator and rejects a non-finite result.
 
-numpy is imported only inside the sampler and ``_BlockWeights``, which
-weighs its points with an array of the projected forms.  The set-up and the
-whole grid rule are plain Python, so ``volume --grid`` runs without numpy: a
-grid run skips the numpy import (about 0.13 s) but pays a few microseconds
-per node evaluated where numpy paid a fraction of one.
+numpy is imported only on the Monte Carlo path: the sampler,
+``_BlockWeights`` (which weighs its points with an array of the projected
+forms), ``_sampled_estimate`` and ``_fold``.  The set-up and the whole grid
+rule are plain Python, so ``volume --grid`` runs without numpy and skips
+its import (about 0.13 s).
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 (``mc``, ``_sampled_estimate``, taming the exp(||v0||R) dynamic range),

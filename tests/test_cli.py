@@ -277,6 +277,8 @@ _VOLUME_N3 = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--grid"
     ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5"),
     ("count", "--n", "3", "--blocks", "2,1", "--radius", "1.5", "--method", "both"),
     ("count", "--n", "2", "--blocks", "1,1", "--radius", "2", "--method", "brute"),
+    ("count", "--n", "4", "--blocks", "2,2", "--radius", "0.5"),
+    ("count", "--n", "4", "--blocks", "1,1,1,1", "--radius", "0.5"),
     _VOLUME_N2,
     _VOLUME_N2 + ("--region", "bc+", "--offset", "-1"),
     _VOLUME_N2 + ("--region", "annulus", "--eps", "0.5"),
@@ -285,13 +287,14 @@ _VOLUME_N3 = ("volume", "--n", "3", "--blocks", "2,1", "--radius", "3", "--grid"
     _VOLUME_N3[:4] + ("1,1,1",) + _VOLUME_N3[5:] + ("--region", "annulus", "--eps", "0.5"),
     ("classify", "--n", "3", "--blocks", "2,1", "--a-behavior", "inf,id"),
 ], ids=["constant", "count-n2", "count-n3", "count-n3-both", "count-n2-brute",
+        "count-n4-2,2", "count-n4-1,1,1,1",
         "volume-grid-n2-b+", "volume-grid-n2-bc+", "volume-grid-n2-annulus",
         "volume-grid-n3-b+", "volume-grid-n3-bc+", "volume-grid-n3-annulus", "classify"])
 def test_commands_run_without_numpy(argv):
     # the walk, the scan, the constant, the grid rule and the classifier are
-    # plain Python; importing numpy would double the start-up time of these
-    # commands, and dataclasses (with inspect) and fractions (with decimal)
-    # add a fifth
+    # plain Python (the walk at N = 4 while no block has size >= 3);
+    # importing numpy would double the start-up time of these commands, and
+    # dataclasses (with inspect) and fractions (with decimal) add a fifth
     assert _loaded_modules(_SLOW_IMPORTS, argv) == set()
 
 

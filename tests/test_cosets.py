@@ -22,7 +22,7 @@ def E(n, i, j, t=1):
     return tuple(tuple(row) for row in m)
 
 
-def test_exact_linear_algebra():
+def test_exact_linear_algebra(rng):
     m = ((2, 1), (1, 1))
     assert CS.int_det(m) == 1
     assert H.mat_mul(m, H.int_inverse_unimodular(m)) == E(2, 0, 0, 1)
@@ -32,6 +32,12 @@ def test_exact_linear_algebra():
     assert H.mat_mul(m3, inv) == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
     with pytest.raises(ValueError):
         H.int_inverse_unimodular(((2, 0), (0, 2)))
+    # n = 4 and 5 take int_det's cofactor expansion
+    for n in (4, 5):
+        for _ in range(20):
+            a = rng.integers(-6, 7, size=(n, n))
+            m = tuple(tuple(int(x) for x in row) for row in a)
+            assert CS.int_det(m) == round(np.linalg.det(a))
 
 
 def test_solve_dot_one():
@@ -373,15 +379,32 @@ def test_enumerate_rejects_large_n(p2):
     assert partial.partial and partial.count == len(partial.records) == 1401
 
 
-_STATE_PARTITIONS = [(2, [1, 1]), (3, [2, 1]), (3, [1, 2]), (3, [1, 1, 1]),
-                     (4, [2, 2]), (4, [1, 2, 1])]
+_ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in compositions(n)]
+
+
+def test_matrix_state_is_minors(rng):
+    # each coordinate of column j of a block starting at column b is
+    # det g[S, (0, ..., b - 1, j)], row sets S in lexicographic order, for
+    # integer g of any determinant; a singleton last block is left out
+    for n, sizes in _ALL_PARTITIONS:
+        part = make_partition(n, sizes)
+        layout = CS._layout(part)
+        stored = part.blocks if sizes[-1] > 1 else part.blocks[:-1]
+        for _ in range(4):
+            a = rng.integers(-6, 7, size=(n, n))
+            expected = tuple(round(np.linalg.det(a[np.ix_(rows, (*range(blk[0]), j))]))
+                             for blk in stored for j in blk
+                             for rows in itertools.combinations(range(n), blk[0] + 1))
+            g = tuple(tuple(int(x) for x in row) for row in a)
+            assert CS._matrix_state(g, layout) == expected
 
 
 def test_state_update_matches_matrix(rng):
     # stepping the wedge state by a generator's table gives the state of
-    # the left-multiplied matrix, along 1200 random words
+    # the left-multiplied matrix, along 1200 random words on every
+    # partition up to N=5
     for trial in range(1200):
-        part = make_partition(*_STATE_PARTITIONS[trial % len(_STATE_PARTITIONS)])
+        part = make_partition(*_ALL_PARTITIONS[trial % len(_ALL_PARTITIONS)])
         layout = CS._layout(part)
         gens = CS._generators(part.n)
         g = H.random_slnz(part.n, rng, int(rng.integers(0, 6)))
@@ -391,9 +414,6 @@ def test_state_update_matches_matrix(rng):
             g = CS._left_apply(g, gens[idx])
             state = CS._step(state, layout.steps[idx])
             assert state == CS._matrix_state(g, layout)
-
-
-_ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in compositions(n)]
 
 
 def _turn_matrix(rows):
