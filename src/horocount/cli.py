@@ -65,15 +65,12 @@ def _threads() -> int:
     return min(threads, cpus)
 
 
-def _parse_blocks(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError as exc:   # an empty entry too
-        raise ValueError(f"cannot parse block sizes {text!r}") from exc
-
-
 def _partition_from(args):
-    return make_partition(args.n, _parse_blocks(args.blocks))
+    try:
+        sizes = [int(tok) for tok in args.blocks.split(",")]
+    except ValueError as exc:   # an empty entry too
+        raise ValueError(f"cannot parse block sizes {args.blocks!r}") from exc
+    return make_partition(args.n, sizes)
 
 
 def _git_commit(root: str) -> str | None:
@@ -272,10 +269,6 @@ def _tokens(text: str | None) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",")) if text else ()
 
 
-def _cmd_selftest(args) -> int:
-    return run_selftest()
-
-
 def run_selftest() -> int:
     """Smallest-scale pass over the acceptance checks: prints one line per
     check and a tally, and returns 0 when every check passed, else 1."""
@@ -410,17 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Asymptotic constants and exact counts for horocycle lifts",
     )
     sub = parser.add_subparsers(dest="subcommand")
+    # --n and --blocks of every subcommand but selftest
+    partition = argparse.ArgumentParser(add_help=False)
+    partition.add_argument("--n", type=int, required=True)
+    partition.add_argument("--blocks", type=str, required=True)
 
-    p = sub.add_parser("constant", help="asymptotic counting constant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--blocks", type=str, required=True)
+    p = sub.add_parser("constant", parents=[partition], help="asymptotic counting constant")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_constant)
 
-    p = sub.add_parser("count", help="enumerate lift cosets of height <= R")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--blocks", type=str, required=True)
+    p = sub.add_parser("count", parents=[partition], help="enumerate lift cosets of height <= R")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--method", choices=["bfs", "brute", "both"], default="bfs")
     p.add_argument("--margin", type=float, default=0.0,
@@ -438,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("volume", help="quadrature of the diagonal measure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--blocks", type=str, required=True)
+    p = sub.add_parser("volume", parents=[partition], help="quadrature of the diagonal measure")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--region", choices=["b+", "bc+", "annulus"], default="b+")
     p.add_argument("--mc", type=int, default=1_000_000,
@@ -461,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_volume)
 
-    p = sub.add_parser("classify", help="limit classification of a clean sequence")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--blocks", type=str, required=True)
+    p = sub.add_parser("classify", parents=[partition],
+                       help="limit classification of a clean sequence")
     p.add_argument("--a-behavior", type=str, default=None,
                    help="comma list per block: id|inf")
     p.add_argument("--b-behavior", type=str, default=None,
@@ -471,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("selftest", help="run the acceptance checks at small scale")
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=lambda _args: run_selftest())
 
     return parser
 

@@ -78,7 +78,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .partitions import Partition, _Record, require_horocycle_partition
+from .partitions import Partition, _Record, _dot, require_horocycle_partition
 
 __all__ = [
     "CosetRecord",
@@ -624,7 +624,6 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
         inside = h <= radius + HEIGHT_TOL
         on_boundary = abs(h - radius) <= HEIGHT_TOL
         members = [(g, state, key)]
-        orbit = {key}
         store(key, h)
         for g, state, key in members:  # grows as the closure finds images
             if inside:
@@ -635,8 +634,10 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
             for rows, coords in layout.turns:
                 image = _turn(state, coords)
                 image_key = _state_key(image, layout)
-                if image_key not in orbit:
-                    orbit.add(image_key)
+                # a key seen before this orbit is in an earlier orbit, which
+                # would hold the coset itself, or stored alone above the
+                # limit, which h (heights are W-invariant) is not
+                if image_key not in seen:
                     store(image_key, h)
                     members.append((_turn_rows(g, rows) if inside else None,
                                     image, image_key))
@@ -708,10 +709,6 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
         raise ResourceLimitError(f"the scan's box of (2 * {box:.4g} + 1)^{n} vectors "
                                  f"exceeds the state budget {max_states}", empty)
     return x_max
-
-
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum([x * y for x, y in zip(a, b)])
 
 
 def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -39,7 +39,8 @@ linear forms.  Only the outer trapezoid in t remains, nested: halving the
 spacing h turns the estimate T into T/2 + h * (the sum over the new
 midpoints), so a round holds only its own nodes.  An exponential or a sum
 past the double range is inf, as in the sampler, so such a grid estimate is
-rejected as not finite.
+rejected as not finite; one that underflows to 0 or below the normal
+doubles is rejected too.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .partitions import Cone, Partition, _Record, p_norm
+from .partitions import Cone, Partition, _Record, _dot, p_norm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,7 +64,6 @@ __all__ = [
 
 _REGIONS = ("b+", "bc+", "annulus")
 _METHODS = ("mc", "grid")
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)   # a smaller weight squares to 0
 _CHUNK = 250_000   # samples per SeedSequence child
 _BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
@@ -100,10 +100,6 @@ class QuadratureResult(_Record):
             raise ValueError("standard error must be nonnegative")
         self._init(estimate, standard_error, samples, region, method, seed, converged,
                    ess, in_region, max_weight_share)
-
-
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return float(sum([x * y for x, y in zip(a, b)]))
 
 
 def _exp(x: float) -> float:
@@ -243,7 +239,7 @@ class _Integrand(NamedTuple):
 
 
 def _validate(n: int, region: str, method: str, radius: float, offset: float,
-              eps: float | None, budget: int, grid_step: float | None) -> None:
+              eps: float | None, budget: int, seed: int, grid_step: float | None) -> None:
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
     if method not in _METHODS:
@@ -269,6 +265,8 @@ def _validate(n: int, region: str, method: str, radius: float, offset: float,
                              f"grid would pass {_GRID_MAX_NODES} nodes")
     elif budget < 2:
         raise ValueError(f"a standard error needs a sample budget of at least 2, got {budget}")
+    elif seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def _log_ball_volume(d: int) -> float:
@@ -480,7 +478,7 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
                          f"square to 0: past the double range")
     mean = total / budget
     var = max(total_sq / budget - mean * mean, 0.0)
-    scale = math.exp(log_scale) if log_scale <= _LOG_FLOAT_MAX else math.inf
+    scale = _exp(log_scale)
     return {
         "estimate": mean * scale,
         "standard_error": math.sqrt(var / budget) * scale,
@@ -552,8 +550,9 @@ def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[
                 threads: int) -> QuadratureResult:
     """Integral of exp(<c, y>) * prod_k sinh(<alphas[k], y>) over a region:
     the one validation and method dispatch behind ``mu_A_ball``.  A result
-    that is not finite (past the double range) raises ValueError."""
-    _validate(partition.n, region, method, radius, offset, eps, budget, grid_step)
+    past the double range raises ValueError: one that is not finite, a
+    nonzero estimate below ``sys.float_info.min`` or a grid estimate of 0."""
+    _validate(partition.n, region, method, radius, offset, eps, budget, seed, grid_step)
     cone = Cone(partition, offset if region == "bc+" else 0.0)
     inner = eps * radius if region == "annulus" else None
     integrand = _Integrand.project(cone, c, alphas, radius, inner)
@@ -565,6 +564,10 @@ def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[
     if not (math.isfinite(estimate) and math.isfinite(error)):
         raise ValueError(f"{method} quadrature at R={radius} is not finite "
                          f"(estimate {estimate}, error {error}): past the double range")
+    # every region has positive measure, so a grid sum of 0 has underflowed
+    if 0 < abs(estimate) < sys.float_info.min or (method == "grid" and estimate == 0):
+        raise ValueError(f"{method} quadrature at R={radius} underflows "
+                         f"(estimate {estimate}): past the double range")
     return QuadratureResult(region=region, method=method, seed=seed, **fields)
 
 

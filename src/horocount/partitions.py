@@ -72,6 +72,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
+def _dot(a: Sequence, b: Sequence):
+    """The sum of the products of a and b: exact on integers."""
+    return sum([x * y for x, y in zip(a, b)])
+
+
 class Partition(_Record):
     """Ordered partition of {0,...,n-1} into contiguous blocks.
 

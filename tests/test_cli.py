@@ -518,6 +518,20 @@ def test_exit_codes(capsys):
     for bad in (volume + ("1e-300", "--mc", "100"), n3_volume + ("1e-200", "--mc", "1000")):
         code, _, err = run(capsys, *bad)
         assert code == 2 and "past the double range" in err, bad
+    # grid estimates below the normal doubles or underflowed to 0: were
+    # 2.2238e-319, 0.0 and 7.856e-321 with exit 0
+    n3_volume_111 = ("volume", "--n", "3", "--blocks", "1,1,1", "--radius")
+    for bad in (n3_volume + ("1e-150", "--grid", "1e-152"),
+                n3_volume + ("1e-160", "--grid", "1e-162"),
+                n3_volume_111 + ("1e-160", "--region", "annulus", "--eps", "0.5",
+                                 "--grid", "1e-162")):
+        code, _, err = run(capsys, *bad)
+        assert code == 2 and "past the double range" in err, bad
+    code, out, _ = run(capsys, *n3_volume_111, "1e-150", "--grid", "1e-152")
+    assert code == 0 and "estimate=1.04699" in out
+    # a negative seed: numpy's bare "expected non-negative integer"
+    code, _, err = run(capsys, *volume, "2", "--mc", "1000", "--seed", "-1")
+    assert code == 2 and "seed" in err
     # constants past the double range: were c = 0.0 with exit 0 (N = 50, 60)
     # and an OverflowError traceback (N = 80)
     for n in (50, 60, 80):

@@ -633,12 +633,14 @@ def test_grid_converged_flag_and_sections(p21):
     # from one: the t nodes whose open disk chord holds an interior point of
     # the cone (the node t = 0 meets the cone in its apex alone)
     basis = np.array(M.traceless_basis(3)).T
-    cone = Cone(p21)
+    normals, floors = (np.array(a) for a in zip(*Cone(p21).half_spaces()))
     non_empty = 0
     for t in np.linspace(-6.0, 6.0, 2 ** 8 + 1):
         h = math.sqrt(max(36.0 - t * t, 0.0))
         ss = np.linspace(-h, h, 2001)[1:-1]
-        non_empty += h > 0 and any(cone_contains(cone, basis @ (t, s), tol=-1e-9) for s in ss)
+        ys = basis @ np.stack([np.full_like(ss, t), ss])
+        # cone_contains(cone, y, tol=-1e-9) at every point y of the chord
+        non_empty += h > 0 and bool(np.all(normals @ ys >= floors[:, None] + 1e-9, axis=0).any())
     assert res.samples == non_empty
 
 
