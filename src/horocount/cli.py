@@ -354,9 +354,9 @@ def run_selftest() -> int:
 
     def quick_volume():
         res = M.mu_A_ball(p2, 3.0, "b+", "grid", grid_step=0.05)
-        return abs(res.estimate / M.mu_n2_closed_form(3.0) - 1.0) < 1e-3
+        return abs(res.estimate / M.mu_n2_closed_form(3.0) - 1.0) < 1e-12
 
-    check("volume quadrature (N=2 closed form, 0.1%)", quick_volume)
+    check("volume quadrature (N=2 closed form, 1e-12)", quick_volume)
 
     def quick_classifier():
         full = D.classify_limit(D.CleanSequenceSpec(
@@ -438,11 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo sample budget (HOROCOUNT_THREADS sets its "
                         "worker threads)")
     p.add_argument("--grid", type=float, default=None,
-                   help="initial grid step (switches to the grid rule, N <= 3): "
-                        "each refinement halves the spacing and evaluates only "
-                        "the new midpoints; samples counts the points (N=2) or "
-                        "the non-empty, exactly integrated sections (N=3) of "
-                        "the last grid")
+                   help="initial grid step (switches to the grid rule, N <= 3).  "
+                        "N=2: the exact integral, the step unused, samples 1.  "
+                        "N=3: each refinement halves the spacing and evaluates "
+                        "only the new midpoints; samples counts the non-empty, "
+                        "exactly integrated sections of the last grid")
     p.add_argument("--offset", type=float, default=0.0,
                    help="cone offset C <= 0 for bc+; write a negative value in "
                         "exponent form as --offset=-1e-5")

@@ -726,28 +726,27 @@ def _plane_points(v: tuple[int, ...], limit_sq: float):
 
     With g = gcd(v_0, v_1) = s v_0 + t v_1, k_1 = (v_1, -v_0, 0) / g and
     k_2 = (s v_2, t v_2, -g) (e_1 and e_2 when g = 0) are a basis of
-    v^perp in Z^3, which is L(v), of covolume |k_1 x k_2| = |v|.  For x with
-    <v, x> = 1, v x (k_2 x x) = k_2 and v x (x x k_1) = -k_1; Lagrange-Gauss
-    reduction of (k_2, -k_1) carries these preimages along.  Then
-    u = alpha e_1 + beta e_2 has |u|^2 >= beta^2 |v|^2 / |e_1|^2.
+    v^perp in Z^3, which is L(v), of covolume |k_1 x k_2| = |v|.  For u in
+    it and x with <v, x> = 1, v x (u x x) = <v, x> u - <v, u> x = u, so
+    w = u x x.  Lagrange-Gauss reduction of (k_2, -k_1) gives (e_1, e_2);
+    then u = alpha e_1 + beta e_2 has |u|^2 >= beta^2 |v|^2 / |e_1|^2.
     """
     g, s, t = _ext_gcd(v[0], v[1])
     _, s2, t2 = _ext_gcd(g, v[2])
     x = (s2 * s, s2 * t, t2)  # <v, x> = s2 g + t2 v_2 = 1
     k1, k2 = ((1, 0, 0), (0, 1, 0)) if not g else (
         (v[1] // g, -v[0] // g, 0), (s * v[2], t * v[2], -g))
-    # each basis vector e is followed by its preimage p
-    a, b = k2 + _cross(k2, x), tuple([-c for c in k1]) + _cross(x, k1)
+    a, b = k2, tuple([-c for c in k1])
     while True:
-        if _dot(b[:3], b[:3]) < _dot(a[:3], a[:3]):
+        if _dot(b, b) < _dot(a, a):
             a, b = b, a
-        n1 = _dot(a[:3], a[:3])
-        mu = (2 * _dot(a[:3], b[:3]) + n1) // (2 * n1)  # round(<e_1, e_2> / |e_1|^2)
+        n1 = _dot(a, a)
+        mu = (2 * _dot(a, b) + n1) // (2 * n1)  # round(<e_1, e_2> / |e_1|^2)
         if not mu:
             break
         b = _axpy(-mu, a, b)
-    det, dot12 = _dot(v, v), _dot(a[:3], b[:3])
-    yield a[:3], a[3:]
+    det, dot12 = _dot(v, v), _dot(a, b)
+    yield a, _cross(a, x)
     for beta in range(1, math.floor(math.sqrt(limit_sq * n1 / det)) + 1):
         # beta^2 det <= limit_sq n1 up to rounding, by the range of beta
         half = math.sqrt(max(0.0, limit_sq * n1 - beta * beta * det)) / n1
@@ -755,7 +754,7 @@ def _plane_points(v: tuple[int, ...], limit_sq: float):
         for alpha in range(math.ceil(centre - half), math.floor(centre + half) + 1):
             if math.gcd(alpha, beta) == 1:
                 point = tuple([alpha * p + beta * q for p, q in zip(a, b)])
-                yield point[:3], point[3:]
+                yield point, _cross(point, x)
 
 
 def enumerate_brute(partition: Partition, radius: float,

@@ -29,18 +29,17 @@ its import (about 0.13 s).
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
 (``mc``, ``_sampled_estimate``, taming the exp(||v0||R) dynamic range),
-and for N <= 3 a nested grid rule that halves its spacing each round and
-evaluates each node once (``grid``, ``_grid_refine``).
-
-For N = 2 the grid is the trapezoid rule in x.  For N = 3 each section at
-fixed first coordinate t is integrated exactly along s: written with two
-exponentials per sinh, the integrand is a signed sum of exponentials of
-linear forms.  Only the outer trapezoid in t remains, nested: halving the
-spacing h turns the estimate T into T/2 + h * (the sum over the new
-midpoints), so a round holds only its own nodes.  An exponential or a sum
-past the double range is inf, as in the sampler, so such a grid estimate is
-rejected as not finite; one that underflows to 0 or below the normal
-doubles is rejected too.
+and for N <= 3 ``grid``.  At N = 2 that is the exact integral of e^(c t)
+over an interval (``_line_integral``), its step unused.  At N = 3 it is a
+nested grid rule that halves its spacing each round and evaluates each
+node once (``_grid_refine``).  Each section at fixed first coordinate t is
+integrated exactly along s: written with two exponentials per sinh, the
+integrand is a signed sum of exponentials of linear forms.  Only the outer
+trapezoid in t remains, nested: halving the spacing h turns the estimate T
+into T/2 + h * (the sum over the new midpoints), so a round holds only its
+own nodes.  An exponential or a sum past the double range is inf, as in
+the sampler, so such a grid estimate is rejected as not finite; one that
+underflows to 0 or below the normal doubles is rejected too.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ class QuadratureResult(_Record):
     refinement delta for the grid rule.
 
     ``samples`` counts sample points for ``mc``; for ``grid`` it counts the
-    points of the last N = 2 trapezoid, or the non-empty sections of the
-    last N = 3 grid.  ``converged`` says whether the grid's refinement met
-    its relative target (None for ``mc``).
+    non-empty sections of the last N = 3 grid, and is 1 for the exact N = 2
+    integral (error 0).  ``converged`` says whether the grid's refinement met
+    its relative target, always True at N = 2 (None for ``mc``).
 
     ``mc`` also reports how far its weights can be trusted (None for
     ``grid``): ``ess``, the effective sample size
@@ -162,19 +161,6 @@ class _Integrand(NamedTuple):
     @property
     def n_dim(self) -> int:
         return len(self.forms[0])
-
-    def line_weight(self, t: float) -> float:
-        """For N = 2: the integrand e^(<c, x>) at x = t, 0 outside the
-        region.  The only N = 2 partition, [1, 1], has no intra-block pair,
-        so there is no sinh factor."""
-        r2 = t * t
-        if r2 > self.radius * self.radius or (self.inner is not None
-                                              and r2 <= self.inner * self.inner):
-            return 0.0
-        for (a,), floor in zip(self.forms[1:], self.floors):
-            if a * t < floor:
-                return 0.0
-        return _exp(self.forms[0][0] * t)
 
     def sections(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         """For N = 3: the s-interval [lo, hi] of the region's section at each
@@ -259,8 +245,8 @@ def _validate(n: int, region: str, method: str, radius: float, offset: float,
             raise NotImplementedError(f"grid quadrature implemented for n <= 3, got n = {n}")
         if not (grid_step is not None and math.isfinite(grid_step) and grid_step > 0):
             raise ValueError(f"grid step must be positive and finite, got {grid_step}")
-        # the first grid has ceil(2R/step) intervals; its first halving must fit
-        if 2 * radius / grid_step > (_GRID_MAX_NODES - 1) // 2:
+        # the first N = 3 grid has ceil(2R/step) intervals; its first halving must fit
+        if n == 3 and 2 * radius / grid_step > (_GRID_MAX_NODES - 1) // 2:
             raise ValueError(f"grid step {grid_step} at R={radius}: the first refined "
                              f"grid would pass {_GRID_MAX_NODES} nodes")
     elif budget < 2:
@@ -410,19 +396,22 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
     """Importance-sampling mean and standard error of the integrand, and the
     weight diagnostics, as ``QuadratureResult`` fields.
 
-    The budget is cut into chunks of ``_CHUNK`` samples, one SeedSequence
-    child each.  Each child spawns 2 + n_dim streams: the t-uniforms, the
-    radial uniforms and then one normal stream per coordinate.  Normal
-    stream 0 is never drawn (the first coordinate is t), and at N = 3
-    neither is normal stream 1 (the segment needs no direction), but every
-    N spawns all of them, so the streams keep their indices.  A chunk
-    draws, places and weighs ``_BLOCK`` points at a time in the buffers of
-    one ``_TiltedBallSampler`` (tilted at rate ||v0||) and one
-    ``_BlockWeights``, coordinate-major (one row per coordinate), so memory
-    is one block per thread whatever the budget.  Every stream fills its
-    own row of the block in order, so the numbers a chunk draws do not
-    depend on ``_BLOCK``; its sums are left folds over its samples in
-    order, so neither ``_BLOCK`` nor ``threads`` changes a result.
+    The budget is cut into chunks of ``_CHUNK`` samples.  Chunk idx builds
+    its SeedSequence(seed, spawn_key=(idx,)), child idx of
+    SeedSequence(seed).spawn, when it starts.  Each child spawns 2 + n_dim
+    streams: the t-uniforms, the radial uniforms and then one normal stream
+    per coordinate.  Normal stream 0 is never drawn (the first coordinate
+    is t), and at N = 3 neither is normal stream 1 (the segment needs no
+    direction), but every N spawns all of them, so the streams keep their
+    indices.  A chunk draws, places and weighs ``_BLOCK`` points at a time
+    in the buffers of one ``_TiltedBallSampler`` (tilted at rate ||v0||)
+    and one ``_BlockWeights``, coordinate-major (one row per coordinate),
+    so the points take one block per thread whatever the budget; the budget
+    adds one small result per chunk, and one pending future per chunk when
+    threads > 1.  Every stream fills its own row of the block in order, so
+    the numbers a chunk draws do not depend on ``_BLOCK``; its sums are
+    left folds over its samples in order, so neither ``_BLOCK`` nor
+    ``threads`` changes a result.
 
     Weights reach about e^(||v0|| R), so they are summed scaled by
     e^(-||v0|| R) and the mean and error multiplied back, which keeps their
@@ -436,13 +425,14 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
     """
     import numpy as np
 
-    children = np.random.SeedSequence(seed).spawn(math.ceil(budget / _CHUNK))
+    chunks = math.ceil(budget / _CHUNK)
     n_dim, radius = integrand.n_dim, integrand.radius
     rate = p_norm(n_dim + 1)
     log_scale = rate * radius
 
     def one_chunk(idx: int) -> tuple[float, float, float, int]:
-        rngs = [np.random.default_rng(s) for s in children[idx].spawn(2 + n_dim)]
+        child = np.random.SeedSequence(seed, spawn_key=(idx,))
+        rngs = [np.random.default_rng(s) for s in child.spawn(2 + n_dim)]
         size = min(_CHUNK, budget - idx * _CHUNK)
         rows = min(_BLOCK, size)
         sampler = _TiltedBallSampler(n_dim, radius, rate, rows)
@@ -466,9 +456,9 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, range(len(children))))
+            parts = list(pool.map(one_chunk, range(chunks)))
     else:
-        parts = [one_chunk(i) for i in range(len(children))]
+        parts = [one_chunk(i) for i in range(chunks)]
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     w_max = max(p[2] for p in parts)
@@ -489,14 +479,22 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
     }
 
 
+def _line_integral(integrand: _Integrand) -> dict:
+    """For N = 2 ([1, 1], no sinh factor): the exact integral of e^(c t),
+    c > 0, over the interval [lo, R] the region leaves, lo the largest of
+    -R, the one wall's floor / a (a > 0) and the annulus's inner radius, as
+    e^(cR - log c) (1 - e^(-c(R - lo))): inf only past the double range,
+    and no digits lost to cancellation at a tiny R."""
+    ((c,), (a,)), (floor,), radius = integrand.forms, integrand.floors, integrand.radius
+    lo = max(-radius, floor / a, -radius if integrand.inner is None else integrand.inner)
+    estimate = _exp(c * radius - math.log(c)) * -math.expm1(-c * (radius - lo))
+    return {"estimate": estimate, "standard_error": 0.0, "samples": 1, "converged": True}
+
+
 def _grid_values(integrand: _Integrand, ts: list[float]) -> tuple[list[float], int]:
-    """The rule's value at each node t, and how many nodes count as samples.
-    N = 2: the integrand at x = t, every node counted.  N = 3: the section at
-    t integrated exactly, less its part in the inner disk for the annulus,
-    the non-empty sections counted."""
-    if integrand.n_dim == 1:
-        assert not integrand.n_sinh
-        return [integrand.line_weight(t) for t in ts], len(ts)
+    """For N = 3: the section at each node t integrated exactly, less its
+    part in the inner disk for the annulus, and how many of them are
+    non-empty (they count as samples)."""
     lo, hi = integrand.sections(ts)
     vals = integrand.section_integrals(ts, lo, hi)
     if integrand.inner is not None:
@@ -509,7 +507,7 @@ def _grid_values(integrand: _Integrand, ts: list[float]) -> tuple[list[float], i
 
 
 def _grid_refine(integrand: _Integrand, step: float) -> dict:
-    """Nested trapezoid rule on [-R, R] for N = 2 and 3, from ceil(2R/step)
+    """Nested trapezoid rule on [-R, R] for N = 3, from ceil(2R/step)
     equal intervals.  Each round halves the spacing h and evaluates only the
     new midpoints i*h - R (i odd): the estimate becomes half the last one
     plus h times their sum, so every node is evaluated once and no node or
@@ -557,7 +555,8 @@ def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[
     inner = eps * radius if region == "annulus" else None
     integrand = _Integrand.project(cone, c, alphas, radius, inner)
     if method == "grid":
-        fields, seed = _grid_refine(integrand, grid_step), None
+        fields, seed = (_line_integral(integrand) if integrand.n_dim == 1
+                        else _grid_refine(integrand, grid_step)), None
     else:
         fields = _sampled_estimate(integrand, budget, seed, threads)
     estimate, error = fields["estimate"], fields["standard_error"]
@@ -598,18 +597,19 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     cap, needs a finite ``offset`` <= 0) and ``annulus`` (B+(R) minus
     B+(eps R)); a nonzero ``offset`` or any ``eps`` given for another region
     is rejected.  ``method``: ``mc`` (importance sampling, with a
-    ``budget`` of at least 2 samples) or ``grid`` (nested grid halving a
-    positive initial ``grid_step``; N <= 3).
+    ``budget`` of at least 2 samples) or ``grid`` (N <= 3; the exact
+    integral at N = 2, a nested grid halving a positive initial
+    ``grid_step`` at N = 3; the step is checked at N = 2 too, and unused).
 
     An ``mc`` estimate depends on (``seed``, ``budget``) alone: each chunk
     of the budget spawns its streams in the order t-uniforms, radial
     uniforms, then one normal stream per sample coordinate, and the block
     size and ``threads`` never change a result.  N = 2 draws the
     t-uniforms alone, N = 3 the t- and radial uniforms (its cross-section
-    is a segment), and N >= 4 every stream but normal stream 0.  Memory is
-    one block of points per thread, whatever the budget.  Weights too small
-    to square (a tiny R) raise ValueError, as a result past the double
-    range does.
+    is a segment), and N >= 4 every stream but normal stream 0.  The points
+    take one block per thread, whatever the budget; one small result per
+    chunk of the budget is kept.  Weights too small to square (a tiny R)
+    raise ValueError, as a result past the double range does.
     """
     c, alphas = _density_forms(partition)
     return _quadrature(partition, c, alphas, radius, region, method, budget, offset,
@@ -629,9 +629,9 @@ def closed_form_asymptotic(partition: Partition, radius: float) -> float:
 
 
 def mu_n2_closed_form(radius: float) -> float:
-    """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1).
+    """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1), by ``expm1``.
 
     At N = 2 the density is exp(<v0, y>), so this is also the integral of
     exp(<v0, y>) over the positive cone within the ball."""
-    return math.sqrt(2.0) / 2.0 * (math.exp(math.sqrt(2.0) * radius) - 1.0)
+    return math.expm1(math.sqrt(2.0) * radius) / math.sqrt(2.0)
 

@@ -457,9 +457,18 @@ def test_volume_grid(capsys):
                        "--radius", "3.0", "--grid", "0.01")
     assert code == 0
     value = float(out.split("estimate=")[1].split()[0])
-    exact = math.sqrt(2) / 2 * (math.exp(math.sqrt(2) * 3.0) - 1)
-    assert value == pytest.approx(exact, rel=1e-3)
+    exact = math.expm1(math.sqrt(2) * 3.0) / math.sqrt(2)
+    assert value == pytest.approx(exact, rel=1e-12)
     assert err == ""
+
+
+def test_volume_grid_n2_step_unused(capsys):
+    # at N = 2 the grid method is the exact integral: the step changes nothing
+    outs = [run(capsys, "volume", "--n", "2", "--blocks", "1,1", "--radius", "3.0",
+                "--region", "bc+", "--offset=-1", "--grid", step)
+            for step in ("0.1", "0.001")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and outs[0][1].endswith("error=0.0 samples=1\n")
 
 
 def test_volume_grid_unconverged_warns(capsys):
@@ -683,7 +692,7 @@ def test_threads_follow_cpu_affinity(monkeypatch):
 
 def test_grid_node_cap_exits_2(capsys):
     # a 2e12-node first grid was built before any check
-    code, _, err = run(capsys, "volume", "--n", "2", "--blocks", "1,1", "--radius", "1",
+    code, _, err = run(capsys, "volume", "--n", "3", "--blocks", "2,1", "--radius", "1",
                        "--grid", "1e-12")
     assert code == 2
     assert "4194304 nodes" in err

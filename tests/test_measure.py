@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,7 +56,14 @@ def test_n2_closed_form_mc(p2):
 def test_n2_closed_form_grid(p2):
     res = M.mu_A_ball(p2, 5.0, "b+", "grid", grid_step=0.02)
     exact = M.mu_n2_closed_form(5.0)
-    assert abs(res.estimate / exact - 1.0) < 1e-3
+    assert abs(res.estimate / exact - 1.0) < 1e-12
+
+
+def test_n2_closed_form_keeps_its_digits_at_small_radius():
+    # e^(sqrt2 R) - 1 by subtraction read 2.6e-7 low at R = 1e-10
+    radius = 1e-10
+    series = radius + radius * radius / math.sqrt(2.0)
+    assert abs(M.mu_n2_closed_form(radius) / series - 1.0) <= 1e-14
 
 
 def test_shrinking_region(p2):
@@ -67,7 +75,7 @@ def test_cone_integral_n2(p2):
     # at N = 2 the density is exp(<v0, y>): the cone integral is the B+ measure
     exact = M.mu_n2_closed_form(4.0)
     res = cone_integral(p2, 0.0, 4.0, "grid", grid_step=0.01)
-    assert abs(res.estimate / exact - 1.0) < 1e-3
+    assert abs(res.estimate / exact - 1.0) < 1e-12
     res_mc = cone_integral(p2, 0.0, 4.0, "mc", budget=200_000, seed=3)
     assert abs(res_mc.estimate / exact - 1.0) < 5e-3
 
@@ -322,6 +330,17 @@ def test_odd_budgets_count_every_sample(p21, budget):
     assert M.mu_A_ball(p21, 1.0, "b+", "mc", budget=budget, seed=3).samples == budget
 
 
+def test_chunk_seed_is_the_spawned_child():
+    # each chunk builds SeedSequence(seed, spawn_key=(idx,)) on its own, which
+    # must be child idx of SeedSequence(seed).spawn, streams included
+    for seed in (0, 77, 2 ** 70 + 3):
+        for idx, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
+            own = np.random.SeedSequence(seed, spawn_key=(idx,))
+            assert own.generate_state(8).tolist() == child.generate_state(8).tolist()
+            assert ([s.generate_state(4).tolist() for s in own.spawn(4)]
+                    == [s.generate_state(4).tolist() for s in child.spawn(4)])
+
+
 def test_streamed_sums_match_whole_chunk(p21, monkeypatch):
     # reference: the chunk's rows drawn in one call and weighed as one array
     radius, budget, seed = 3.0, 40_000, 5
@@ -549,28 +568,45 @@ def test_n3_cone_walls_bound_opposite_ends(sizes):
         assert b1 * b2 < 0
 
 
-def test_line_weight_matches_log_weight(p2):
-    # the N = 2 grid's plain-Python integrand against the sampler's arrays
-    for offset, inner in ((0.0, None), (-1.0, 0.5)):
-        integrand = M._Integrand.project(Cone(p2, offset), *M._density_forms(p2), 3.0, inner)
-        ts = np.linspace(-3.2, 3.2, 321)
-        expected = np.exp(M._BlockWeights(integrand, len(ts))(ts[None, :]))
-        assert [integrand.line_weight(t) for t in ts] == pytest.approx(expected, rel=1e-15)
-        assert 0 < np.count_nonzero(expected) < len(ts)
+@pytest.mark.parametrize("region, option, lower", [
+    ("b+", {}, lambda radius: 0),
+    ("bc+", {"offset": -1.0}, lambda radius: max(-radius, -mpmath.sqrt(2))),
+    ("bc+", {"offset": -1e-5}, lambda radius: max(-radius, -mpmath.sqrt(2) * mpmath.mpf(1e-5))),
+    ("annulus", {"eps": 0.5}, lambda radius: radius / 2),
+], ids=["b+", "bc+-1", "bc+-1e-5", "annulus"])
+def test_n2_grid_is_the_exact_integral(p2, region, option, lower):
+    # at N = 2 the region is t in [lower, R] (the wall y_1 >= C is
+    # t >= sqrt2 C) and the integrand is e^(sqrt2 t), so the measure is
+    # (e^(sqrt2 R) - e^(sqrt2 lower)) / sqrt2, here in 50 digits; the step is unused
+    with mpmath.workdps(50):
+        for radius in (1e-10, 0.01, 3.0, 6.0, 500.0, 501.9):
+            r, root2 = mpmath.mpf(radius), mpmath.sqrt(2)
+            exact = (mpmath.exp(root2 * r) - mpmath.exp(root2 * lower(r))) / root2
+            res = M.mu_A_ball(p2, radius, region, "grid", grid_step=1.0, **option)
+            assert abs(res.estimate / exact - 1) <= 1e-12, radius
+            assert (res.standard_error, res.samples, res.converged) == (0.0, 1, True)
+    for radius in (502.5, 600.0):   # the value itself exceeds the double range
+        with pytest.raises(ValueError, match="not finite"):
+            M.mu_A_ball(p2, radius, region, "grid", **option)
 
 
 def test_grid_near_the_top_of_the_double_range(p2):
-    # the integral is finite (8.7e306) though the unscaled sum of the node
-    # values is not: each value is scaled by h before it is summed
+    # the integral, 8.7e306, is near the top of the double range but finite,
+    # so it is kept, to the last digits of the closed form
     res = M.mu_A_ball(p2, 500.0, "b+", "grid", grid_step=0.01)
-    assert res.estimate == pytest.approx(M.mu_n2_closed_form(500.0), rel=1e-3)
+    assert res.estimate == pytest.approx(M.mu_n2_closed_form(500.0), rel=1e-12)
 
 
 def test_grid_sum_past_double_range():
-    # every node's value is finite but the integral, and so the sum of the
-    # scaled values, is not: the estimate is inf, for the caller to reject.  From R = 1419.6 the last value alone
-    # is inf.
-    integrand = M._Integrand(((0.5,),), 0, (), 1418.4, None)
+    # N = 3, e^(t/2) on the disk of radius 1410: every node's section integral
+    # is finite (at most 9.7e307) but the integral, and so the sum of the
+    # scaled values, is not (about 4e308): the estimate is inf, for the caller
+    # to reject
+    radius = 1410.0
+    integrand = M._Integrand(((0.5, 0.0), (0.0, 1.0), (0.0, -1.0)), 0,
+                             (-radius, -radius), radius, None)
+    nodes = [i - radius for i in range(2 * int(radius) + 1)]
+    assert all(math.isfinite(v) for v in M._grid_values(integrand, nodes)[0])
     assert M._grid_refine(integrand, 1.0)["estimate"] == math.inf
 
 
@@ -607,8 +643,6 @@ def test_offset_cone_grid_with_the_apex_outside_the_ball():
     # region is the half-disk u >= 0 of radius 3, where the measure reduces to
     # the integral over w in [-3, 3] of e^(sqrt6 w) (cosh(sqrt2 sqrt(9 - w^2)) - 1)
     # / sqrt2; w = 3 cos(theta) makes the integrand smooth at both ends
-    import mpmath
-
     with mpmath.workdps(30):
         exact = float(mpmath.quad(
             lambda th: 3 * mpmath.sin(th) * mpmath.exp(3 * mpmath.sqrt(6) * mpmath.cos(th))
@@ -644,30 +678,26 @@ def test_grid_converged_flag_and_sections(p21):
     assert res.samples == non_empty
 
 
-def test_grid_coarse_start_not_converged(p2):
+def test_grid_coarse_start_not_converged():
     # a step of 4R or more held the first two grids at the same two nodes:
     # their change was 0, reported as converged with error 0
-    res = M.mu_A_ball(p2, 6.0, "b+", "grid", grid_step=100.0)
-    assert not (res.converged and res.standard_error == 0)
-    assert abs(res.estimate - M.mu_n2_closed_form(6.0)) <= res.standard_error
+    for blocks, reference in _N3_R6_REFERENCE.items():
+        part = make_partition(3, [int(b) for b in blocks.split(",")])
+        res = M.mu_A_ball(part, 6.0, "b+", "grid", grid_step=100.0)
+        assert res.converged is False and res.standard_error > 0
+        assert abs(res.estimate - reference) <= res.standard_error
 
 
-@pytest.mark.parametrize("n3", [False, True])
-def test_grid_evaluates_each_node_once(p2, p21, monkeypatch, n3):
+def test_grid_evaluates_each_node_once(p21, monkeypatch):
     # each round rebuilt the whole grid: 4,504 evaluations for the 2,401
     # nodes of the [2, 1] run
     seen = []
-    name = "sections" if n3 else "line_weight"
-    method = getattr(M._Integrand, name)
-
-    def counted(self, arg):   # sections takes a list of nodes, line_weight one node
-        seen.extend(arg if n3 else [arg])
-        return method(self, arg)
-
-    monkeypatch.setattr(M._Integrand, name, counted)
-    res = M.mu_A_ball(p21 if n3 else p2, 6.0, "b+", "grid", grid_step=0.04)
+    sections = M._Integrand.sections
+    monkeypatch.setattr(M._Integrand, "sections",
+                        lambda self, ts: seen.extend(ts) or sections(self, ts))
+    res = M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.04)
     assert res.converged is True
-    assert len(seen) == len(set(seen)) == (2401 if n3 else res.samples)
+    assert len(seen) == len(set(seen)) == 2401
 
 
 def test_grid_node_cap(p21, monkeypatch):
