@@ -329,12 +329,14 @@ def run_selftest() -> int:
     check("decomposition reconstruction + hand height", quick_decomposition)
 
     def quick_enumeration():
-        # [1, 2] takes the scan's walk over the second basis vector of v x Z^3
+        # the count-n3 settings; [2, 1] and [1, 2] take the scan's two walks
+        # over a pair's second vector
         return all(
-            CS.coset_sets_equal(CS.enumerate_bfs(part, r), CS.enumerate_brute(part, r))
-            for part, r in ((p2, 1.5), (make_partition(3, [1, 2]), 1.0)))
+            CS.coset_sets_equal(CS.enumerate_bfs(part, 1.5), CS.enumerate_brute(part, 1.5))
+            for part in (p2, make_partition(3, [1, 1, 1]), p21, make_partition(3, [1, 2])))
 
-    check("enumeration oracle equivalence (N=2 R=1.5, N=3 [1,2] R=1)", quick_enumeration)
+    check("enumeration oracle equivalence (R=1.5: N=2, N=3 [1,1,1], [2,1], [1,2])",
+          quick_enumeration)
 
     def block_gram_heights():
         # the integer Gram path of a size-3 block against the float frame

@@ -44,16 +44,17 @@ Two strategies are implemented and validated against each other:
   cosets by left multiplication with the elementary matrices E_ij(+-1),
   as in Todd-Coxeter coset enumeration, stepping the state and pruning by
   height only.  W permutes those generators, so the walk expands one
-  representative per W-orbit and stores the whole orbit from W's
-  tables.  By default it expands only the cosets of height <= R
+  representative per W-orbit and stores the whole orbit (``_orbit``).
+  By default it expands only the cosets of height <= R
   (and the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
 * ``enumerate_brute`` lists the cosets as flags (n <= 3): a primitive
-  first column v, then, at n = 3, a primitive vector of the plane lattice
-  v x Z^3 from a reduced basis, and for a block of size two a second
-  vector v_2 + k v_1, with k walked outward from the shortest.  Each level
-  is cut by a lower bound on the height, and each coset is derived exactly
-  once.
+  first column v from a domain that meets every W-orbit, then, at n = 3, a
+  primitive vector of the plane lattice v x Z^3 from a reduced basis, and
+  for a block of size two a second vector v_2 + k v_1, with k walked
+  outward from the shortest.  Each level is cut by a lower bound on the
+  height.  A new coset's whole W-orbit is stored with it (``_orbit``, as
+  in the walk); one first column derives each coset at most once.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -248,6 +249,11 @@ class _Layout:
     of ``_quarter_turns(n)``, holds its row map and, for every coordinate
     of w g's state in order, the (source T, coefficient) of the one nonzero
     entry in its row of the compound.
+
+    ``succ`` is the multiplication table of W modulo -I (at even n, -I lies
+    in Gamma_hor and keeps every coset) by the quarter turns: the elements
+    are numbered in the order the turns reach them from the identity, 0,
+    and ``succ[e][t]`` is the number of turn t times element e.
     """
 
     def __init__(self, partition: Partition):
@@ -286,6 +292,21 @@ class _Layout:
             (rows, tuple((t, det) for _, t, det in entries(_turn_rows(identity, rows))))
             for rows in _quarter_turns(n)
         )
+        elements = [tuple((r, 1) for r in range(n))]
+        number = {elements[0]: 0}
+        succ = []
+        for rows in elements:  # grows as the turns reach new elements
+            row = []
+            for turn, _ in self.turns:
+                image = tuple([(rows[s][0], c * rows[s][1]) for s, c in turn])
+                if not n % 2 and image[0][1] < 0:  # -image, the same element
+                    image = tuple([(s, -c) for s, c in image])
+                if image not in number:
+                    number[image] = len(elements)
+                    elements.append(image)
+                row.append(number[image])
+            succ.append(tuple(row))
+        self.succ = tuple(succ)
 
 
 @functools.cache
@@ -323,6 +344,33 @@ def _turn(state: tuple[int, ...], coords) -> tuple[int, ...]:
 def _turn_rows(g: Matrix, rows) -> Matrix:
     """w g for the signed permutation w given by its row map."""
     return tuple([g[s] if c > 0 else tuple([-x for x in g[s]]) for s, c in rows])
+
+
+def _orbit(g: Matrix | None, state: tuple[int, ...], key: tuple[int, ...],
+           layout: _Layout) -> list[tuple[Matrix | None, tuple[int, ...]]]:
+    """The distinct cosets w g Gamma_hor, w in W, as (w g, key) pairs, g's
+    first; w g is None when g is.
+
+    The closure runs over the cosets by the quarter turns, each coset found
+    with the element w of W modulo -I that first reached it.  A turn that
+    leads to an element already reached, by ``layout.succ``, leads to a
+    known coset and costs no ``_turn`` and no ``_state_key``.  So each
+    element is applied at most once, and each coset turned at most n - 1
+    times."""
+    reached = {0}
+    found = {key}
+    members = [(g, state, key, 0)]
+    for wg, image, _, e in members:  # grows as the closure finds cosets
+        for (rows, coords), f in zip(layout.turns, layout.succ[e]):
+            if f not in reached:
+                reached.add(f)
+                turned = _turn(image, coords)
+                turned_key = _state_key(turned, layout)
+                if turned_key not in found:
+                    found.add(turned_key)
+                    members.append((None if wg is None else _turn_rows(wg, rows),
+                                    turned, turned_key, f))
+    return [(wg, member) for wg, _, member, _ in members]
 
 
 def _positive(seg: tuple[int, ...]) -> tuple[int, ...]:
@@ -530,14 +578,14 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     w E_ij(t) w^-1 is another generator E_kl(+-t), so w maps the neighbours
     of a coset onto those of its translate.  The walk therefore expands one
     representative per W-orbit.  When it meets a new coset within the
-    limit, it stores the coset's whole orbit, built by closure under the
-    N - 1 quarter turns of ``_quarter_turns`` (each a fixed signed
-    permutation of the state's coordinates): every image key goes into
-    ``seen`` with the coset's height, and every image of height <= R
-    becomes a record with the representative w g.  The heights are equal
-    bit for bit: w g's state is a signed permutation of g's within each
-    column, so every squared norm and Gram entry is the same integer, in
-    the same column order.  Two representatives of one coset that differ
+    limit, it stores the coset's whole orbit from ``_orbit``, which applies
+    each element of W modulo -I at most once, as a signed permutation of
+    the state's coordinates: every image key goes into ``seen`` with the
+    coset's height, and every image of height <= R becomes a record with
+    the representative w g.  The heights are equal bit for bit: w g's
+    state is a signed permutation of g's within each column, so every
+    squared norm and Gram entry is the same integer, in the same column
+    order.  Two representatives of one coset that differ
     by the order or signs of a block's columns get one height too, since
     ``_block_gram`` orders and signs the columns by their Gram entries.  A
     child above the limit is stored alone.
@@ -623,24 +671,17 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
         orbits += 1
         inside = h <= radius + HEIGHT_TOL
         on_boundary = abs(h - radius) <= HEIGHT_TOL
-        members = [(g, state, key)]
-        store(key, h)
-        for g, state, key in members:  # grows as the closure finds images
+        # no member is in seen yet: an earlier orbit would hold the coset
+        # itself, and a key stored alone is above the limit, which h
+        # (heights are W-invariant) is not
+        members = _orbit(g if inside else None, state, key, layout)
+        for g, key in members:
+            store(key, h)
             if inside:
                 records.append(CosetRecord(representative=g, key=key, height=h,
                                            boundary=on_boundary))
                 new_per_depth[depth] += 1
                 boundary += on_boundary
-            for rows, coords in layout.turns:
-                image = _turn(state, coords)
-                image_key = _state_key(image, layout)
-                # a key seen before this orbit is in an earlier orbit, which
-                # would hold the coset itself, or stored alone above the
-                # limit, which h (heights are W-invariant) is not
-                if image_key not in seen:
-                    store(image_key, h)
-                    members.append((_turn_rows(g, rows) if inside else None,
-                                    image, image_key))
         return len(members)
 
     root_key = _state_key(root, layout)
@@ -705,7 +746,8 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
     if n * math.log(2 * box + 1) > math.log(max_states):
         empty = EnumerationReport(
             partition=partition, radius=radius, count=0, method="brute",
-            params={"levels": [0] * (n - 1), "completions": 0}, partial=True)
+            params={"levels": [0] * (n - 1), "completions": 0, "orbits": 0},
+            partial=True)
         raise ResourceLimitError(f"the scan's box of (2 * {box:.4g} + 1)^{n} vectors "
                                  f"exceeds the state budget {max_states}", empty)
     return x_max
@@ -757,18 +799,43 @@ def _plane_points(v: tuple[int, ...], limit_sq: float):
                 yield point, _cross(point, x)
 
 
+def _first_columns(n: int, box: int):
+    """The domain D of the scan's first columns in the box [-box, box]^n:
+    |v_0| >= |v_1| >= ... >= |v_(n-1)| with every entry >= 0, except that at
+    even n the last may take either sign.
+
+    D meets every W-orbit of first columns up to sign: a signed permutation
+    sorts |v| and makes its entries nonnegative, and its determinant is
+    made one by -I at odd n (-v is the same first column up to sign) and by
+    the sign of the last entry at even n."""
+    for desc in itertools.combinations_with_replacement(range(box, -1, -1), n):
+        yield desc
+        if n % 2 == 0 and desc[-1]:
+            yield desc[:-1] + (-desc[-1],)
+
+
+def _first_positive(g: Matrix) -> Matrix:
+    """g, with its first and last columns negated (an element of Gamma_hor,
+    so the same coset) when its first column starts negative."""
+    if next(row[0] for row in g if row[0]) > 0:
+        return g
+    return tuple([(-row[0], *row[1:-1], -row[-1]) for row in g])
+
+
 def enumerate_brute(partition: Partition, radius: float,
                     max_states: int = 2_000_000) -> EnumerationReport:
-    """All distinct lift cosets of height <= R by a flag scan, each derived once.
+    """All distinct lift cosets of height <= R by a flag scan over one first
+    column per W-orbit.
 
     At n <= 3 a coset is a flag of primitive vectors, listed level by level
     and completed to a matrix only to read its key and height with the
     walk's functions.  Each level is cut by a lower bound on the height at
     R + 1e-6, so that rounding keeps every coset of height <= R inside.
 
-    * The first column v, positive in its first nonzero entry, has
-      x = log|v| <= R sqrt((n - 1) / n).  At n = 2 the coset is v up to
-      sign, and the last column is ``solve_dot_one((-v_1, v_0))``.
+    * The first column v lies in the domain D of ``_first_columns``
+      (|v_0| >= ... >= |v_(n-1)|, signs fixed up to the last at even n)
+      and has x = log|v| <= R sqrt((n - 1) / n).  At n = 2 the coset is v
+      up to sign, and the last column is ``solve_dot_one((-v_1, v_0))``.
     * At n = 3, u runs over the primitive vectors of L(v) = v x Z^3 up to
       sign, each with a w of v x w = u (``_plane_points``); y = log|u|.
       [1, 1, 1] is (+-v, +-u), of height^2 1.5 x^2 + 2 (y - x/2)^2, with the
@@ -782,17 +849,31 @@ def enumerate_brute(partition: Partition, radius: float,
     * At a fixed Gram determinant a pair's height rises with the second
       vector's squared norm, which is convex in k, so k is walked outward
       from the minimum, both ways, until the height passes R.  A pair is
-      kept only when its first vector is the shorter, or on a tie when its
-      ``_positive`` form sorts first.
+      kept only when its first vector is not the longer.  On a tie [2, 1]
+      keeps both orders: a rule that picks one vector, such as the first
+      ``_positive`` form, does not commute with W, and would lose
+      {+-e_1, +-e_2}, whose pick e_2 is not in D.  [1, 2] keeps the pair
+      whose ``_positive`` form sorts first, since both vectors lie in L(v)
+      for the one v.
+    * W keeps the height, so a new coset within R is stored with its whole
+      W-orbit (``_orbit``), every member with the coset's height.  A
+      member's representative w g whose first column starts negative gets
+      its first and last columns negated, an element of Gamma_hor.  D is a
+      cover of the orbits, not a fundamental domain: a completion whose
+      key is known, as an orbit member or from another first column, is
+      skipped.  The lowest such overlap is the [2, 1] block
+      {(3, 2, 2), (4, 1, 0)}, of height 2.896, both columns in D.
 
-    ``params`` reports ``levels`` (per level, the vectors inside its bound)
-    and ``completions`` (matrices that reached the height test).  A box of
-    more than ``max_states`` outer vectors, or more than ``max_states``
-    cosets, raises ``ResourceLimitError`` with the partial report; a matrix
-    of determinant other than one, or a coset derived twice, ``RuntimeError``
-    (a fault of the scan); a negative, non-finite or overflowing radius, or
-    a state budget below one, ``ValueError``.  The checks made before the
-    scan starts are ``require_scannable``.
+    ``params`` reports ``levels`` (the first columns in D inside the bound,
+    then at n = 3 their plane points inside it), ``completions`` (the
+    matrices completed; each is keyed, and a new key's height tested) and
+    ``orbits`` (the orbits stored).  A box of more than ``max_states``
+    outer vectors, or more than ``max_states`` cosets, raises
+    ``ResourceLimitError`` with the partial report; a matrix of determinant
+    other than one, or a coset derived twice from one first column,
+    ``RuntimeError`` (a fault of the scan); a negative, non-finite or
+    overflowing radius, or a state budget below one, ``ValueError``.  The
+    checks made before the scan starts are ``require_scannable``.
     """
     x_max = require_scannable(partition, radius, max_states)
     start_time = time.monotonic()
@@ -801,48 +882,62 @@ def enumerate_brute(partition: Partition, radius: float,
     layout = _layout(partition)
     r_eff = radius + 1e-6
     bound = math.exp(x_max)
-    seen: set[tuple[int, ...]] = set()
+    # each key within R, with the first column that derived it directly;
+    # None for the other members of its orbit
+    seen: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     records: list[CosetRecord] = []
     levels = [0] * (n - 1)
     completions = 0
+    orbits = 0
 
     def report(partial: bool) -> EnumerationReport:
         return EnumerationReport(
             partition=partition, radius=radius, count=len(seen), method="brute",
             records=records, wall_time=time.monotonic() - start_time,
-            params={"levels": levels, "completions": completions},
+            params={"levels": levels, "completions": completions, "orbits": orbits},
             partial=partial,
         )
 
     box = math.floor(bound)
 
     def accept(cols: list[tuple[int, ...]]) -> bool:
-        """Record the coset of the complete columns; False above the height."""
-        nonlocal completions
+        """Record the W-orbit of the complete columns' coset, unless known;
+        False above the height."""
+        nonlocal completions, orbits
         completions += 1
         mat = tuple(zip(*cols))
         if int_det(mat) != 1:
             raise RuntimeError(f"scan derived {mat}, of determinant {int_det(mat)}")
         state = _matrix_state(mat, layout)
+        key = _state_key(state, layout)
+        if key in seen:  # within R
+            # D meets an orbit in more than one column, but one column
+            # derives each coset once
+            if seen[key] == cols[0]:
+                raise RuntimeError(f"scan derived the coset of {mat} twice")
+            return True
         h = _state_height(state, layout)
         if h > radius + HEIGHT_TOL:
             return False
-        key = _state_key(state, layout)
-        if key in seen:
-            raise RuntimeError(f"scan derived the coset of {mat} twice")
-        seen.add(key)
-        records.append(CosetRecord(
-            representative=mat, key=key, height=h,
-            boundary=abs(h - radius) <= HEIGHT_TOL,
-        ))
-        if len(seen) > max_states:
-            raise ResourceLimitError(f"state budget {max_states} exceeded after "
-                                     f"{levels[0]} outer vectors", report(partial=True))
+        orbits += 1
+        on_boundary = abs(h - radius) <= HEIGHT_TOL
+        for g, member in _orbit(mat, state, key, layout):
+            seen[member] = None
+            records.append(CosetRecord(
+                representative=_first_positive(g), key=member, height=h,
+                boundary=on_boundary,
+            ))
+            if len(seen) > max_states:
+                raise ResourceLimitError(f"state budget {max_states} exceeded after "
+                                         f"{levels[0]} outer vectors", report(partial=True))
+        seen[key] = cols[0]
         return True
 
     def walk(first, base, columns) -> None:
         """Accept ``columns(k)`` outward from the k nearest the minimum of
-        |base + k first|^2, for the pairs whose first vector is the shorter."""
+        |base + k first|^2, for the pairs whose first vector is not the
+        longer (on a tie at [1, 2], only the one whose ``_positive`` form
+        sorts first)."""
         norm = _dot(first, first)
         k0 = -((2 * _dot(base, first) + norm) // (2 * norm))
         rank = _positive(first)
@@ -850,7 +945,8 @@ def enumerate_brute(partition: Partition, radius: float,
             while True:
                 second = _axpy(k, first, base)
                 norm2 = _dot(second, second)
-                if norm2 > norm or (norm2 == norm and rank < _positive(second)):
+                if norm2 > norm or (norm2 == norm and (
+                        sizes == (2, 1) or rank < _positive(second))):
                     if not accept(columns(k)):
                         break
                 k += step
@@ -860,10 +956,8 @@ def enumerate_brute(partition: Partition, radius: float,
     low_sq = {(1, 1, 1): lambda x, y: 1.5 * x * x + 2 * (y - x / 2) ** 2,
               (2, 1): lambda x, y: 1.5 * y * y + 2 * max(0.0, x - y / 2) ** 2,
               (1, 2): lambda x, y: 1.5 * x * x + 2 * max(0.0, y - x / 2) ** 2}.get(sizes)
-    origin = (0,) * n
-    for v in itertools.product(range(-box, box + 1), repeat=n):
-        # primitive, |v| <= bound, and above the origin: first nonzero entry positive
-        if not (v > origin and math.gcd(*v) == 1 and _dot(v, v) <= bound * bound):
+    for v in _first_columns(n, box):
+        if not (math.gcd(*v) == 1 and _dot(v, v) <= bound * bound):
             continue
         levels[0] += 1
         if n == 2:

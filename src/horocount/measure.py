@@ -629,9 +629,13 @@ def closed_form_asymptotic(partition: Partition, radius: float) -> float:
 
 
 def mu_n2_closed_form(radius: float) -> float:
-    """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1), by ``expm1``.
+    """Exact B+ measure for N = 2: (sqrt2/2)(e^(sqrt2 R) - 1), as
+    e^(sqrt2 R - log sqrt2) (1 - e^(-sqrt2 R)), the form of
+    ``_line_integral``: finite wherever the value is, inf past the double
+    range, and no digits lost at a tiny R.
 
     At N = 2 the density is exp(<v0, y>), so this is also the integral of
     exp(<v0, y>) over the positive cone within the ball."""
-    return math.expm1(math.sqrt(2.0) * radius) / math.sqrt(2.0)
+    c = math.sqrt(2.0)
+    return _exp(c * radius - math.log(c)) * -math.expm1(-c * radius)
 

@@ -265,19 +265,21 @@ def test_boundary_flagging(p2):
 # the ids and names are those of the column scan's tests, whose counters
 # these replace
 @pytest.mark.parametrize("n, sizes, count, levels, completions", [
-    pytest.param(2, [1, 1], 8, [8], 8, id="2-sizes0-8-1"),
-    pytest.param(3, [1, 1, 1], 252, [73, 252], 252, id="3-sizes1-252-1.25"),
-    pytest.param(3, [2, 1], 309, [73, 276], 861, id="3-sizes2-309-1"),
-    pytest.param(3, [1, 2], 309, [73, 276], 861, id="3-sizes3-309-4.5"),
+    pytest.param(2, [1, 1], 8, [5], 5, id="2-sizes0-8-1"),
+    pytest.param(3, [1, 1, 1], 252, [8, 35], 35, id="3-sizes1-252-1.25"),
+    pytest.param(3, [2, 1], 309, [8, 41], 157, id="3-sizes2-309-1"),
+    pytest.param(3, [1, 2], 309, [8, 37], 121, id="3-sizes3-309-4.5"),
 ])
 def test_brute_derives_each_coset_about_once(n, sizes, count, levels, completions):
-    # each coset is derived exactly once (a second derivation raises).  At
-    # N=3 the outer level holds the 73 primitive v up to sign with
-    # |v| <= e^(R sqrt(2/3)); the [1, 1, 1] bound is its exact height, so every
-    # (v, u) inside it is a coset; a pair derives its cosets plus one
-    # completion above R at each end of the walk over k, 309 + 2 * 276 = 861;
-    # [2, 1] and [1, 2] pass the same number of (v, u), their bounds being
-    # each other's with x and y swapped
+    # the scan completes only first columns in the domain D, one or more per
+    # W-orbit, and stores each new coset's whole orbit, so its counters
+    # shrank from [8], 8 (N=2), [73, 252], 252 ([1, 1, 1]) and [73, 276],
+    # 861 ([2, 1] and [1, 2]), when every first column up to sign was
+    # completed.  The outer level holds the 8 primitive v in D with
+    # |v| <= e^(R sqrt(2/3)) (at N=2, the 5 with |v| <= e^(R / sqrt2)); the
+    # [1, 1, 1] bound is its exact height, so every (v, u) inside it is
+    # completed once; a pair walk adds one completion above R at each end
+    # of its walk over k, and [2, 1] keeps both orders of a tie
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == len(rep.records) == count
     assert rep.params["levels"] == levels
@@ -299,12 +301,64 @@ def test_brute_representatives_are_reduced(n, sizes):
         assert next(x for x in first if x) > 0
 
 
-@pytest.mark.parametrize("sizes, count", [([1, 1, 1], 25272), ([2, 1], 33753)],
-                         ids=["1,1,1", "2,1"])
+@pytest.mark.parametrize("sizes, count", [([1, 1, 1], 25272), ([2, 1], 33753),
+                                          ([1, 2], 33753)],
+                         ids=["1,1,1", "2,1", "1,2"])
 def test_brute_counts_past_the_walk(sizes, count):
-    # R = 3 is past the walks in Tier-1; the counts are the stored ones
+    # R = 3 is past the walks in Tier-1; the counts are the stored ones,
+    # [1, 2]'s by reversal duality with [2, 1]
     rep = CS.enumerate_brute(make_partition(3, sizes), 3.0)
     assert rep.count == count
+
+
+@pytest.mark.parametrize("n, sizes, radii", [
+    (2, [1, 1], (0.0, 0.3, 1.0, 2.0, 4.0))] + [
+    (3, sizes, (0.0, 0.3, 0.6, 1.0, 1.5, 2.0)) for sizes in ([1, 1, 1], [2, 1], [1, 2])])
+def test_scan_records_equal_walk_records(n, sizes, radii):
+    # the scan stores whole W-orbits from a cover of them: every coset once,
+    # with the walk's height bit for bit and its boundary flag
+    part = make_partition(n, sizes)
+    for radius in radii:
+        walk, scan = (sorted((rec.key, rec.height, rec.boundary) for rec in rep.records)
+                      for rep in (CS.enumerate_bfs(part, radius),
+                                  CS.enumerate_brute(part, radius)))
+        assert scan == walk
+        assert len({key for key, _, _ in scan}) == len(scan)
+
+
+def test_brute_skips_an_orbit_met_by_two_first_columns(monkeypatch):
+    # the [2, 1] block {(3, 2, 2), (4, 1, 0)}, of height 2.896, is derived
+    # from both its columns, each in the domain D: the second derivation,
+    # from another column, is skipped, not raised as a fault
+    part = make_partition(3, [2, 1])
+    block = {(3, 2, 2), (4, 1, 0)}
+    pairs = []
+    real = CS._matrix_state
+
+    def state(g, layout):
+        first, second = (tuple(row[j] for row in g) for j in (0, 1))
+        if {first, second} <= block | {tuple(-x for x in c) for c in block}:
+            pairs.append((first, tuple(abs(x) for x in second)))
+        return real(g, layout)
+
+    monkeypatch.setattr(CS, "_matrix_state", state)
+    rep = CS.enumerate_brute(part, 2.9)
+    assert sorted(pairs) == [((3, 2, 2), (4, 1, 0)), ((4, 1, 0), (3, 2, 2))]
+    v, v2 = (3, 2, 2), (4, 1, 0)
+    key = CS.coset_key(tuple(zip(v, v2, CS.solve_dot_one(CS._cross(v, v2)))), part)
+    heights = [rec.height for rec in rep.records if rec.key == key]
+    assert heights == [pytest.approx(2.896, abs=5e-4)]
+
+
+def test_w_table_sizes():
+    # W modulo -I: the 2^(n-1) n! signed permutations of determinant one,
+    # halved at even n, where -I is in W and keeps every coset; each turn
+    # permutes the elements
+    for n, size in ((2, 2), (3, 24), (4, 96)):
+        succ = CS._layout(make_partition(n, [1] * n)).succ
+        assert len(succ) == size
+        for column in zip(*succ):
+            assert sorted(column) == list(range(size))
 
 
 def test_resource_limit(p2):

@@ -66,6 +66,13 @@ def test_n2_closed_form_keeps_its_digits_at_small_radius():
     assert abs(M.mu_n2_closed_form(radius) / series - 1.0) <= 1e-14
 
 
+def test_n2_closed_form_near_the_top_of_the_double_range(p2):
+    # expm1(sqrt2 R) overflowed before the division by sqrt2, from R about
+    # 501.89, where the value, 1.29e308 at R = 501.9, is finite
+    exact = M.mu_n2_closed_form(501.9)
+    assert exact == pytest.approx(M.mu_A_ball(p2, 501.9, "b+", "grid").estimate, rel=1e-12)
+
+
 def test_shrinking_region(p2):
     res = M.mu_A_ball(p2, 0.01, "b+", "grid", grid_step=0.002)
     assert res.estimate < 0.02
