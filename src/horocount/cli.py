@@ -329,13 +329,14 @@ def run_selftest() -> int:
     check("decomposition reconstruction + hand height", quick_decomposition)
 
     def quick_enumeration():
-        # the count-n3 settings; [2, 1] and [1, 2] take the scan's two walks
-        # over a pair's second vector
+        # the count-n3 settings; the scan reaches [1, 2] through the
+        # reversal of [2, 1]'s completions
         return all(
             CS.coset_sets_equal(CS.enumerate_bfs(part, 1.5), CS.enumerate_brute(part, 1.5))
             for part in (p2, make_partition(3, [1, 1, 1]), p21, make_partition(3, [1, 2])))
 
-    check("enumeration oracle equivalence (R=1.5: N=2, N=3 [1,1,1], [2,1], [1,2])",
+    check("enumeration oracle equivalence (R=1.5: N=2, N=3 [1,1,1], [2,1], "
+          "[1,2] as the reversal of [2,1])",
           quick_enumeration)
 
     def block_gram_heights():

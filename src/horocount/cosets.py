@@ -51,10 +51,12 @@ Two strategies are implemented and validated against each other:
 * ``enumerate_brute`` lists the cosets as flags (n <= 3): a primitive
   first column v from a domain that meets every W-orbit, then, at n = 3, a
   primitive vector of the plane lattice v x Z^3 from a reduced basis, and
-  for a block of size two a second vector v_2 + k v_1, with k walked
-  outward from the shortest.  Each level is cut by a lower bound on the
-  height.  A new coset's whole W-orbit is stored with it (``_orbit``, as
-  in the walk); one first column derives each coset at most once.
+  at [2, 1] a second vector w + k v, over the range of k solved from the
+  height.  [1, 2] is scanned as [2, 1], each completion mapped to the
+  reversed partition's coset by ``_reversal``.  Each level is cut by a
+  lower bound on the height.  A new coset's whole W-orbit is stored with
+  it (``_orbit``, as in the walk); one first column derives each coset at
+  most once.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -235,6 +237,30 @@ def _quarter_turns(n: int) -> list[tuple[tuple[int, int], ...]]:
     return gens
 
 
+@functools.cache
+def _w_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of W modulo -I (at even n, -I lies in
+    Gamma_hor and keeps every coset) by the quarter turns: the elements are
+    numbered in the order the turns reach them from the identity, 0, and
+    ``table[e][t]`` is the number of turn t times element e."""
+    turns = _quarter_turns(n)
+    elements = [tuple((r, 1) for r in range(n))]
+    number = {elements[0]: 0}
+    table = []
+    for rows in elements:  # grows as the turns reach new elements
+        row = []
+        for turn in turns:
+            image = tuple([(rows[s][0], c * rows[s][1]) for s, c in turn])
+            if not n % 2 and image[0][1] < 0:  # -image, the same element
+                image = tuple([(s, -c) for s, c in image])
+            if image not in number:
+                number[image] = len(elements)
+                elements.append(image)
+            row.append(number[image])
+        table.append(tuple(row))
+    return tuple(table)
+
+
 class _Layout:
     """Where the wedge coordinates of a partition sit in the flat state, and
     how a move changes them.
@@ -250,10 +276,8 @@ class _Layout:
     of w g's state in order, the (source T, coefficient) of the one nonzero
     entry in its row of the compound.
 
-    ``succ`` is the multiplication table of W modulo -I (at even n, -I lies
-    in Gamma_hor and keeps every coset) by the quarter turns: the elements
-    are numbered in the order the turns reach them from the identity, 0,
-    and ``succ[e][t]`` is the number of turn t times element e.
+    ``succ`` is W's multiplication table by the quarter turns, ``_w_table(n)``,
+    one table shared by every partition of n.
     """
 
     def __init__(self, partition: Partition):
@@ -292,21 +316,7 @@ class _Layout:
             (rows, tuple((t, det) for _, t, det in entries(_turn_rows(identity, rows))))
             for rows in _quarter_turns(n)
         )
-        elements = [tuple((r, 1) for r in range(n))]
-        number = {elements[0]: 0}
-        succ = []
-        for rows in elements:  # grows as the turns reach new elements
-            row = []
-            for turn, _ in self.turns:
-                image = tuple([(rows[s][0], c * rows[s][1]) for s, c in turn])
-                if not n % 2 and image[0][1] < 0:  # -image, the same element
-                    image = tuple([(s, -c) for s, c in image])
-                if image not in number:
-                    number[image] = len(elements)
-                    elements.append(image)
-                row.append(number[image])
-            succ.append(tuple(row))
-        self.succ = tuple(succ)
+        self.succ = _w_table(n)
 
 
 @functools.cache
@@ -822,6 +832,18 @@ def _first_positive(g: Matrix) -> Matrix:
     return tuple([(-row[0], *row[1:-1], -row[-1]) for row in g])
 
 
+def _reversal(g: Matrix) -> Matrix:
+    """J g^-T J^-1 for g in SL_3(Z), J the antidiagonal: the map that takes
+    the cosets of a partition to those of its reversal, height for height.
+
+    g^-T has the columns c_1 x c_2, c_2 x c_0, c_0 x c_1 of g's columns c_i,
+    since det g = 1, and conjugation by J reverses the order of the rows and
+    of the columns (by J and by -J alike, so J needs no sign fix)."""
+    c0, c1, c2 = zip(*g)
+    cols = (_cross(c0, c1), _cross(c2, c0), _cross(c1, c2))
+    return tuple([tuple([col[2 - i] for col in cols]) for i in range(3)])
+
+
 def enumerate_brute(partition: Partition, radius: float,
                     max_states: int = 2_000_000) -> EnumerationReport:
     """All distinct lift cosets of height <= R by a flag scan over one first
@@ -829,8 +851,8 @@ def enumerate_brute(partition: Partition, radius: float,
 
     At n <= 3 a coset is a flag of primitive vectors, listed level by level
     and completed to a matrix only to read its key and height with the
-    walk's functions.  Each level is cut by a lower bound on the height at
-    R + 1e-6, so that rounding keeps every coset of height <= R inside.
+    walk's functions.  Each level is cut by a bound on the height at
+    r = R + 1e-6, so that rounding keeps every coset of height <= R inside.
 
     * The first column v lies in the domain D of ``_first_columns``
       (|v_0| >= ... >= |v_(n-1)|, signs fixed up to the last at even n)
@@ -840,21 +862,26 @@ def enumerate_brute(partition: Partition, radius: float,
       sign, each with a w of v x w = u (``_plane_points``); y = log|u|.
       [1, 1, 1] is (+-v, +-u), of height^2 1.5 x^2 + 2 (y - x/2)^2, with the
       columns v, w, ``solve_dot_one(u)``.  [2, 1] is {+-v, +-v_2}, with
-      v_2 = w + k v and the same last column.  [1, 2] is v with the basis
-      {+-u, +-b} of L(v): the columns v, w, x_0 + k w, x_0 =
-      ``solve_dot_one(u)``, give b = v x x_0 + k u.  A block's larger
-      eigenvalue is at least its first vector's squared norm, so height^2 >=
-      1.5 y^2 + 2 max(0, x - y/2)^2 for [2, 1], and the same with x and y
-      swapped for [1, 2].
-    * At a fixed Gram determinant a pair's height rises with the second
-      vector's squared norm, which is convex in k, so k is walked outward
-      from the minimum, both ways, until the height passes R.  A pair is
-      kept only when its first vector is not the longer.  On a tie [2, 1]
-      keeps both orders: a rule that picks one vector, such as the first
-      ``_positive`` form, does not commute with W, and would lose
-      {+-e_1, +-e_2}, whose pick e_2 is not in D.  [1, 2] keeps the pair
-      whose ``_positive`` form sorts first, since both vectors lie in L(v)
-      for the one v.
+      v_2 = w + k v and the same last column.  Its block's larger eigenvalue
+      is at least |v|^2, so height^2 >= 1.5 y^2 + 2 max(0, x - y/2)^2.
+    * [2, 1]'s u = v x v_2 is fixed for the plane point, and height^2 =
+      1.5 y^2 + 2 t^2 with 2 cosh(2 t) = (|v|^2 + |v_2|^2) / |u|.  So the
+      height is at most r exactly when |w + k v|^2 <= q_max =
+      2 |u| cosh(2 t_max) - |v|^2, t_max = sqrt((r^2 - 1.5 y^2) / 2), that
+      is for k in [c - h, c + h], c = -<w, v> / |v|^2 and
+      h = sqrt(|v|^2 q_max - |u|^2) / |v|^2.  Each completion's exact height
+      is still tested, so rounding at the ends costs a completion, never a
+      coset.  A pair is kept only when |v_2| >= |v|, and a tie in both
+      orders: a rule that picks one vector, such as the first ``_positive``
+      form, does not commute with W, and would lose {+-e_1, +-e_2}, whose
+      pick e_2 is not in D.
+    * [1, 2] is scanned as [2, 1]: each completed matrix is mapped once by
+      ``_reversal`` before it is keyed, and its key, height and W-orbit are
+      read in [1, 2]'s layout.  The map is a bijection from [2, 1]'s cosets
+      to [1, 2]'s that keeps the height, and takes W-orbits to W-orbits
+      (J w J^-1 is in W), so the cover of the orbits carries over; a coset
+      derived twice is one derived twice from [2, 1]'s first column.
+      ``params`` are [2, 1]'s.
     * W keeps the height, so a new coset within R is stored with its whole
       W-orbit (``_orbit``), every member with the coset's height.  A
       member's representative w g whose first column starts negative gets
@@ -878,9 +905,9 @@ def enumerate_brute(partition: Partition, radius: float,
     x_max = require_scannable(partition, radius, max_states)
     start_time = time.monotonic()
     n = partition.n
-    sizes = partition.sizes
+    pair = n == 3 and partition.sizes != (1, 1, 1)
+    flip = partition.sizes == (1, 2)
     layout = _layout(partition)
-    r_eff = radius + 1e-6
     bound = math.exp(x_max)
     # each key within R, with the first column that derived it directly;
     # None for the other members of its orbit
@@ -900,12 +927,14 @@ def enumerate_brute(partition: Partition, radius: float,
 
     box = math.floor(bound)
 
-    def accept(cols: list[tuple[int, ...]]) -> bool:
-        """Record the W-orbit of the complete columns' coset, unless known;
-        False above the height."""
+    def accept(cols: list[tuple[int, ...]]) -> None:
+        """Record the W-orbit of the complete columns' coset, unless known or
+        above R."""
         nonlocal completions, orbits
         completions += 1
         mat = tuple(zip(*cols))
+        if flip:
+            mat = _reversal(mat)
         if int_det(mat) != 1:
             raise RuntimeError(f"scan derived {mat}, of determinant {int_det(mat)}")
         state = _matrix_state(mat, layout)
@@ -915,10 +944,10 @@ def enumerate_brute(partition: Partition, radius: float,
             # derives each coset once
             if seen[key] == cols[0]:
                 raise RuntimeError(f"scan derived the coset of {mat} twice")
-            return True
+            return
         h = _state_height(state, layout)
         if h > radius + HEIGHT_TOL:
-            return False
+            return
         orbits += 1
         on_boundary = abs(h - radius) <= HEIGHT_TOL
         for g, member in _orbit(mat, state, key, layout):
@@ -931,53 +960,42 @@ def enumerate_brute(partition: Partition, radius: float,
                 raise ResourceLimitError(f"state budget {max_states} exceeded after "
                                          f"{levels[0]} outer vectors", report(partial=True))
         seen[key] = cols[0]
-        return True
 
-    def walk(first, base, columns) -> None:
-        """Accept ``columns(k)`` outward from the k nearest the minimum of
-        |base + k first|^2, for the pairs whose first vector is not the
-        longer (on a tie at [1, 2], only the one whose ``_positive`` form
-        sorts first)."""
-        norm = _dot(first, first)
-        k0 = -((2 * _dot(base, first) + norm) // (2 * norm))
-        rank = _positive(first)
-        for k, step in ((k0, 1), (k0 - 1, -1)):
-            while True:
-                second = _axpy(k, first, base)
-                norm2 = _dot(second, second)
-                if norm2 > norm or (norm2 == norm and (
-                        sizes == (2, 1) or rank < _positive(second))):
-                    if not accept(columns(k)):
-                        break
-                k += step
-
-    r_sq = r_eff * r_eff
-    # a lower bound on height^2 from x = log|v| and y = log|u|
-    low_sq = {(1, 1, 1): lambda x, y: 1.5 * x * x + 2 * (y - x / 2) ** 2,
-              (2, 1): lambda x, y: 1.5 * y * y + 2 * max(0.0, x - y / 2) ** 2,
-              (1, 2): lambda x, y: 1.5 * x * x + 2 * max(0.0, y - x / 2) ** 2}.get(sizes)
+    r_sq = (radius + 1e-6) ** 2
     for v in _first_columns(n, box):
-        if not (math.gcd(*v) == 1 and _dot(v, v) <= bound * bound):
+        norm = _dot(v, v)
+        if not (math.gcd(*v) == 1 and norm <= bound * bound):
             continue
         levels[0] += 1
         if n == 2:
             accept([v, solve_dot_one((-v[1], v[0]))])
             continue
-        x = 0.5 * math.log(_dot(v, v))
+        x = 0.5 * math.log(norm)
         d = math.sqrt(max(0.0, r_sq / 2 - 0.75 * x * x))
-        # the largest y that the partition's bound allows at this x
-        y_max = x_max if sizes == (2, 1) and 2 * x <= x_max else x / 2 + d
+        # the largest y that the bound allows at this x
+        y_max = x_max if pair and 2 * x <= x_max else x / 2 + d
         for u, w in _plane_points(v, math.exp(2 * y_max)):
-            if low_sq(x, 0.5 * math.log(_dot(u, u))) > r_sq:
+            u_sq = _dot(u, u)
+            y = 0.5 * math.log(u_sq)
+            low_sq = (1.5 * y * y + 2 * max(0.0, x - y / 2) ** 2 if pair
+                      else 1.5 * x * x + 2 * (y - x / 2) ** 2)
+            if low_sq > r_sq:
                 continue
             levels[1] += 1
             last = solve_dot_one(u)
-            if sizes == (1, 1, 1):
+            if not pair:
                 accept([v, w, last])
-            elif sizes == (2, 1):
-                walk(v, w, lambda k: [v, _axpy(k, v, w), last])
-            else:
-                walk(u, _cross(v, last), lambda k: [v, w, _axpy(k, w, last)])
+                continue
+            t_max = math.sqrt(max(0.0, r_sq - 1.5 * y * y) / 2)
+            spread = norm * (2 * math.sqrt(u_sq) * math.cosh(2 * t_max) - norm) - u_sq
+            if spread < 0:
+                continue
+            centre = -_dot(w, v) / norm
+            half = math.sqrt(spread) / norm
+            for k in range(math.ceil(centre - half), math.floor(centre + half) + 1):
+                v2 = _axpy(k, v, w)
+                if _dot(v2, v2) >= norm:
+                    accept([v, v2, last])
 
     return report(partial=False)
 

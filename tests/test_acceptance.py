@@ -121,9 +121,9 @@ def test_enumeration_oracle_equivalence():
         bfs = CS.enumerate_bfs(p2, radius)
         brute = CS.enumerate_brute(p2, radius)
         assert CS.coset_sets_equal(bfs, brute), f"N=2 mismatch at R={radius}"
-    # [1,2] counts as its dual [2,1] does; at R=2 an over-strong bound on
-    # its last block loses cosets that R=1.5 does not show, and R=2.5 walks
-    # the last column's classes farthest
+    # [1,2] counts as its dual [2,1] does, and the scan reaches it through
+    # the reversal of [2,1]'s completions; the walk checks that map on its
+    # own at R=1.5, 2 and 2.5
     cases = (([1, 1, 1], 2.0, 1236), ([2, 1], 2.0, 1473), ([1, 2], 1.5, 309),
              ([1, 2], 2.0, 1473), ([1, 1, 1], 2.5, 5856), ([2, 1], 2.5, 7245),
              ([1, 2], 2.5, 7245))

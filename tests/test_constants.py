@@ -6,6 +6,8 @@ import pytest
 from horocount import constants as C
 from horocount.partitions import make_partition
 
+from .cartan_helpers import compositions
+
 
 def test_zeta_against_closed_forms():
     assert C.zeta(2) == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
@@ -93,6 +95,19 @@ def test_counting_constant_dual_paths(p3, p21, p2):
         general = C.counting_constant(part).coefficient
         hard = C.hardcoded_example_constant(part)
         assert abs(general / hard - 1.0) <= 1e-12
+
+
+def test_counting_constant_is_reversal_invariant():
+    # g -> J g^(-T) J^(-1) carries the lifts of a partition onto those of
+    # its reversal, height for height, so the counting constant of the two
+    # must agree; a derived factor that tells them apart is wrong
+    pairs = [sizes for n in range(2, 6) for sizes in compositions(n)
+             if sizes < sizes[::-1]]
+    assert len(pairs) == 9
+    for sizes in pairs:
+        n = sum(sizes)
+        assert (C.counting_constant(make_partition(n, list(sizes)))
+                == C.counting_constant(make_partition(n, list(sizes[::-1]))))
 
 
 def test_counting_constant_values(p3, p21, p2):

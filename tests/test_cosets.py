@@ -267,8 +267,8 @@ def test_boundary_flagging(p2):
 @pytest.mark.parametrize("n, sizes, count, levels, completions", [
     pytest.param(2, [1, 1], 8, [5], 5, id="2-sizes0-8-1"),
     pytest.param(3, [1, 1, 1], 252, [8, 35], 35, id="3-sizes1-252-1.25"),
-    pytest.param(3, [2, 1], 309, [8, 41], 157, id="3-sizes2-309-1"),
-    pytest.param(3, [1, 2], 309, [8, 37], 121, id="3-sizes3-309-4.5"),
+    pytest.param(3, [2, 1], 309, [8, 41], 75, id="3-sizes2-309-1"),
+    pytest.param(3, [1, 2], 309, [8, 41], 75, id="3-sizes3-309-4.5"),
 ])
 def test_brute_derives_each_coset_about_once(n, sizes, count, levels, completions):
     # the scan completes only first columns in the domain D, one or more per
@@ -278,8 +278,8 @@ def test_brute_derives_each_coset_about_once(n, sizes, count, levels, completion
     # completed.  The outer level holds the 8 primitive v in D with
     # |v| <= e^(R sqrt(2/3)) (at N=2, the 5 with |v| <= e^(R / sqrt2)); the
     # [1, 1, 1] bound is its exact height, so every (v, u) inside it is
-    # completed once; a pair walk adds one completion above R at each end
-    # of its walk over k, and [2, 1] keeps both orders of a tie
+    # completed once; a pair completes only the k solved to lie within R,
+    # keeps both orders of a tie, and [1, 2] is [2, 1]'s scan reversed
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == len(rep.records) == count
     assert rep.params["levels"] == levels
@@ -316,14 +316,22 @@ def test_brute_counts_past_the_walk(sizes, count):
     (3, sizes, (0.0, 0.3, 0.6, 1.0, 1.5, 2.0)) for sizes in ([1, 1, 1], [2, 1], [1, 2])])
 def test_scan_records_equal_walk_records(n, sizes, radii):
     # the scan stores whole W-orbits from a cover of them: every coset once,
-    # with the walk's height bit for bit and its boundary flag
+    # with the walk's height bit for bit and its boundary flag; a pair also
+    # at a radius equal to a coset height, where the solved range of k ends
+    # on boundary records
     part = make_partition(n, sizes)
+    edge = None
+    if sizes in ([2, 1], [1, 2]):
+        edge = max(rec.height for rec in CS.enumerate_bfs(part, 1.8).records)
+        radii += (edge,)
     for radius in radii:
         walk, scan = (sorted((rec.key, rec.height, rec.boundary) for rec in rep.records)
                       for rep in (CS.enumerate_bfs(part, radius),
                                   CS.enumerate_brute(part, radius)))
         assert scan == walk
         assert len({key for key, _, _ in scan}) == len(scan)
+        if radius == edge:
+            assert any(boundary for _, _, boundary in scan)
 
 
 def test_brute_skips_an_orbit_met_by_two_first_columns(monkeypatch):
@@ -359,6 +367,9 @@ def test_w_table_sizes():
         assert len(succ) == size
         for column in zip(*succ):
             assert sorted(column) == list(range(size))
+    # the table depends on n alone: the partitions of one n share it
+    assert CS._layout(make_partition(4, [2, 2])).succ is CS._layout(
+        make_partition(4, [1, 3])).succ
 
 
 def test_resource_limit(p2):
@@ -596,19 +607,28 @@ def _reversal(g):
     return H.mat_mul(H.mat_mul(w0, inv_t), w0)
 
 
-@pytest.mark.parametrize("n, sizes, radius, margin, count", [
-    (3, [2, 1], 1.5, 0.6, 309),
-    (3, [1, 1, 1], 1.5, 0.6, 252),
-    (4, [2, 1, 1], 1.0, 0.0, 1320),
-    (4, [3, 1], 1.0, 0.0, 720),
+def _walk(margin):
+    return lambda part, radius: CS.enumerate_bfs(part, radius, margin=margin)
+
+
+# explicit ids keep the names the walk cases had before the scan joined
+@pytest.mark.parametrize("n, sizes, radius, search, count, tol", [
+    pytest.param(3, [2, 1], 1.5, _walk(0.6), 309, 1e-12, id="3-sizes0-1.5-0.6-309"),
+    pytest.param(3, [1, 1, 1], 1.5, _walk(0.6), 252, 1e-12, id="3-sizes1-1.5-0.6-252"),
+    pytest.param(4, [2, 1, 1], 1.0, _walk(0.0), 1320, 1e-12, id="4-sizes2-1.0-0.0-1320"),
+    pytest.param(4, [3, 1], 1.0, _walk(0.0), 720, 1e-12, id="4-sizes3-1.0-0.0-720"),
+    # the scan, at R = 2.9 past the tied block {(3, 2, 2), (4, 1, 0)}:
+    # [1, 2]'s scan maps [2, 1]'s completions by the library's own reversal
+    pytest.param(3, [2, 1], 2.0, CS.enumerate_brute, 1473, 0.0, id="scan-2,1-2.0-1473"),
+    pytest.param(3, [2, 1], 2.9, CS.enumerate_brute, 24525, 0.0, id="scan-2,1-2.9-24525"),
 ])
-def test_reversal_duality_is_key_bijection(n, sizes, radius, margin, count):
+def test_reversal_duality_is_key_bijection(n, sizes, radius, search, count, tol):
     # g -> w0 g^(-T) w0 maps the stabilizer of a partition onto that of the
     # reversed partition and keeps the height: a bijection of coset keys
     part = make_partition(n, sizes)
     dual = make_partition(n, sizes[::-1])
-    rep = CS.enumerate_bfs(part, radius, margin=margin)
-    dual_rep = rep if dual == part else CS.enumerate_bfs(dual, radius, margin=margin)
+    rep = search(part, radius)
+    dual_rep = rep if dual == part else search(dual, radius)
     assert rep.count == dual_rep.count == count
     dual_heights = {rec.key: rec.height for rec in dual_rep.records}
     mapped = {}
@@ -618,7 +638,7 @@ def test_reversal_duality_is_key_bijection(n, sizes, radius, margin, count):
         mapped[CS.coset_key(image, dual)] = rec.height
     assert mapped.keys() == dual_heights.keys()
     for key, h in mapped.items():
-        assert abs(h - dual_heights[key]) <= 1e-12
+        assert abs(h - dual_heights[key]) <= tol
 
 
 @pytest.mark.parametrize("sizes", [[1, 1, 1], [2, 1], [1, 2]])

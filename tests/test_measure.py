@@ -639,6 +639,16 @@ def test_annulus_grid(blocks):
     assert abs(ann.estimate - mc.estimate) <= 4 * mc.standard_error
 
 
+@pytest.mark.parametrize("region, option", [("b+", {}), ("bc+", {"offset": -1.0}),
+                                            ("annulus", {"eps": 0.5})])
+def test_n3_grid_is_reversal_invariant(region, option):
+    # a partition and its reversal have the same lift counts, height for
+    # height, and the same measure: the grid agrees bit for bit
+    results = [M.mu_A_ball(make_partition(3, blocks), 6.0, region, "grid",
+                           grid_step=0.04, **option) for blocks in ([2, 1], [1, 2])]
+    assert results[0] == results[1]
+
+
 def test_offset_cone_grid_vs_mc(p21):
     grid = M.mu_A_ball(p21, 4.0, "bc+", "grid", offset=-1.0, grid_step=0.04)
     mc = M.mu_A_ball(p21, 4.0, "bc+", "mc", offset=-1.0, budget=400_000, seed=4)
