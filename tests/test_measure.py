@@ -250,13 +250,27 @@ def test_tilted_sampler_segment():
     assert np.abs(log_q[keep] - expected[keep]).max() < 1e-12
 
 
-# mc results from before the N = 3 segment sampler, which left every
-# other dimension's draws and sums as they were: (estimate, standard error,
-# ess, in_region, max_weight_share) at budget 200,000 and seed 2026
+# mc results at budget 200,000 and seed 2026: (estimate, standard error,
+# ess, in_region, max_weight_share).  The N = 2, 4 and 5 cases date from
+# before the N = 3 segment sampler, which left every other dimension's draws
+# and sums as they were; the N = 3 cases, which the benchmark's mc-vs-grid
+# ops run, date from that sampler
 _MC_PINNED = {
     "2:1,1 b+ R8": (2, [1, 1], 8.0, "b+", {}, (
         57937.48760901236, 0.5017573105836137, 199996.99999777126, 0.999985,
         5.000075001141659e-06)),
+    "3:2,1 b+ R6": (3, [2, 1], 6.0, "b+", {}, (
+        14201552.958302578, 15957.414734700713, 159679.00777489948, 0.99084,
+        1.676347050124242e-05)),
+    "3:1,1,1 b+ R6": (3, [1, 1, 1], 6.0, "b+", {}, (
+        29570444.11129068, 33307.813819646064, 159521.39797887407, 0.999975,
+        1.6104228471653763e-05)),
+    "3:1,2 bc+ R2": (3, [1, 2], 2.0, "bc+", {"offset": -1.0}, (
+        71.17602778735126, 0.10050869522461767, 142978.3244163587, 0.90984,
+        1.4114491036711462e-05)),
+    "3:2,1 annulus R2": (3, [2, 1], 2.0, "annulus", {"eps": 0.5}, (
+        68.0701290928945, 0.09860458349787882, 140877.50965619655, 0.888905,
+        1.3708586991856368e-05)),
     "4:2,2 b+ R6": (4, [2, 2], 6.0, "b+", {}, (
         161425253343.4936, 349554544.21667975, 103209.05286414346, 0.96554,
         5.866058354804965e-05)),
@@ -277,7 +291,8 @@ _MC_PINNED = {
 
 @pytest.mark.parametrize("case", sorted(_MC_PINNED))
 def test_mc_pinned_outside_n3(case):
-    # a change that moves a draw or a sum outside N = 3 moves these values
+    # a change that moves a draw or a sum moves these values; the name dates
+    # from before the N = 3 cases joined the table
     n, blocks, radius, region, options, pinned = _MC_PINNED[case]
     res = M.mu_A_ball(make_partition(n, blocks), radius, region, "mc", 200_000,
                       seed=2026, **options)
