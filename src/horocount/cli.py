@@ -235,7 +235,8 @@ def _cmd_volume(args) -> int:
           f"error={res.standard_error!r} samples={res.samples}")
     if res.converged is False:
         print("warning: grid refinement stopped before successive estimates agreed "
-              f"to {M.GRID_REL_TARGET:g} relative; try a smaller --grid step",
+              f"to {M.GRID_REL_TARGET:g} relative, or the rounding error of its sections "
+              "(a tiny radius) passes that; try a smaller --grid step for the first",
               file=sys.stderr)
     if args.csv:
         # the seed and the diagnostics are empty for the columns a method
@@ -377,6 +378,14 @@ def run_selftest() -> int:
         return a.estimate == b.estimate
 
     check("seed-pinned quadrature repeats bit-for-bit", seed_stability)
+
+    def mc_vs_reference():
+        # the converged grid value of test_measure._N3_R6_REFERENCE
+        res = M.mu_A_ball(p21, 6.0, "b+", "mc", budget=200_000, seed=2026)
+        return abs(res.estimate - 14_194_784.98217) <= 4 * res.standard_error
+
+    check("Monte Carlo volume (N=3 [2,1], R=6, within 4 sigma of the reference)",
+          mc_vs_reference)
 
     failures = 0
     for name, ok in checks:

@@ -23,23 +23,30 @@ picks the estimator and rejects a non-finite result.
 
 numpy is imported only on the Monte Carlo path: the sampler,
 ``_BlockWeights`` (which weighs its points with an array of the projected
-forms), ``_sampled_estimate`` and ``_fold``.  The set-up and the whole grid
-rule are plain Python, so ``volume --grid`` runs without numpy and skips
-its import (about 0.13 s).
+forms) and ``_sampled_estimate``.  The set-up and the whole grid rule are
+plain Python, so ``volume --grid`` runs without numpy and skips its import
+(about 0.13 s).
 
 Estimators: importance-sampled Monte Carlo tilted along the v0 direction
-(``mc``, ``_sampled_estimate``, taming the exp(||v0||R) dynamic range),
-and for N <= 3 ``grid``.  At N = 2 that is the exact integral of e^(c t)
-over an interval (``_line_integral``), its step unused.  At N = 3 it is a
-nested grid rule that halves its spacing each round and evaluates each
-node once (``_grid_refine``).  Each section at fixed first coordinate t is
+(``mc``, ``_sampled_estimate``), and for N <= 3 ``grid``.  The tilt
+e^(||v0|| t) is the integrand's own exponential: c + sum_k alpha_k = v0,
+and sinh a = e^a (1 - e^(-2a)) / 2, so a weight over e^(||v0|| R) is a
+closed-form product with no logarithm and no term that grows with R.
+Only the result is multiplied by e^(||v0|| R), and a radius where that is
+past the double range is rejected before any sample is drawn.
+
+``grid`` at N = 2 is the exact integral of e^(c t) over an interval
+(``_line_integral``), its step unused.  At N = 3 it is a nested grid rule
+that halves its spacing each round and evaluates each node once
+(``_grid_refine``).  Each section at fixed first coordinate t is
 integrated exactly along s: written with two exponentials per sinh, the
-integrand is a signed sum of exponentials of linear forms.  Only the outer
-trapezoid in t remains, nested: halving the spacing h turns the estimate T
-into T/2 + h * (the sum over the new midpoints), so a round holds only its
-own nodes.  An exponential or a sum past the double range is inf, as in
-the sampler, so such a grid estimate is rejected as not finite; one that
-underflows to 0 or below the normal doubles is rejected too.
+integrand is a signed sum of exponentials of linear forms, whose
+cancellation at a tiny R the error reports.  Only the outer trapezoid in
+t remains, nested: halving the spacing h turns the estimate T into T/2 +
+h * (the sum over the new midpoints), so a round holds only its own
+nodes.  An exponential or a sum past the double range is inf, so such a
+grid estimate is rejected as not finite; one that underflows to 0 or
+below the normal doubles is rejected too.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ __all__ = [
 _REGIONS = ("b+", "bc+", "annulus")
 _METHODS = ("mc", "grid")
 _SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)   # a smaller weight squares to 0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)     # e^x is inf past it
 _CHUNK = 250_000   # samples per SeedSequence child
 _BLOCK = 16_384    # points drawn, placed and weighed at once: the block's arrays stay in cache
 GRID_REL_TARGET = 1e-3   # relative agreement of successive grid estimates
@@ -72,13 +80,15 @@ _GRID_MAX_NODES = 2 ** 22   # nodes of the finest grid the rule evaluates
 
 
 class QuadratureResult(_Record):
-    """Estimate with an error size: Monte Carlo standard error, or the last
-    refinement delta for the grid rule.
+    """Estimate with an error size: Monte Carlo standard error, or for the
+    grid rule the larger of the last refinement delta and the sections'
+    rounding bound.
 
     ``samples`` counts sample points for ``mc``; for ``grid`` it counts the
     non-empty sections of the last N = 3 grid, and is 1 for the exact N = 2
-    integral (error 0).  ``converged`` says whether the grid's refinement met
-    its relative target, always True at N = 2 (None for ``mc``).
+    integral (error 0).  ``converged`` says whether the grid's refinement
+    and rounding bound met its relative target, always True at N = 2 (None
+    for ``mc``).
 
     ``mc`` also reports how far its weights can be trusted (None for
     ``grid``): ``ess``, the effective sample size
@@ -152,10 +162,21 @@ class _Integrand(NamedTuple):
     @classmethod
     def project(cls, cone: Cone, c: Sequence[float], alphas: list[Sequence[float]],
                 radius: float, inner: float | None) -> "_Integrand":
-        basis = traceless_basis(cone.partition.n)
+        """The integrand in sample coordinates.  The Monte Carlo weights
+        cancel the sampler's tilt in closed form, so c + sum_k alpha_k must
+        be v0: it must project to (||v0||, 0, ..., 0) within 1e-12 relative,
+        or ValueError is raised."""
+        n = cone.partition.n
+        basis = traceless_basis(n)
         half = cone.half_spaces()
         forms = tuple(tuple([_dot(e, form) for e in basis])
                       for form in [c, *alphas, *(normal for normal, _ in half)])
+        rate = p_norm(n)
+        growth = [sum(column) for column in zip(*forms[:1 + len(alphas)])]
+        if math.dist(growth, [rate] + [0.0] * (n - 2)) > 1e-12 * rate:
+            raise ValueError(f"c + sum of the alphas projects to {growth}, not v0 = "
+                             f"({rate}, 0, ..., 0): the density's exponential must be "
+                             "e^<v0, y>")
         return cls(forms, len(alphas), tuple(floor for _, floor in half), radius, inner)
 
     @property
@@ -189,12 +210,15 @@ class _Integrand(NamedTuple):
         return los, his
 
     def section_integrals(self, ts: Sequence[float], los: Sequence[float],
-                          his: Sequence[float]) -> list[float]:
-        """For N = 3: the exact integral over s in [lo, hi] at each t (lo <= hi).
+                          his: Sequence[float]) -> tuple[list[float], list[float]]:
+        """For N = 3: the exact integral over s in [lo, hi] at each t (lo <= hi),
+        and the sum of its terms' magnitudes.
 
         Each sinh is a difference of two exponentials, so the integrand is
         a sum of 2^k signed exponentials exp(p*t + q*s), each integrated in
-        closed form.  Overflow gives inf or NaN, not an error.
+        closed form.  The terms cancel where the sinh arguments are small,
+        so an integral's rounding error is about machine epsilon times its
+        magnitude sum.  Overflow gives inf or NaN, not an error.
         """
         k = self.n_sinh
         c, alphas = self.forms[0], self.forms[1:1 + k]
@@ -204,14 +228,15 @@ class _Integrand(NamedTuple):
             q = c[1] + sum([sign * a[1] for sign, a in zip(signs, alphas)])
             terms.append((math.prod(signs), p, q, abs(q)))
         scale = 2.0 ** k
-        out = []
+        out, magnitudes = [], []
         for t, lo, hi in zip(ts, los, his):
             length = hi - lo
             if not length > 0:
                 # an empty section contributes 0 even where its exponential overflows
                 out.append(0.0)
+                magnitudes.append(0.0)
                 continue
-            total = 0.0
+            total = magnitude = 0.0
             for sign, p, q, abs_q in terms:
                 if q == 0.0:
                     term = _exp(p * t) * length
@@ -220,8 +245,10 @@ class _Integrand(NamedTuple):
                     top = hi if q > 0 else lo
                     term = _exp(p * t + q * top) * (-math.expm1(-abs_q * length) / abs_q)
                 total += sign * term
+                magnitude += term
             out.append(total / scale)
-        return out
+            magnitudes.append(magnitude / scale)
+        return out, magnitudes
 
 
 def _validate(n: int, region: str, method: str, radius: float, offset: float,
@@ -253,10 +280,10 @@ def _validate(n: int, region: str, method: str, radius: float, offset: float,
         raise ValueError(f"a standard error needs a sample budget of at least 2, got {budget}")
     elif seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-
-
-def _log_ball_volume(d: int) -> float:
-    return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+    elif p_norm(n) * radius > _LOG_FLOAT_MAX:
+        # the weights' scale e^(||v0|| R) is inf: no draw could make the result finite
+        raise ValueError(f"mc quadrature at R={radius}: the weight scale "
+                         f"e^{p_norm(n) * radius:.6g} is past the double range")
 
 
 class _TiltedBallSampler:
@@ -266,33 +293,38 @@ class _TiltedBallSampler:
     h = sqrt(R^2 - t^2)) with Z = (e^{rate R} - e^{-rate R}) / rate.  At
     N = 3 the cross-section is the segment [-h, h] and w = h (2v - 1) comes
     from the radial uniform v alone; past N = 3 it is a direction from the
-    normals, scaled to a radius h v^(1/d).  The buffers hold ``rows`` points
+    normals, scaled to a radius h v^(1/d).  With span = 1 - e^{-2 rate R},
+    V_d the volume of the unit d-ball and d = n_dim - 1,
+
+        e^{-rate R} / q(t, w) = e^{-rate t} h^d * span V_d / rate,
+
+    and ``scale`` is that constant factor.  The buffers hold ``rows`` points
     and are reused by every ``sample`` call.
     """
 
     def __init__(self, n_dim: int, radius: float, rate: float, rows: int):
         import numpy as np
 
+        d = n_dim - 1
         self.radius = radius
         self.rate = rate
         self.span = -math.expm1(-2.0 * rate * radius)   # 1 - e^{-2 rate R}
-        self.log_z = math.log(self.span) + rate * radius - math.log(rate)
+        self.scale = self.span / rate * math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
         self.x = np.empty((n_dim, rows))
-        self.log_q = np.empty(rows)
         self.cross = np.empty(rows)
         self.v = np.empty(rows)
 
-    def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """``rows`` points x (columns) and their log proposal density.  The
-        first coordinate t comes from the t-uniform stream ``rngs[0]``, the
-        radii from ``rngs[1]`` and, past N = 3, cross-section coordinate i
-        from the normal stream ``rngs[2 + i]``; at N = 3 no normal stream is
-        drawn.  They are views of the buffers, overwritten by the next
-        call."""
+    def sample(self, rngs: list, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """``rows`` points x (columns) and their cross-section radii h, None
+        at N = 2, where the cross-section is a point.  The first coordinate
+        t comes from the t-uniform stream ``rngs[0]``, the radii from
+        ``rngs[1]`` and, past N = 3, cross-section coordinate i from the
+        normal stream ``rngs[2 + i]``; at N = 3 no normal stream is drawn.
+        They are views of the buffers, overwritten by the next call."""
         import numpy as np
 
         r, rate = self.radius, self.rate
-        x, log_q = self.x[:, :rows], self.log_q[:rows]
+        x = self.x[:, :rows]
         t = x[0]
         rngs[0].random(out=t)
         # inverse CDF of the truncated exponential on [-R, R]
@@ -301,60 +333,69 @@ class _TiltedBallSampler:
         np.log1p(t, out=t)
         t /= rate
         t += r
-        np.multiply(t, rate, out=log_q)
-        log_q -= self.log_z
         d = x.shape[0] - 1
-        if d:
-            cross = self.cross[:rows]
-            np.multiply(t, t, out=cross)
-            np.subtract(r * r, cross, out=cross)
-            np.maximum(cross, 0.0, out=cross)
-            np.sqrt(cross, out=cross)
-            if d == 1:
-                # the unit sphere of a segment is {-1, 1}: uniform on [-h, h]
-                w = x[1]
-                rngs[1].random(out=w)
-                w *= 2.0
-                w -= 1.0
-                w *= cross
-            else:
-                g, v = x[1:], self.v[:rows]
-                for row, rng in zip(g, rngs[3:]):
-                    rng.standard_normal(out=row)
-                rngs[1].random(out=v)
-                # uniform in the cross-section ball: direction g/|g|, radius cross * v^(1/d)
-                norms = np.sqrt(np.einsum("ij,ij->j", g, g))
-                norms[norms == 0] = 1.0
-                np.power(v, 1.0 / d, out=v)
-                v *= cross
-                v /= norms
-                g *= v
-            np.maximum(cross, 1e-300, out=cross)
-            np.log(cross, out=cross)
-            cross *= d
-            log_q -= cross
-            log_q -= _log_ball_volume(d)
-        return x, log_q
+        if not d:
+            return x, None
+        cross = self.cross[:rows]
+        np.multiply(t, t, out=cross)
+        np.subtract(r * r, cross, out=cross)
+        np.maximum(cross, 0.0, out=cross)
+        np.sqrt(cross, out=cross)
+        if d == 1:
+            # the unit sphere of a segment is {-1, 1}: uniform on [-h, h]
+            w = x[1]
+            rngs[1].random(out=w)
+            w *= 2.0
+            w -= 1.0
+            w *= cross
+        else:
+            g, v = x[1:], self.v[:rows]
+            for row, rng in zip(g, rngs[3:]):
+                rng.standard_normal(out=row)
+            rngs[1].random(out=v)
+            # uniform in the cross-section ball: direction g/|g|, radius cross * v^(1/d)
+            norms = np.sqrt(np.einsum("ij,ij->j", g, g))
+            norms[norms == 0] = 1.0
+            np.power(v, 1.0 / d, out=v)
+            v *= cross
+            v /= norms
+            g *= v
+        return x, cross
 
 
 class _BlockWeights:
-    """log of an ``_Integrand`` over blocks of up to ``rows`` points, in
-    buffers allocated once: the forms array, their values at the block, the
-    squared radii, the outside mask and one more mask for each test."""
+    """An ``_Integrand`` over the proposal, e^{-rate R} f / q, over blocks of
+    up to ``rows`` points, in buffers allocated once: the alpha forms and
+    the cone's normals as one array, their values at the block, the squared
+    radii, the outside mask and one more mask for each test.
 
-    def __init__(self, integrand: _Integrand, rows: int):
+    The integrand's exponential cancels the proposal's tilt: c + sum_k
+    alpha_k is v0 (``_Integrand.project`` checks it), and sinh a =
+    e^a (1 - e^{-2a}) / 2, so on the region
+
+        e^{-rate R} f / q = scale 2^{-k} h^d prod_k (-expm1(-2 <alpha_k, x>)),
+
+    with ``scale`` the sampler's constant: no term grows with R, and a
+    weight is at most scale R^d.  Off the region (outside the ball or
+    annulus, below a cone wall, or some <alpha_k, x> <= 0) it is 0.
+    """
+
+    def __init__(self, integrand: _Integrand, rows: int, scale: float):
         import numpy as np
 
         self.integrand = integrand
-        self.forms = np.array(integrand.forms)
-        self.values = np.empty(len(integrand.forms) * rows)
+        self.forms = np.array(integrand.forms[1:])
+        # the sign turns each expm1(-2a) into -expm1(-2a)
+        self.scale = scale * (-0.5) ** integrand.n_sinh
+        self.values = np.empty(len(self.forms) * rows)
         self.r2 = np.empty(rows)
         self.outside = np.empty(rows, dtype=bool)
         self.cut = np.empty(rows, dtype=bool)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """log of the integrand at the columns of x, -inf outside the
-        region: a view of the buffers, overwritten by the next call."""
+    def __call__(self, x: np.ndarray, h: np.ndarray | None, out: np.ndarray) -> int:
+        """The scaled weights at the columns of x, whose cross-section radii
+        are h (None at N = 2), into ``out``; returns how many of the points
+        lie in the region."""
         import numpy as np
 
         integrand, rows = self.integrand, x.shape[1]
@@ -366,29 +407,18 @@ class _BlockWeights:
         np.greater(r2, integrand.radius * integrand.radius, out=outside)
         if integrand.inner is not None:
             outside |= np.less_equal(r2, integrand.inner * integrand.inner, out=cut)
-        for form, floor in zip(f[1 + k:], integrand.floors):
+        for form, floor in zip(f[k:], integrand.floors):
             outside |= np.less(form, floor, out=cut)
-        log_f = f[0]
-        if k:
-            alphas = f[1:1 + k]
-            # outside the region an alpha form may be negative: NaN, masked below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.log(np.sinh(alphas, out=alphas), out=alphas)
-            for row in alphas[1:]:
-                alphas[0] += row
-            log_f += alphas[0]
-        np.copyto(log_f, -np.inf, where=outside)
-        return log_f
-
-
-def _fold(carry: float, a: np.ndarray) -> float:
-    """carry + a[0] + a[1] + ..., added strictly left to right, so a run of
-    values sums the same however it is cut into blocks; overwrites a."""
-    import numpy as np
-
-    a[0] += carry
-    np.cumsum(a, out=a)
-    return float(a[-1])
+        out.fill(self.scale)
+        for _ in range(x.shape[0] - 1):   # h^d
+            out *= h
+        for alpha in f[:k]:
+            alpha *= -2.0
+            np.expm1(alpha, out=alpha)
+            outside |= np.greater_equal(alpha, 0.0, out=cut)   # exactly where a <= 0
+            out *= alpha
+        np.copyto(out, 0.0, where=outside)
+        return rows - int(np.count_nonzero(outside))
 
 
 def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
@@ -409,26 +439,28 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
     so the points take one block per thread whatever the budget; the budget
     adds one small result per chunk, and one pending future per chunk when
     threads > 1.  Every stream fills its own row of the block in order, so
-    the numbers a chunk draws do not depend on ``_BLOCK``; its sums are
-    left folds over its samples in order, so neither ``_BLOCK`` nor
-    ``threads`` changes a result.
+    the numbers a chunk draws do not depend on ``_BLOCK``.
 
     Weights reach about e^(||v0|| R), so they are summed scaled by
-    e^(-||v0|| R) and the mean and error multiplied back, which keeps their
-    squares finite.  A scaled weight of order R or smaller squares to 0 at
-    a tiny R, so when some sample lands in the region but the largest
-    scaled weight is below sqrt(sys.float_info.min) the estimate raises
-    ValueError as past the double range.  The diagnostics are the
-    effective sample size (sum w)^2 / sum w^2, the fraction of samples in
-    the region (finite log-weight) and the largest weight's share of the
-    sum.
+    e^(-||v0|| R), a factor the weights carry in closed form, and the mean
+    and error multiplied back, which keeps their squares finite.  A block's
+    scaled weights w and their squares fill the real and imaginary parts
+    of a complex buffer after the chunk's running sums, and one cumsum
+    folds both: numpy adds the two parts of a complex sum apart, so each is
+    a left fold over the chunk's samples in order, and neither ``_BLOCK``
+    nor ``threads`` changes a result.  A scaled weight of order R or
+    smaller squares to 0 at a tiny R, so when some sample lands in the
+    region but the largest scaled weight is below sqrt(sys.float_info.min)
+    the estimate raises ValueError as past the double range.  The
+    diagnostics are the effective sample size (sum w)^2 / sum w^2, the
+    fraction of samples in the region and the largest weight's share of
+    the sum.
     """
     import numpy as np
 
     chunks = math.ceil(budget / _CHUNK)
     n_dim, radius = integrand.n_dim, integrand.radius
     rate = p_norm(n_dim + 1)
-    log_scale = rate * radius
 
     def one_chunk(idx: int) -> tuple[float, float, float, int]:
         child = np.random.SeedSequence(seed, spawn_key=(idx,))
@@ -436,21 +468,23 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
         size = min(_CHUNK, budget - idx * _CHUNK)
         rows = min(_BLOCK, size)
         sampler = _TiltedBallSampler(n_dim, radius, rate, rows)
-        weigh = _BlockWeights(integrand, rows)
-        sq, finite = np.empty(rows), np.empty(rows, dtype=bool)
-        total = total_sq = w_max = 0.0
+        weigh = _BlockWeights(integrand, rows, sampler.scale)
+        # element 0 carries the sums (sum w, sum w^2); then (w, w^2) per point
+        sums = np.zeros(rows + 1, dtype=complex)
+        pairs = sums.view(float).reshape(-1, 2)[1:]
+        w_max = 0.0
         hits = 0
         for start in range(0, size, _BLOCK):
-            x, log_q = sampler.sample(rngs, min(_BLOCK, size - start))
-            w = weigh(x)
-            hits += int(np.count_nonzero(np.isfinite(w, out=finite[:w.size])))
-            w -= log_q
-            w -= log_scale
-            np.exp(w, out=w)
+            x, h = sampler.sample(rngs, min(_BLOCK, size - start))
+            block = x.shape[1]
+            w, sq = pairs[:block, 0], pairs[:block, 1]
+            hits += weigh(x, h, w)
             w_max = max(w_max, float(w.max()))
-            total_sq = _fold(total_sq, np.multiply(w, w, out=sq[:w.size]))
-            total = _fold(total, w)
-        return total, total_sq, w_max, hits
+            np.multiply(w, w, out=sq)
+            folded = sums[:block + 1]
+            np.cumsum(folded, out=folded)
+            sums[0] = folded[-1]
+        return float(sums[0].real), float(sums[0].imag), w_max, hits
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -468,7 +502,7 @@ def _sampled_estimate(integrand: _Integrand, budget: int, seed: int,
                          f"square to 0: past the double range")
     mean = total / budget
     var = max(total_sq / budget - mean * mean, 0.0)
-    scale = _exp(log_scale)
+    scale = _exp(rate * radius)
     return {
         "estimate": mean * scale,
         "standard_error": math.sqrt(var / budget) * scale,
@@ -491,19 +525,23 @@ def _line_integral(integrand: _Integrand) -> dict:
     return {"estimate": estimate, "standard_error": 0.0, "samples": 1, "converged": True}
 
 
-def _grid_values(integrand: _Integrand, ts: list[float]) -> tuple[list[float], int]:
+def _grid_values(integrand: _Integrand, ts: list[float]) -> tuple[list[float], list[float],
+                                                                  int]:
     """For N = 3: the section at each node t integrated exactly, less its
-    part in the inner disk for the annulus, and how many of them are
-    non-empty (they count as samples)."""
+    part in the inner disk for the annulus; the magnitude sums of their
+    terms, the inner ones included; and how many sections are non-empty
+    (they count as samples)."""
     lo, hi = integrand.sections(ts)
-    vals = integrand.section_integrals(ts, lo, hi)
+    vals, mags = integrand.section_integrals(ts, lo, hi)
     if integrand.inner is not None:
         inner2 = integrand.inner ** 2
         h_in = [math.sqrt(max(inner2 - t * t, 0.0)) for t in ts]
         in_lo = [max(a, -r) for a, r in zip(lo, h_in)]
         in_hi = [max(min(b, r), a) for a, b, r in zip(in_lo, hi, h_in)]
-        vals = [v - w for v, w in zip(vals, integrand.section_integrals(ts, in_lo, in_hi))]
-    return vals, sum([a < b for a, b in zip(lo, hi)])
+        in_vals, in_mags = integrand.section_integrals(ts, in_lo, in_hi)
+        vals = [v - w for v, w in zip(vals, in_vals)]
+        mags = [m + w for m, w in zip(mags, in_mags)]
+    return vals, mags, sum([a < b for a, b in zip(lo, hi)])
 
 
 def _grid_refine(integrand: _Integrand, step: float) -> dict:
@@ -515,31 +553,40 @@ def _grid_refine(integrand: _Integrand, step: float) -> dict:
     whole, each round's nodes are the ones a fresh grid of its spacing would
     have, bit for bit.  Rounds stop once successive estimates agree to
     ``GRID_REL_TARGET`` (``converged``), after ``_GRID_MAX_ROUNDS`` rounds or
-    before a grid would pass ``_GRID_MAX_NODES`` nodes.  The error is the
-    last round's change, ``samples`` counts the last grid's.  Each value is
-    scaled by h before it is summed, so a sum of the nonnegative values
-    passes the double range (inf, which the caller rejects) only where the
-    integral does."""
+    before a grid would pass ``_GRID_MAX_NODES`` nodes.  ``samples`` counts
+    the last grid's.  Each value is scaled by h before it is summed, so a
+    sum of the nonnegative values passes the double range (inf, which the
+    caller rejects) only where the integral does.
+
+    The section integrals cancel at a tiny R, so the same nested rule sums
+    their terms' magnitudes: machine epsilon times that sum bounds the
+    estimate's rounding error.  The error is the larger of that bound and
+    the last round's change, and ``converged`` needs both below
+    ``GRID_REL_TARGET`` relative."""
     radius = integrand.radius
     k = max(1, math.ceil(2 * radius / step))
     h = 2 * radius / k
     # the last node is R exactly
-    vals, samples = _grid_values(integrand, [i * h - radius for i in range(k)] + [radius])
+    vals, mags, samples = _grid_values(integrand,
+                                       [i * h - radius for i in range(k)] + [radius])
     prev = sum(h * v for v in vals) - (h * vals[0] + h * vals[-1]) / 2.0
+    magnitude = sum(h * m for m in mags) - (h * mags[0] + h * mags[-1]) / 2.0
     for _ in range(_GRID_MAX_ROUNDS):
         h /= 2.0
-        vals, mid_samples = _grid_values(integrand,
-                                         [i * h - radius for i in range(1, 2 * k, 2)])
+        vals, mags, mid_samples = _grid_values(integrand,
+                                               [i * h - radius for i in range(1, 2 * k, 2)])
         k, samples = 2 * k, samples + mid_samples
         cur = prev / 2.0 + sum(h * v for v in vals)
+        magnitude = magnitude / 2.0 + sum(h * m for m in mags)
         delta = abs(cur - prev)
         prev = cur
         converged = prev != 0 and delta / abs(prev) < GRID_REL_TARGET
         # a change past the double range: refining cannot help
         if converged or not math.isfinite(delta) or 2 * k + 1 > _GRID_MAX_NODES:
             break
-    return {"estimate": prev, "standard_error": delta, "samples": samples,
-            "converged": converged}
+    rounding = sys.float_info.epsilon * magnitude
+    return {"estimate": prev, "standard_error": max(delta, rounding), "samples": samples,
+            "converged": converged and rounding < GRID_REL_TARGET * abs(prev)}
 
 
 def _quadrature(partition: Partition, c: Sequence[float], alphas: list[Sequence[float]],
@@ -609,7 +656,9 @@ def mu_A_ball(partition: Partition, radius: float, region: str = "b+",
     is a segment), and N >= 4 every stream but normal stream 0.  The points
     take one block per thread, whatever the budget; one small result per
     chunk of the budget is kept.  Weights too small to square (a tiny R)
-    raise ValueError, as a result past the double range does.
+    raise ValueError, as a result past the double range does, and a radius
+    whose weight scale e^(||v0|| R) is past the double range raises it
+    before any sample is drawn.
     """
     c, alphas = _density_forms(partition)
     return _quadrature(partition, c, alphas, radius, region, method, budget, offset,

@@ -479,6 +479,47 @@ def test_volume_grid_unconverged_warns(capsys):
     assert "warning" in err
 
 
+def test_volume_grid_rounding_warns(capsys):
+    # at R = 1e-16 the section integrals cancel: the estimate, 6.19e-49, is
+    # 31% above the small-R limit, and was reported converged with a
+    # relative error of 3.0e-4, no warning and exit 0
+    code, out, err = run(capsys, "volume", "--n", "3", "--blocks", "2,1",
+                         "--radius", "1e-16", "--grid", "2e-18")
+    assert code == 0
+    estimate, error = (float(re.search(rf"{key}=(\S+)", out).group(1))
+                       for key in ("estimate", "error"))
+    assert error > 0.3 * estimate
+    assert "warning" in err and "rounding" in err
+
+
+@pytest.mark.parametrize("blocks, row", [
+    ("2,1", "6.0,b+,grid,14188825.116976537,10867.099662285298,1199,,,,,True"),
+    ("1,1,1", "6.0,b+,grid,29577402.86231637,21738.88827331364,1199,,,,,True"),
+])
+def test_volume_grid_benchmark_rows(tmp_path, capsys, blocks, row):
+    # the benchmark's grid ops: where the sections' rounding is far below the
+    # refinement's change, it moves neither the error nor the converged flag
+    path = tmp_path / "grid.csv"
+    assert run(capsys, "volume", "--n", "3", "--blocks", blocks, "--radius", "6",
+               "--grid", "0.04", "--csv", str(path))[0] == 0
+    assert path.read_text().splitlines()[1] == row
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "4", "--blocks", "2,2", "--radius", "1e4"),
+    ("--n", "5", "--blocks", "1,1,1,1,1", "--radius", "1e300"),
+], ids=["n4-R1e4", "n5-R1e300"])
+def test_mc_scale_past_double_range_exits_before_sampling(argv):
+    # e^(||v0|| R) is inf once ||v0|| R > log(DBL_MAX) = 709.78: the whole
+    # budget was drawn first, and numpy's overflow warnings printed
+    proc = _fresh_python("-m", "horocount.cli", "volume", *argv, "--mc", "20000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("validation error: mc quadrature at R=")
+    assert line.endswith("past the double range")
+
+
 def test_exit_codes(capsys):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys, "constant", "--n", "3", "--blocks", "3")[0] == 2   # one block
@@ -626,7 +667,8 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    assert out.count("PASS") == 11
+    assert "11/11 selftest checks passed" in out
 
 
 def test_selftest_detects_fault(capsys, monkeypatch):

@@ -235,19 +235,23 @@ def test_tilted_sampler_segment():
     radius, rows, rate = 4.0, 100_000, p_norm(3)
     sampler = M._TiltedBallSampler(2, radius, rate, rows)
     streams = np.random.SeedSequence(31).spawn(2 + 2)
-    x, log_q = sampler.sample([np.random.default_rng(s) for s in streams], rows)
+    x, cross = sampler.sample([np.random.default_rng(s) for s in streams], rows)
     t, x1 = x
     h = np.sqrt(radius * radius - t * t)
+    assert np.abs(cross - h).max() <= 1e-12 * radius
     assert (np.abs(x1) <= h * (1 + 1e-12)).all()
     keep = h > 1e-6
     u = x1[keep] / h[keep]
     m = keep.sum()
     assert abs(u.mean()) < 5 * math.sqrt(1 / 3 / m)
     assert abs(u.var() - 1 / 3) < 5 * math.sqrt(4 / 45 / m)   # var of U^2 is 4/45
-    # the exponential density of t times the segment's uniform 1 / (2h)
+    # the exponential density of t times the segment's uniform 1 / (2h), as
+    # e^(-rate R) / q = scale * h * e^(-rate t)
     z = math.exp(rate * radius) - math.exp(-rate * radius)
-    expected = np.log(rate * np.exp(rate * t) / z) - np.log(2 * h)
-    assert np.abs(log_q[keep] - expected[keep]).max() < 1e-12
+    q = rate * np.exp(rate * t) / z / (2 * h)
+    expected = math.exp(-rate * radius) / q[keep]
+    got = sampler.scale * cross[keep] * np.exp(-rate * t[keep])
+    assert np.abs(got / expected - 1).max() < 1e-12
 
 
 # mc results at budget 200,000 and seed 2026: (estimate, standard error,
@@ -371,15 +375,16 @@ def test_streamed_sums_match_whole_chunk(p21, monkeypatch):
     rate = p_norm(3)
     streams = np.random.SeedSequence(seed).spawn(1)[0].spawn(2 + 2)
     sampler = M._TiltedBallSampler(2, radius, rate, budget)
-    x, log_q = sampler.sample([np.random.default_rng(s) for s in streams], budget)
+    x, h = sampler.sample([np.random.default_rng(s) for s in streams], budget)
     integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
-    log_w = M._BlockWeights(integrand, x.shape[1])(x)
-    w = np.exp(log_w - log_q - rate * radius)
+    w = np.empty(budget)
+    hits = M._BlockWeights(integrand, budget, sampler.scale)(x, h, w)
+    assert hits == np.count_nonzero(w)
     assert res.estimate == pytest.approx(w.mean() * math.exp(rate * radius), rel=1e-12)
     assert res.standard_error == pytest.approx(
         w.std() * math.exp(rate * radius) / math.sqrt(budget), rel=1e-9)
     assert res.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12)
-    assert res.in_region == np.isfinite(log_w).sum() / budget
+    assert res.in_region == hits / budget
     assert res.max_weight_share == pytest.approx(w.max() / w.sum(), rel=1e-12)
 
 
@@ -543,23 +548,45 @@ def _density(partition, y):
 
 @pytest.mark.parametrize("blocks", [[1, 1], [2, 1], [1, 1, 1], [2, 2], [1, 2, 1], [1] * 5])
 def test_log_weight_matches_density(blocks, rng):
+    # the name dates from the log-space weights: the scaled weight is
+    # f(y) / q(x) * e^(-||v0|| R) in the region, with q the tilted proposal's
+    # density, and 0 off it
     part = make_partition(sum(blocks), blocks)
-    radius, offset = 3.0, -0.5
+    radius, offset, rate, d = 3.0, -0.5, p_norm(part.n), part.n - 2
     basis = np.array(M.traceless_basis(part.n)).T
     cone = Cone(part, offset)
     integrand = M._Integrand.project(cone, *M._density_forms(part), radius, 1.0)
     x = rng.uniform(-radius, radius, size=(400, part.n - 1))
-    log_w = M._BlockWeights(integrand, len(x))(x.T)
+    h = np.sqrt(np.maximum(radius * radius - x[:, 0] ** 2, 0.0))
+    sampler = M._TiltedBallSampler(part.n - 1, radius, rate, len(x))
+    w = np.full(len(x), np.nan)
+    count = M._BlockWeights(integrand, len(x), sampler.scale)(x.T, h if d else None, w)
+    ball_volume = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    z = math.exp(rate * radius) - math.exp(-rate * radius)
     hits = 0
-    for row, value in zip(x, log_w):
+    for row, value, cross in zip(x, w, h):
         y = basis @ row
         inside = cone_contains(cone, y, tol=0.0) and 1.0 < np.linalg.norm(y) <= radius
         if inside:
             hits += 1
-            assert math.exp(value) == pytest.approx(_density(part, y), rel=1e-12)
+            q = rate * math.exp(rate * row[0]) / z / (ball_volume * cross ** d)
+            expected = _density(part, y) / q * math.exp(-rate * radius)
+            assert value == pytest.approx(expected, rel=1e-12)
         else:
-            assert value == -math.inf
-    assert hits > 10
+            assert value == 0.0
+    assert count == hits > 10
+
+
+def test_density_exponential_must_be_v0(p21):
+    # the weights cancel the sampler's tilt e^(||v0|| t) in closed form, so
+    # an integrand whose exponential is not e^<v0, y> is refused
+    c, alphas = M._density_forms(p21)
+    for forms in (([2 * a for a in c], alphas), (c, alphas * 2), (v0(3), alphas)):
+        for method in ("mc", "grid"):
+            with pytest.raises(ValueError, match="v0"):
+                M._quadrature(p21, *forms, 2.0, "b+", method, 1000, 0.0, None, 0, 0.1, 1)
+    # c = v0 with no alpha, the cone integral, is one the tests use
+    assert cone_integral(p21, 0.0, 2.0, "mc", budget=1000).estimate > 0
 
 
 def test_section_integrals_match_quad(p21):
@@ -570,7 +597,7 @@ def test_section_integrals_match_quad(p21):
     integrand = M._Integrand.project(Cone(p21), *M._density_forms(p21), radius, None)
     ts = np.array([0.3, 1.3, 2.0, 3.1, 4.0, 5.5])
     lo, hi = map(np.array, integrand.sections(ts))
-    exact = integrand.section_integrals(ts, lo, hi)
+    exact, _ = integrand.section_integrals(ts, lo, hi)
     assert (lo < hi).all()
     for t, a, b, value in zip(ts, lo, hi, exact):
         ref, _ = quad(lambda s: _density(p21, basis @ (t, s)), a, b,
@@ -632,13 +659,41 @@ def test_grid_sum_past_double_range():
     assert M._grid_refine(integrand, 1.0)["estimate"] == math.inf
 
 
+def test_n3_grid_error_covers_rounding_at_tiny_radius(p21):
+    # each sinh is two exponentials, which cancel at a tiny R: at R = 1e-16
+    # the estimate read 31.5% above the small-R limit mu(1e-6) (R / 1e-6)^3,
+    # reported converged with a relative error of 3.0e-4
+    small = M.mu_A_ball(p21, 1e-6, "b+", "grid", grid_step=2e-8)
+    assert small.converged
+    radius = 1e-16
+    res = M.mu_A_ball(p21, radius, "b+", "grid", grid_step=radius / 50)
+    assert res.converged is False
+    assert abs(res.estimate - small.estimate * (radius / 1e-6) ** 3) <= res.standard_error
+    # at R = 6 the rounding bound is far below the refinement's change
+    assert M.mu_A_ball(p21, 6.0, "b+", "grid", grid_step=0.04).converged
+
+
+def test_mc_scale_past_double_range_raises_before_sampling(monkeypatch):
+    # ||v0|| R past log(DBL_MAX) is rejected before a draw; N = 5 at R = 112
+    # (||v0|| R = 708.4) still samples, and its result is not finite
+    p5 = make_partition(5, [1] * 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "_sampled_estimate", None)   # a call would raise TypeError
+        for radius in (113.0, 1e300):
+            with pytest.raises(ValueError, match="weight scale .* past the double range"):
+                M.mu_A_ball(p5, radius, "b+", "mc", budget=1000)
+    with pytest.raises(ValueError, match="not finite"):
+        M.mu_A_ball(p5, 112.0, "b+", "mc", budget=1000)
+
+
 def test_section_integrals_flat_in_s():
     # an exponential with no s part: e^(p t) times the section's length
     p = 0.7
     integrand = M._Integrand(((p, 0.0),), 0, (), 4.0, None)
     ts, los, his = [-1.0, 0.5, 2.0], [-1.5, 0.0, -0.25], [2.0, 0.0, 1.0]
-    assert integrand.section_integrals(ts, los, his) == [
-        math.exp(p * t) * (hi - lo) for t, lo, hi in zip(ts, los, his)]
+    values, magnitudes = integrand.section_integrals(ts, los, his)
+    assert values == [math.exp(p * t) * (hi - lo) for t, lo, hi in zip(ts, los, his)]
+    assert magnitudes == values   # one positive term
 
 
 @pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1]])
