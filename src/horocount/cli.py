@@ -234,9 +234,9 @@ def _cmd_volume(args) -> int:
     print(f"region={res.region} method={res.method} estimate={res.estimate!r} "
           f"error={res.standard_error!r} samples={res.samples}")
     if res.converged is False:
-        print("warning: grid refinement stopped before successive estimates agreed "
-              f"to {M.GRID_REL_TARGET:g} relative, or the rounding error of its sections "
-              "(a tiny radius) passes that; try a smaller --grid step for the first",
+        print(f"warning: the grid error is not below {M.GRID_REL_TARGET:g} relative: "
+              "refinement stopped before successive estimates agreed (try a smaller "
+              "--grid step), or the sections' rounding passes it (a tiny radius)",
               file=sys.stderr)
     if args.csv:
         # the seed and the diagnostics are empty for the columns a method
