@@ -505,6 +505,34 @@ def test_volume_grid_benchmark_rows(tmp_path, capsys, blocks, row):
     assert path.read_text().splitlines()[1] == row
 
 
+@pytest.mark.parametrize("argv, lines, rows", [
+    (("--n", "2", "--blocks", "1,1", "--radius", "4"),
+     ["method=bfs R=4.0 count=268"],
+     ["4.0,268,257.71263194528046,1.039917981423991,bfs,0.0,17"]),
+    (("--n", "2", "--blocks", "1,1", "--radius", "6"),
+     ["method=bfs R=6.0 count=4620"],
+     ["6.0,4620,4360.19586818245,1.059585426818417,bfs,0.0,70"]),
+    (("--n", "3", "--blocks", "1,1,1", "--radius", "1.5", "--margin", "0.6",
+      "--method", "both"),
+     ["method=bfs R=1.5 count=252", "method=brute R=1.5 count=252"],
+     ["1.5,252,256.20740815998056,0.9835781166899227,bfs,0.6,6",
+      "1.5,252,256.20740815998056,0.9835781166899227,brute,,"]),
+    (("--n", "3", "--blocks", "2,1", "--radius", "1.5", "--margin", "0.6",
+      "--method", "both"),
+     ["method=bfs R=1.5 count=309", "method=brute R=1.5 count=309"],
+     ["1.5,309,1328.0161094010464,0.23267790037529235,bfs,0.6,6",
+      "1.5,309,1328.0161094010464,0.23267790037529235,brute,,"]),
+], ids=["n2-R4", "n2-R6", "n3-111", "n3-21"])
+def test_count_benchmark_rows(tmp_path, capsys, argv, lines, rows):
+    # the benchmark's count ops: stdout without the time, and each CSV row
+    # without its seconds field
+    path = tmp_path / "count.csv"
+    code, out, _ = run(capsys, "count", *argv, "--csv", str(path))
+    assert code == 0
+    assert [re.sub(r" \([^)]*\)$", "", line) for line in out.splitlines()] == lines
+    assert [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()[1:]] == rows
+
+
 @pytest.mark.parametrize("argv", [
     ("--n", "4", "--blocks", "2,2", "--radius", "1e4"),
     ("--n", "5", "--blocks", "1,1,1,1,1", "--radius", "1e300"),
