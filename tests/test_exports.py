@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import horocount
@@ -17,3 +19,27 @@ def test_all_exports_resolve():
         checked.append(info.name)
     assert {"constants", "cosets", "decompose", "dynamics", "measure",
             "partitions"} <= set(checked)
+
+
+def test_no_unused_imports():
+    # a deletion leaves imports behind; ``__init__`` is skipped, since its
+    # imports are re-exports
+    for info in pkgutil.iter_modules(horocount.__path__):
+        if info.name == "__init__":
+            continue
+        path = pathlib.Path(horocount.__path__[0]) / f"{info.name}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        used.update(getattr(importlib.import_module(f"horocount.{info.name}"), "__all__", ()))
+        unused = {name: line for name, line in imported.items() if name not in used}
+        assert not unused, f"horocount.{info.name} imports names it never uses: {unused}"
