@@ -98,6 +98,9 @@ __all__ = [
 ]
 
 HEIGHT_TOL = 1e-9
+# the scan takes its bounds at R + SCAN_SLACK, so that rounding keeps every
+# coset of height <= R inside them
+_SCAN_SLACK = 1e-6
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -187,12 +190,6 @@ def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
     return tuple(rows)
 
 
-@functools.cache
-def _subsets(n: int, degree: int) -> dict[tuple[int, ...], int]:
-    """The row sets of the given size, in lexicographic order, with their indices."""
-    return {s: idx for idx, s in enumerate(itertools.combinations(range(n), degree))}
-
-
 def _minor(g: Matrix, rows, cols) -> int:
     """det g[rows, cols]."""
     return int_det([[g[r][c] for c in cols] for r in rows])
@@ -266,7 +263,10 @@ class _Layout:
     how a move changes them.
 
     ``blocks`` holds, per block, its size and the (start, stop) slice of
-    each column's coordinates (no slice for a singleton last block).  The
+    each column's coordinates (no slice for a singleton last block).
+    ``minors`` holds, per coordinate in state order, the (row set S, column
+    set C) of the minor det g[S, C] it is: for column j of a block starting
+    at column b, C = (0, ..., b - 1, j), S in lexicographic order.  The
     move tables are entries det a[S, T] of the compound matrix of the
     moving matrix a, offset to each column's slice (see ``_compound``).
     ``steps[g]``, for generator g of ``_generators(n)``, holds its entries
@@ -284,21 +284,24 @@ class _Layout:
         n = partition.n
         self.partition = partition
         blocks = []
+        minors = []
         columns = []  # (start, row set indices, degree) of every stored column
-        pos = 0
         for k, blk in enumerate(partition.blocks):
             if k == partition.k0 - 1 and len(blk) == 1:
                 blocks.append((1, ()))
                 continue
             degree = blk[0] + 1
-            width = math.comb(n, degree)
+            row_sets = list(itertools.combinations(range(n), degree))
+            index = {s: i for i, s in enumerate(row_sets)}
             slices = []
-            for _ in blk:
-                slices.append((pos, pos + width))
-                columns.append((pos, _subsets(n, degree), degree))
-                pos += width
+            for j in blk:
+                start = len(minors)
+                slices.append((start, start + len(row_sets)))
+                columns.append((start, index, degree))
+                minors.extend([(s, (*range(blk[0]), j)) for s in row_sets])
             blocks.append((len(blk), tuple(slices)))
         self.blocks = tuple(blocks)
+        self.minors = tuple(minors)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
         def entries(a: Matrix) -> list[tuple[int, int, int]]:
@@ -325,17 +328,8 @@ def _layout(partition: Partition) -> _Layout:
 
 
 def _matrix_state(g: Matrix, layout: _Layout) -> tuple[int, ...]:
-    """The wedge state of an integer matrix: for each stored column j of a
-    block starting at column b, the minors det g[S, (0, ..., b - 1, j)]."""
-    n = layout.partition.n
-    state: list[int] = []
-    for blk, (_, slices) in zip(layout.partition.blocks, layout.blocks):
-        if slices:
-            row_sets = _subsets(n, blk[0] + 1)
-            for j in blk:
-                cols = (*range(blk[0]), j)
-                state.extend([_minor(g, s, cols) for s in row_sets])
-    return tuple(state)
+    """The wedge state of an integer matrix: its minors ``layout.minors``."""
+    return tuple([_minor(g, rows, cols) for rows, cols in layout.minors])
 
 
 def _step(state: tuple[int, ...], ops) -> tuple[int, ...]:
@@ -651,7 +645,6 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     depth = 0
     new_per_depth = [0]
     orbits = 0
-    boundary = 0
     checked = 0
     failures = 0
 
@@ -663,7 +656,8 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
             params={"margin": margin, "max_states": max_states,
                     "expand_limit": expand_limit, "states": len(seen), "orbits": orbits,
                     "depth_reached": depth, "new_per_depth": list(new_per_depth),
-                    "last_new_depth": last_new_depth, "boundary": boundary,
+                    "last_new_depth": last_new_depth,
+                    "boundary": sum(rec.boundary for rec in records),
                     "descent_checked": checked, "descent_failures": failures},
             partial=partial,
         )
@@ -677,7 +671,7 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
     def store_orbit(g: Matrix, state: tuple[int, ...], key: tuple[int, ...],
                     h: float) -> int:
         """Store the W-orbit of a new coset within the limit; its size."""
-        nonlocal orbits, boundary
+        nonlocal orbits
         orbits += 1
         inside = h <= radius + HEIGHT_TOL
         on_boundary = abs(h - radius) <= HEIGHT_TOL
@@ -691,7 +685,6 @@ def enumerate_bfs(partition: Partition, radius: float, margin: float = 0.0,
                 records.append(CosetRecord(representative=g, key=key, height=h,
                                            boundary=on_boundary))
                 new_per_depth[depth] += 1
-                boundary += on_boundary
         return len(members)
 
     root_key = _state_key(root, layout)
@@ -739,7 +732,8 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
     that could take minutes: NotImplementedError past n = 3; ValueError for
     a negative or non-finite radius, a state budget below one, or a bound
     e^x_max past the double range; ``ResourceLimitError`` with an empty
-    partial report when the box of first columns exceeds the budget.
+    partial report when the scan's first columns, the domain D of
+    ``_first_columns`` in the box, outnumber the budget.
     """
     _require_search(partition, radius, max_states)
     n = partition.n
@@ -747,19 +741,20 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
         raise NotImplementedError(
             "brute-force enumeration targets n <= 3 (cost grows like e^(P_N R))"
         )
-    x_max = (radius + 1e-6) * math.sqrt((n - 1) / n)
+    x_max = (radius + _SCAN_SLACK) * math.sqrt((n - 1) / n)
     try:
         box = math.floor(math.exp(x_max))
     except OverflowError:
         raise ValueError(f"radius {radius!r} puts the scan's bound e^{x_max:.6g} "
                          "past the double range") from None
-    if n * math.log(2 * box + 1) > math.log(max_states):
+    if _first_column_count(n, box) > max_states:
         empty = EnumerationReport(
             partition=partition, radius=radius, count=0, method="brute",
             params={"levels": [0] * (n - 1), "completions": 0, "orbits": 0},
             partial=True)
-        raise ResourceLimitError(f"the scan's box of (2 * {box:.4g} + 1)^{n} vectors "
-                                 f"exceeds the state budget {max_states}", empty)
+        raise ResourceLimitError(f"the scan's first columns in the box [-{box:.4g}, "
+                                 f"{box:.4g}]^{n} exceed the state budget {max_states}",
+                                 empty)
     return x_max
 
 
@@ -773,12 +768,13 @@ def _axpy(k: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _plane_points(v: tuple[int, ...], limit_sq: float):
-    """Primitive u of L(v) = v x Z^3 up to sign, v primitive, each with a w
-    of v x w = u, that may have |u|^2 <= limit_sq.
+    """Primitive u of L(v) = v x Z^3 up to sign, v primitive with v_0 != 0
+    (every v in D), each with a w of v x w = u, that may have
+    |u|^2 <= limit_sq.
 
     With g = gcd(v_0, v_1) = s v_0 + t v_1, k_1 = (v_1, -v_0, 0) / g and
-    k_2 = (s v_2, t v_2, -g) (e_1 and e_2 when g = 0) are a basis of
-    v^perp in Z^3, which is L(v), of covolume |k_1 x k_2| = |v|.  For u in
+    k_2 = (s v_2, t v_2, -g) are a basis of v^perp in Z^3, which is L(v),
+    of covolume |k_1 x k_2| = |v|.  For u in
     it and x with <v, x> = 1, v x (u x x) = <v, x> u - <v, u> x = u, so
     w = u x x.  Lagrange-Gauss reduction of (k_2, -k_1) gives (e_1, e_2);
     then u = alpha e_1 + beta e_2 has |u|^2 >= beta^2 |v|^2 / |e_1|^2.
@@ -786,9 +782,7 @@ def _plane_points(v: tuple[int, ...], limit_sq: float):
     g, s, t = _ext_gcd(v[0], v[1])
     _, s2, t2 = _ext_gcd(g, v[2])
     x = (s2 * s, s2 * t, t2)  # <v, x> = s2 g + t2 v_2 = 1
-    k1, k2 = ((1, 0, 0), (0, 1, 0)) if not g else (
-        (v[1] // g, -v[0] // g, 0), (s * v[2], t * v[2], -g))
-    a, b = k2, tuple([-c for c in k1])
+    a, b = (s * v[2], t * v[2], -g), (-v[1] // g, v[0] // g, 0)  # k_2, -k_1
     while True:
         if _dot(b, b) < _dot(a, a):
             a, b = b, a
@@ -824,6 +818,16 @@ def _first_columns(n: int, box: int):
             yield desc[:-1] + (-desc[-1],)
 
 
+def _first_column_count(n: int, box: int) -> int:
+    """How many columns ``_first_columns(n, box)`` yields: the C(box + n, n)
+    multisets of n entries from 0, ..., box, and at even n once more those
+    of positive entries only, C(box + n - 1, n)."""
+    count = math.comb(box + n, n)
+    if n % 2 == 0:
+        count += math.comb(box + n - 1, n)
+    return count
+
+
 def _first_positive(g: Matrix) -> Matrix:
     """g, with its first and last columns negated (an element of Gamma_hor,
     so the same coset) when its first column starts negative."""
@@ -852,7 +856,8 @@ def enumerate_brute(partition: Partition, radius: float,
     At n <= 3 a coset is a flag of primitive vectors, listed level by level
     and completed to a matrix only to read its key and height with the
     walk's functions.  Each level is cut by a bound on the height at
-    r = R + 1e-6, so that rounding keeps every coset of height <= R inside.
+    r = R + ``_SCAN_SLACK``, so that rounding keeps every coset of height
+    <= R inside.
 
     * The first column v lies in the domain D of ``_first_columns``
       (|v_0| >= ... >= |v_(n-1)|, signs fixed up to the last at even n)
@@ -894,8 +899,8 @@ def enumerate_brute(partition: Partition, radius: float,
     ``params`` reports ``levels`` (the first columns in D inside the bound,
     then at n = 3 their plane points inside it), ``completions`` (the
     matrices completed; each is keyed, and a new key's height tested) and
-    ``orbits`` (the orbits stored).  A box of more than ``max_states``
-    outer vectors, or more than ``max_states`` cosets, raises
+    ``orbits`` (the orbits stored).  More than ``max_states`` first
+    columns in D's box, or more than ``max_states`` cosets, raises
     ``ResourceLimitError`` with the partial report; a matrix of determinant
     other than one, or a coset derived twice from one first column,
     ``RuntimeError`` (a fault of the scan); a negative, non-finite or
@@ -961,7 +966,7 @@ def enumerate_brute(partition: Partition, radius: float,
                                          f"{levels[0]} outer vectors", report(partial=True))
         seen[key] = cols[0]
 
-    r_sq = (radius + 1e-6) ** 2
+    r_sq = (radius + _SCAN_SLACK) ** 2
     for v in _first_columns(n, box):
         norm = _dot(v, v)
         if not (math.gcd(*v) == 1 and norm <= bound * bound):

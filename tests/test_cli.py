@@ -576,7 +576,7 @@ def test_exit_codes(capsys):
     # ... also with the walk first, which exited 3 on its state budget
     code, _, err = run(capsys, *n3, "1e6", "--method", "both", "--max-states", "20000")
     assert code == 2 and "past the double range" in err
-    # a box past the state budget: numpy's "Maximum allowed size exceeded"
+    # first columns past the state budget: numpy's "Maximum allowed size exceeded"
     # (exit 2) before, the scan's refusal now
     assert run(capsys, *count, "600", "--method", "brute")[0] == 3
     assert run(capsys, *count, "3", "--method", "brute", "--max-states", "0")[0] == 2

@@ -432,16 +432,30 @@ def test_enumerate_rejects_large_n(p2):
     for max_states in (0, -5):
         with pytest.raises(ValueError):
             CS.enumerate_brute(p2, 3.0, max_states=max_states)
-    # a box past the state budget is refused before the scan (at N=2 R=600
+    # first columns past the state budget are refused before the scan (at N=2 R=600
     # numpy refused the array); a scan past it stops with its partial report
     with pytest.raises(CS.ResourceLimitError) as info:
         CS.enumerate_brute(p2, 600.0)
     assert info.value.partial_report.partial
     assert info.value.partial_report.count == 0
     with pytest.raises(CS.ResourceLimitError) as info:
-        CS.enumerate_brute(make_partition(3, [2, 1]), 2.0, max_states=1400)  # 11^3 box
+        CS.enumerate_brute(make_partition(3, [2, 1]), 2.0, max_states=1400)  # 56 first columns
     partial = info.value.partial_report
     assert partial.partial and partial.count == len(partial.records) == 1401
+
+
+def test_scan_budget_counts_its_first_columns():
+    # the closed-form count of the domain D is what the scan visits
+    for n in (2, 3):
+        for box in range(13):
+            assert CS._first_column_count(n, box) == sum(1 for _ in CS._first_columns(n, box))
+    # 4,900 first columns fit a budget of 10,000; the box (2 * 69 + 1)^2 =
+    # 19,321 that the budget used to count did not, and the scan was refused
+    p2 = make_partition(2, [1, 1])
+    scan, walk = (sorted((rec.key, rec.height, rec.boundary) for rec in rep.records)
+                  for rep in (CS.enumerate_brute(p2, 6.0, max_states=10_000),
+                              CS.enumerate_bfs(p2, 6.0)))
+    assert scan == walk and len(scan) == 4620
 
 
 _ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in compositions(n)]
