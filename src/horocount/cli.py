@@ -357,8 +357,11 @@ def run_selftest() -> int:
           block_gram_heights)
 
     def quick_volume():
+        # the integral of e^(sqrt(2) t) over [0, 3], written apart from the
+        # grid's e^(c R - log c) (-expm1(-c R)), so that a fault there shows
         res = M.mu_A_ball(p2, 3.0, "b+", "grid", grid_step=0.05)
-        return abs(res.estimate / M.mu_n2_closed_form(3.0) - 1.0) < 1e-12
+        exact = math.sqrt(2.0) / 2.0 * math.expm1(math.sqrt(2.0) * 3.0)
+        return abs(res.estimate / exact - 1.0) < 1e-12
 
     check("volume quadrature (N=2 closed form, 1e-12)", quick_volume)
 
@@ -438,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="budget of stored coset keys (default 2000000).  The walk "
                         "stores every key of each signed-permutation orbit it meets "
                         "within its height limit and each single coset above it; the "
-                        "scan bounds its box of first columns and its cosets by it.  "
-                        "Past it the count exits 3")
+                        "scan bounds by it the first columns it visits and its "
+                        "cosets.  Past it the count exits 3")
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 
