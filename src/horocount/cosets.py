@@ -98,7 +98,7 @@ __all__ = [
 ]
 
 HEIGHT_TOL = 1e-9
-# the scan takes its bounds at R + SCAN_SLACK, so that rounding keeps every
+# the scan takes its bounds at R + _SCAN_SLACK, so that rounding keeps every
 # coset of height <= R inside them
 _SCAN_SLACK = 1e-6
 
@@ -188,11 +188,6 @@ def _left_apply(g: Matrix, gen: tuple[int, int, int]) -> Matrix:
     rows = list(g)
     rows[i] = tuple(a + t * b for a, b in zip(g[i], g[j]))
     return tuple(rows)
-
-
-def _minor(g: Matrix, rows, cols) -> int:
-    """det g[rows, cols]."""
-    return int_det([[g[r][c] for c in cols] for r in rows])
 
 
 @functools.cache
@@ -328,8 +323,10 @@ def _layout(partition: Partition) -> _Layout:
 
 
 def _matrix_state(g: Matrix, layout: _Layout) -> tuple[int, ...]:
-    """The wedge state of an integer matrix: its minors ``layout.minors``."""
-    return tuple([_minor(g, rows, cols) for rows, cols in layout.minors])
+    """The wedge state of an integer matrix: its minors det g[S, C], (S, C)
+    in ``layout.minors``."""
+    return tuple([int_det([[g[r][c] for c in cols] for r in rows])
+                  for rows, cols in layout.minors])
 
 
 def _step(state: tuple[int, ...], ops) -> tuple[int, ...]:
@@ -752,9 +749,8 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
             partition=partition, radius=radius, count=0, method="brute",
             params={"levels": [0] * (n - 1), "completions": 0, "orbits": 0},
             partial=True)
-        raise ResourceLimitError(f"the scan's first columns in the box [-{box:.4g}, "
-                                 f"{box:.4g}]^{n} exceed the state budget {max_states}",
-                                 empty)
+        raise ResourceLimitError(f"the scan's first columns in [-{box:.4g}, {box:.4g}]^{n} "
+                                 f"exceed the state budget {max_states}", empty)
     return x_max
 
 
@@ -774,10 +770,10 @@ def _plane_points(v: tuple[int, ...], limit_sq: float):
 
     With g = gcd(v_0, v_1) = s v_0 + t v_1, k_1 = (v_1, -v_0, 0) / g and
     k_2 = (s v_2, t v_2, -g) are a basis of v^perp in Z^3, which is L(v),
-    of covolume |k_1 x k_2| = |v|.  For u in
-    it and x with <v, x> = 1, v x (u x x) = <v, x> u - <v, u> x = u, so
-    w = u x x.  Lagrange-Gauss reduction of (k_2, -k_1) gives (e_1, e_2);
-    then u = alpha e_1 + beta e_2 has |u|^2 >= beta^2 |v|^2 / |e_1|^2.
+    of covolume |k_1 x k_2| = |v|.  For u in it and x with <v, x> = 1,
+    v x (u x x) = <v, x> u - <v, u> x = u, so w = u x x.  Lagrange-Gauss
+    reduction of (k_2, -k_1) gives (e_1, e_2); then u = alpha e_1 + beta e_2
+    has |u|^2 >= beta^2 |v|^2 / |e_1|^2.
     """
     g, s, t = _ext_gcd(v[0], v[1])
     _, s2, t2 = _ext_gcd(g, v[2])
