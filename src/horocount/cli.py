@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import time
@@ -104,6 +103,8 @@ def _write_manifest(out_path: str, args, seed: int | None, started: float,
     Python and numpy versions (numpy null when the run never loaded it),
     the ``threads`` the run used and the git commit of the source checkout
     (null when the package does not run from one)."""
+    import json
+
     numpy = sys.modules.get("numpy")
     checkout = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     manifest = {
@@ -154,7 +155,10 @@ def _cmd_constant(args) -> int:
             "P_N": C.p_norm(part.n),
         },
     }
-    text = json.dumps(payload, indent=2)
+    if args.json or args.out:
+        import json
+
+        text = json.dumps(payload, indent=2)
     if args.json:
         print(text)
     else:
@@ -254,6 +258,8 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    import json
+
     from . import dynamics as D
 
     part = _partition_from(args)
@@ -442,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "stores every key of each signed-permutation orbit it meets "
                         "within its height limit and each single coset above it; the "
                         "scan bounds by it the first columns it visits and its "
-                        "cosets.  Past it the count exits 3")
+                        "cosets, each of which costs about 490 bytes (about 1 GB "
+                        "at the default).  Past it the count exits 3")
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_count)
 
@@ -537,6 +544,8 @@ def rerun_manifest(path: str) -> int:
     exponent form (``-1e-05``) is not read as an option.  No subcommand
     calls it: it is the Python entry point of the manifest contract in the
     module docstring, which the tests hold it to."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     argv = [manifest["subcommand"]]

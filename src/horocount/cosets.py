@@ -49,14 +49,15 @@ Two strategies are implemented and validated against each other:
   (and the identity's neighbours), which is complete by the descent lemma:
   proved for N = 2, unproved for N >= 3 and checked on every walk.
 * ``enumerate_brute`` lists the cosets as flags (n <= 3): a primitive
-  first column v from a domain that meets every W-orbit, then, at n = 3, a
-  primitive vector of the plane lattice v x Z^3 from a reduced basis, and
-  at [2, 1] a second vector w + k v, over the range of k solved from the
-  height.  [1, 2] is scanned as [2, 1], each completion mapped to the
-  reversed partition's coset by ``_reversal``.  Each level is cut by a
-  lower bound on the height.  A new coset's whole W-orbit is stored with
-  it (``_orbit``, as in the walk); one first column derives each coset at
-  most once.
+  first column v from a fundamental domain of the first columns modulo W
+  and sign, then, at n = 3, a primitive vector of the plane lattice
+  v x Z^3 from a reduced basis, and at [2, 1] a second vector w + k v,
+  over the range of k solved from the height.  [1, 2] is scanned as
+  [2, 1], each completion mapped to the reversed partition's coset by
+  ``_reversal``.  Each level is cut by a lower bound on the height.  A new
+  coset's whole W-orbit is stored with it (``_orbit``, as in the walk).
+  Each orbit comes from exactly one first column, so the scan keeps only
+  the current column's keys.
 
 ``coset_key`` and ``coset_height`` build the state of a matrix and call the
 same key and height functions as the walk.  All arithmetic on matrices and
@@ -731,6 +732,13 @@ def require_scannable(partition: Partition, radius: float, max_states: int) -> f
     e^x_max past the double range; ``ResourceLimitError`` with an empty
     partial report when the scan's first columns, the domain D of
     ``_first_columns`` in the box, outnumber the budget.
+
+    The budget bounds the scan's memory only through its cosets: each
+    stored coset (its record, matrix and key) costs about 490 bytes, the
+    slope of the peak RSS of ``count --n 3 --blocks 2,1 --radius 5.5
+    --method brute`` between budgets of 500,000 and 1,000,000 cosets (246
+    and 477 MB).  So the default budget of 2,000,000 lets a scan reach
+    about 1 GB.
     """
     _require_search(partition, radius, max_states)
     n = partition.n
@@ -802,25 +810,33 @@ def _plane_points(v: tuple[int, ...], limit_sq: float):
 def _first_columns(n: int, box: int):
     """The domain D of the scan's first columns in the box [-box, box]^n:
     |v_0| >= |v_1| >= ... >= |v_(n-1)| with every entry >= 0, except that at
-    even n the last may take either sign.
+    even n the last entry may also be negative when the entries are
+    positive and pairwise distinct.
 
-    D meets every W-orbit of first columns up to sign: a signed permutation
-    sorts |v| and makes its entries nonnegative, and its determinant is
-    made one by -I at odd n (-v is the same first column up to sign) and by
-    the sign of the last entry at even n."""
+    D is a fundamental domain for the first columns modulo W and sign.  It
+    meets every orbit: a signed permutation sorts |v| and makes its entries
+    nonnegative, and its determinant is made one by -I at odd n (-v is the
+    same first column up to sign) and by the sign of the last entry at even
+    n.  It meets each orbit once: at even n a tie or a zero entry puts the
+    twin with its last entry negated into the orbit of v (swap the tied
+    entries, or negate the zero, and negate the last).  For distinct
+    positive entries only the identity permutation keeps |v| sorted, so an
+    element of W taking v to its twin, or to minus it, would be diagonal
+    with one entry -1, or n - 1 of them: an odd number at even n, against
+    determinant one."""
     for desc in itertools.combinations_with_replacement(range(box, -1, -1), n):
         yield desc
-        if n % 2 == 0 and desc[-1]:
+        if n % 2 == 0 and desc[-1] and len(set(desc)) == n:
             yield desc[:-1] + (-desc[-1],)
 
 
 def _first_column_count(n: int, box: int) -> int:
     """How many columns ``_first_columns(n, box)`` yields: the C(box + n, n)
-    multisets of n entries from 0, ..., box, and at even n once more those
-    of positive entries only, C(box + n - 1, n)."""
+    multisets of n entries from 0, ..., box, and at even n once more the
+    C(box, n) sets of n distinct entries from 1, ..., box."""
     count = math.comb(box + n, n)
     if n % 2 == 0:
-        count += math.comb(box + n - 1, n)
+        count += math.comb(box, n)
     return count
 
 
@@ -847,7 +863,7 @@ def _reversal(g: Matrix) -> Matrix:
 def enumerate_brute(partition: Partition, radius: float,
                     max_states: int = 2_000_000) -> EnumerationReport:
     """All distinct lift cosets of height <= R by a flag scan over one first
-    column per W-orbit.
+    column per W-orbit of first columns.
 
     At n <= 3 a coset is a flag of primitive vectors, listed level by level
     and completed to a matrix only to read its key and height with the
@@ -855,10 +871,11 @@ def enumerate_brute(partition: Partition, radius: float,
     r = R + ``_SCAN_SLACK``, so that rounding keeps every coset of height
     <= R inside.
 
-    * The first column v lies in the domain D of ``_first_columns``
-      (|v_0| >= ... >= |v_(n-1)|, signs fixed up to the last at even n)
-      and has x = log|v| <= R sqrt((n - 1) / n).  At n = 2 the coset is v
-      up to sign, and the last column is ``solve_dot_one((-v_1, v_0))``.
+    * The first column v lies in the fundamental domain D of
+      ``_first_columns`` (|v_0| >= ... >= |v_(n-1)|, signs fixed up to the
+      last at even n) and has x = log|v| <= R sqrt((n - 1) / n).  At n = 2
+      the coset is v up to sign, and the last column is
+      ``solve_dot_one((-v_1, v_0))``.
     * At n = 3, u runs over the primitive vectors of L(v) = v x Z^3 up to
       sign, each with a w of v x w = u (``_plane_points``); y = log|u|.
       [1, 1, 1] is (+-v, +-u), of height^2 1.5 x^2 + 2 (y - x/2)^2, with the
@@ -872,25 +889,30 @@ def enumerate_brute(partition: Partition, radius: float,
       is for k in [c - h, c + h], c = -<w, v> / |v|^2 and
       h = sqrt(|v|^2 q_max - |u|^2) / |v|^2.  Each completion's exact height
       is still tested, so rounding at the ends costs a completion, never a
-      coset.  A pair is kept only when |v_2| >= |v|, and a tie in both
-      orders: a rule that picks one vector, such as the first ``_positive``
-      form, does not commute with W, and would lose {+-e_1, +-e_2}, whose
-      pick e_2 is not in D.
+      coset.  A pair is kept only when |v_2| >= |v|.  A tied block,
+      |v_2| = |v|, is met from two columns of D, v and the descending sort
+      of |v_2|, and is completed only from the larger, v >= sort|v_2|.
+      The rule compares the two columns' representatives in D, which W
+      does not change, so it commutes with W; a rule that picks one vector
+      of the block, such as the first ``_positive`` form, does not, and
+      would lose {+-e_1, +-e_2}, whose pick e_2 is not in D.
     * [1, 2] is scanned as [2, 1]: each completed matrix is mapped once by
       ``_reversal`` before it is keyed, and its key, height and W-orbit are
       read in [1, 2]'s layout.  The map is a bijection from [2, 1]'s cosets
       to [1, 2]'s that keeps the height, and takes W-orbits to W-orbits
-      (J w J^-1 is in W), so the cover of the orbits carries over; a coset
-      derived twice is one derived twice from [2, 1]'s first column.
-      ``params`` are [2, 1]'s.
+      (J w J^-1 is in W), so each orbit still comes from one first column;
+      a coset derived twice is one derived twice from [2, 1]'s first
+      column.  ``params`` are [2, 1]'s.
     * W keeps the height, so a new coset within R is stored with its whole
       W-orbit (``_orbit``), every member with the coset's height.  A
       member's representative w g whose first column starts negative gets
-      its first and last columns negated, an element of Gamma_hor.  D is a
-      cover of the orbits, not a fundamental domain: a completion whose
-      key is known, as an orbit member or from another first column, is
-      skipped.  The lowest such overlap is the [2, 1] block
-      {(3, 2, 2), (4, 1, 0)}, of height 2.896, both columns in D.
+      its first and last columns negated, an element of Gamma_hor.  With D
+      a fundamental domain and the one tie rule, each orbit comes from
+      exactly one first column, and the scan keeps only that column's
+      keys: a completion whose key the column already stored, as a member
+      of an orbit it derived (v's stabilizer in W maps its completions onto
+      each other when v has tied or zero entries), is skipped, and no
+      overlap is skipped across columns.
 
     ``params`` reports ``levels`` (the first columns in D inside the bound,
     then at n = 3 their plane points inside it), ``completions`` (the
@@ -910,9 +932,6 @@ def enumerate_brute(partition: Partition, radius: float,
     flip = partition.sizes == (1, 2)
     layout = _layout(partition)
     bound = math.exp(x_max)
-    # each key within R, with the first column that derived it directly;
-    # None for the other members of its orbit
-    seen: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     records: list[CosetRecord] = []
     levels = [0] * (n - 1)
     completions = 0
@@ -920,7 +939,7 @@ def enumerate_brute(partition: Partition, radius: float,
 
     def report(partial: bool) -> EnumerationReport:
         return EnumerationReport(
-            partition=partition, radius=radius, count=len(seen), method="brute",
+            partition=partition, radius=radius, count=len(records), method="brute",
             records=records, wall_time=time.monotonic() - start_time,
             params={"levels": levels, "completions": completions, "orbits": orbits},
             partial=partial,
@@ -941,9 +960,9 @@ def enumerate_brute(partition: Partition, radius: float,
         state = _matrix_state(mat, layout)
         key = _state_key(state, layout)
         if key in seen:  # within R
-            # D meets an orbit in more than one column, but one column
-            # derives each coset once
-            if seen[key] == cols[0]:
+            # v's stabilizer in W maps the column's completions onto each
+            # other, but the column derives each coset once
+            if seen[key]:
                 raise RuntimeError(f"scan derived the coset of {mat} twice")
             return
         h = _state_height(state, layout)
@@ -952,15 +971,15 @@ def enumerate_brute(partition: Partition, radius: float,
         orbits += 1
         on_boundary = abs(h - radius) <= HEIGHT_TOL
         for g, member in _orbit(mat, state, key, layout):
-            seen[member] = None
+            seen[member] = False
             records.append(CosetRecord(
                 representative=_first_positive(g), key=member, height=h,
                 boundary=on_boundary,
             ))
-            if len(seen) > max_states:
+            if len(records) > max_states:
                 raise ResourceLimitError(f"state budget {max_states} exceeded after "
                                          f"{levels[0]} outer vectors", report(partial=True))
-        seen[key] = cols[0]
+        seen[key] = True
 
     r_sq = (radius + _SCAN_SLACK) ** 2
     for v in _first_columns(n, box):
@@ -968,6 +987,9 @@ def enumerate_brute(partition: Partition, radius: float,
         if not (math.gcd(*v) == 1 and norm <= bound * bound):
             continue
         levels[0] += 1
+        # this column's keys: True for a coset it derived, False for the rest
+        # of that coset's orbit; no other column derives any of them
+        seen: dict[tuple[int, ...], bool] = {}
         if n == 2:
             accept([v, solve_dot_one((-v[1], v[0]))])
             continue
@@ -995,7 +1017,9 @@ def enumerate_brute(partition: Partition, radius: float,
             half = math.sqrt(spread) / norm
             for k in range(math.ceil(centre - half), math.floor(centre + half) + 1):
                 v2 = _axpy(k, v, w)
-                if _dot(v2, v2) >= norm:
+                v2_sq = _dot(v2, v2)
+                # a tied block is completed from its larger column of D
+                if v2_sq > norm or v2_sq == norm and v >= tuple(sorted(map(abs, v2))[::-1]):
                     accept([v, v2, last])
 
     return report(partial=False)

@@ -265,21 +265,20 @@ def test_boundary_flagging(p2):
 # the ids and names are those of the column scan's tests, whose counters
 # these replace
 @pytest.mark.parametrize("n, sizes, count, levels, completions", [
-    pytest.param(2, [1, 1], 8, [5], 5, id="2-sizes0-8-1"),
+    pytest.param(2, [1, 1], 8, [4], 4, id="2-sizes0-8-1"),
     pytest.param(3, [1, 1, 1], 252, [8, 35], 35, id="3-sizes1-252-1.25"),
     pytest.param(3, [2, 1], 309, [8, 41], 75, id="3-sizes2-309-1"),
     pytest.param(3, [1, 2], 309, [8, 41], 75, id="3-sizes3-309-4.5"),
 ])
 def test_brute_derives_each_coset_about_once(n, sizes, count, levels, completions):
-    # the scan completes only first columns in the domain D, one or more per
-    # W-orbit, and stores each new coset's whole orbit, so its counters
-    # shrank from [8], 8 (N=2), [73, 252], 252 ([1, 1, 1]) and [73, 276],
-    # 861 ([2, 1] and [1, 2]), when every first column up to sign was
-    # completed.  The outer level holds the 8 primitive v in D with
-    # |v| <= e^(R sqrt(2/3)) (at N=2, the 5 with |v| <= e^(R / sqrt2)); the
-    # [1, 1, 1] bound is its exact height, so every (v, u) inside it is
-    # completed once; a pair completes only the k solved to lie within R,
-    # keeps both orders of a tie, and [1, 2] is [2, 1]'s scan reversed
+    # the scan completes only first columns in the domain D, one per W-orbit,
+    # and stores each new coset's whole orbit, so its counters shrank from
+    # [8], 8 (N=2), [73, 252], 252 ([1, 1, 1]) and [73, 276], 861 ([2, 1] and
+    # [1, 2]), when every first column up to sign was completed.  The outer
+    # level holds the 8 primitive v in D with |v| <= e^(R sqrt(2/3)) (at N=2,
+    # the 4 with |v| <= e^(R / sqrt2)); the [1, 1, 1] bound is its exact
+    # height, so every (v, u) inside it is completed once; a pair completes
+    # only the k solved to lie within R, and [1, 2] is [2, 1]'s scan reversed
     rep = CS.enumerate_brute(make_partition(n, sizes), 1.5)
     assert rep.count == len(rep.records) == count
     assert rep.params["levels"] == levels
@@ -335,9 +334,9 @@ def test_scan_records_equal_walk_records(n, sizes, radii):
 
 
 def test_brute_skips_an_orbit_met_by_two_first_columns(monkeypatch):
-    # the [2, 1] block {(3, 2, 2), (4, 1, 0)}, of height 2.896, is derived
-    # from both its columns, each in the domain D: the second derivation,
-    # from another column, is skipped, not raised as a fault
+    # the tied [2, 1] block {(3, 2, 2), (4, 1, 0)}, of height 2.896, has both
+    # its columns in the domain D: it is completed once, from the larger
+    # column (4, 1, 0), which owns it, and the column (3, 2, 2) skips it
     part = make_partition(3, [2, 1])
     block = {(3, 2, 2), (4, 1, 0)}
     pairs = []
@@ -351,11 +350,50 @@ def test_brute_skips_an_orbit_met_by_two_first_columns(monkeypatch):
 
     monkeypatch.setattr(CS, "_matrix_state", state)
     rep = CS.enumerate_brute(part, 2.9)
-    assert sorted(pairs) == [((3, 2, 2), (4, 1, 0)), ((4, 1, 0), (3, 2, 2))]
+    assert pairs == [((4, 1, 0), (3, 2, 2))]
     v, v2 = (3, 2, 2), (4, 1, 0)
     key = CS.coset_key(tuple(zip(v, v2, CS.solve_dot_one(CS._cross(v, v2)))), part)
     heights = [rec.height for rec in rep.records if rec.key == key]
     assert heights == [pytest.approx(2.896, abs=5e-4)]
+
+
+@pytest.mark.parametrize("n, sizes, radius", [(2, [1, 1], 6.0)] + [
+    (3, sizes, radius) for sizes in ([1, 1, 1], [2, 1], [1, 2]) for radius in (2.9, 3.0)])
+def test_no_completion_keys_another_columns_coset(monkeypatch, n, sizes, radius):
+    # each W-orbit comes from exactly one first column, so a completion keys
+    # only cosets of its own column.  N = 2 meets (1, 1), whose twin (1, -1)
+    # lies in its orbit, and R = 2.9 and 3 the tied [2, 1] block
+    # {(3, 2, 2), (4, 1, 0)} (and its [1, 2] reversal), both columns in D
+    part = make_partition(n, sizes)
+    column = [None]
+    completed = []   # (column, key) of every completion
+    stored = {}      # key -> the column whose orbit stored it
+    real_columns, real_state, real_orbit = CS._first_columns, CS._matrix_state, CS._orbit
+
+    def columns(n, box):
+        for v in real_columns(n, box):
+            column[0] = v
+            yield v
+
+    def state(g, layout):
+        st = real_state(g, layout)
+        completed.append((column[0], CS._state_key(st, layout)))
+        return st
+
+    def orbit(g, st, key, layout):
+        members = real_orbit(g, st, key, layout)
+        for _, member in members:
+            assert member not in stored
+            stored[member] = column[0]
+        return members
+
+    monkeypatch.setattr(CS, "_first_columns", columns)
+    monkeypatch.setattr(CS, "_matrix_state", state)
+    monkeypatch.setattr(CS, "_orbit", orbit)
+    rep = CS.enumerate_brute(part, radius)
+    assert rep.count == len(stored) > 0
+    assert len(completed) == rep.params["completions"]
+    assert all(stored.get(key, v) == v for v, key in completed)
 
 
 def test_w_table_sizes():
@@ -446,16 +484,36 @@ def test_enumerate_rejects_large_n(p2):
 
 def test_scan_budget_counts_its_first_columns():
     # the closed-form count of the domain D is what the scan visits
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for box in range(13):
             assert CS._first_column_count(n, box) == sum(1 for _ in CS._first_columns(n, box))
-    # 4,900 first columns fit a budget of 10,000; the box (2 * 69 + 1)^2 =
+    # 4,831 first columns fit a budget of 10,000; the box (2 * 69 + 1)^2 =
     # 19,321 that the budget used to count did not, and the scan was refused
     p2 = make_partition(2, [1, 1])
     scan, walk = (sorted((rec.key, rec.height, rec.boundary) for rec in rep.records)
                   for rep in (CS.enumerate_brute(p2, 6.0, max_states=10_000),
                               CS.enumerate_bfs(p2, 6.0)))
     assert scan == walk and len(scan) == 4620
+
+
+def test_first_columns_are_a_fundamental_domain():
+    # the orbits of D's columns under W and sign, W the signed permutations of
+    # determinant one, are disjoint and cover the box: no two columns share
+    # an orbit, and every integer vector of the box meets D.  The boxes reach
+    # D's twins with a negated last entry, from (2, 1) and (4, 3, 2, 1)
+    for n, box in ((2, 6), (3, 5), (4, 5)):
+        group = []
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            group += [(perm, signs) for signs in itertools.product((1, -1), repeat=n)
+                      if (-1) ** inversions * math.prod(signs) == 1]
+        orbits = []
+        for v in CS._first_columns(n, box):
+            images = {tuple([s * v[i] for i, s in zip(perm, signs)]) for perm, signs in group}
+            orbits.append(images | {tuple([-x for x in image]) for image in images})
+        covered = set().union(*orbits)
+        assert sum(len(orbit) for orbit in orbits) == len(covered)
+        assert covered == set(itertools.product(range(-box, box + 1), repeat=n))
 
 
 _ALL_PARTITIONS = [(n, sizes) for n in range(2, 6) for sizes in compositions(n)]

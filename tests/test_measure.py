@@ -719,6 +719,20 @@ def test_n3_grid_is_reversal_invariant(region, option):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("blocks, reversed_blocks", [([2, 1, 1], [1, 1, 2]), ([3, 1], [1, 3]),
+                                                     ([3, 2], [2, 3])])
+@pytest.mark.parametrize("region, option", [("b+", {}), ("bc+", {"offset": -1.0}),
+                                            ("annulus", {"eps": 0.5})])
+def test_mc_is_reversal_invariant_past_n3(blocks, reversed_blocks, region, option):
+    # past N = 3 there is no grid: the Monte Carlo estimates of a partition
+    # and its reversal, on independent seeds, agree within 4 sigma combined
+    results = [M.mu_A_ball(make_partition(sum(sizes), sizes), 2.0, region, "mc",
+                           budget=200_000, seed=seed, **option)
+               for sizes, seed in ((blocks, 601), (reversed_blocks, 602))]
+    errors = math.hypot(*(res.standard_error for res in results))
+    assert abs(results[0].estimate - results[1].estimate) <= 4 * errors
+
+
 def test_offset_cone_grid_vs_mc(p21):
     grid = M.mu_A_ball(p21, 4.0, "bc+", "grid", offset=-1.0, grid_step=0.04)
     mc = M.mu_A_ball(p21, 4.0, "bc+", "mc", offset=-1.0, budget=400_000, seed=4)
